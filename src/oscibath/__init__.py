@@ -40,6 +40,7 @@ from .coefficients import (
 from .csvio import CsvData, CsvSchemaError, read_timeseries_csv, write_timeseries_csv
 from .integrator import (
     IntegratorError,
+    PositivityViolation,
     StepSizeUnderflow,
     convergence_order,
     integrate_coupled,

@@ -1,17 +1,20 @@
 """Friction/diffusion coefficient providers.
 
 A provider is any callable ``t -> CoefficientSample`` that is deterministic
-and defined on the whole integration interval.  Three implementations ship
-here: an analytic phenomenological model (ramp times mean-plus-cosine), a
-natural-cubic-spline interpolator over tabulated samples, and a constant
-provider used as a test oracle.  Externally computed coefficient tables come
-in through a three-column CSV (``t,lambda,D``).
+and defined on the whole integration interval.  ``t`` is a float or a 1-D
+array; an array call returns the four fields as arrays shaped like ``t``, so
+the integrator samples a whole output grid in one call.  Three
+implementations ship here: an analytic phenomenological model (ramp times
+mean-plus-cosine), a natural-cubic-spline interpolator over tabulated
+samples, and a constant provider used as a test oracle.  Externally computed
+coefficient tables come in through a three-column CSV (``t,lambda,D``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -47,9 +50,14 @@ class OutOfRange(ValueError):
 
 
 class CoefficientProvider(Protocol):
-    """Evaluator contract: deterministic map from time to a CoefficientSample."""
+    """Evaluator contract: deterministic map from time to a CoefficientSample.
 
-    def __call__(self, t: float) -> CoefficientSample: ...
+    ``t`` is either a float or a 1-D float array.  For an array the fields
+    of the returned sample are arrays of the same shape, so custom providers
+    must be written with numpy operations.
+    """
+
+    def __call__(self, t: float | np.ndarray) -> CoefficientSample: ...
 
 
 @dataclass(frozen=True)
@@ -94,33 +102,38 @@ class PhenomenologicalParams:
                 )
 
 
-def eval_phenomenological(params: PhenomenologicalParams, t: float) -> CoefficientSample:
+def eval_phenomenological(params: PhenomenologicalParams,
+                          t: float | np.ndarray) -> CoefficientSample:
     """Evaluate the analytic model and its exact time derivatives.
 
     By construction both coefficients and both derivatives vanish at t = 0.
+    Scalars go through :mod:`math`, arrays through numpy, with the same
+    formula (``np.exp`` may differ from ``math.exp`` in the last bit).
     """
+    xp = np if isinstance(t, np.ndarray) else math
     u = t / params.ramp_time
-    gauss = math.exp(-u * u)
+    gauss = xp.exp(-u * u)
     ramp = 1.0 - gauss
     dramp = 2.0 * t / (params.ramp_time * params.ramp_time) * gauss
 
     arg_l = params.osc_freq * t + params.phase_lambda
     arg_d = params.osc_freq * t + params.phase_D
-    osc_l = params.mean_lambda + params.amp_lambda * math.cos(arg_l)
-    osc_d = params.mean_D + params.amp_D * math.cos(arg_d)
-    dosc_l = -params.amp_lambda * params.osc_freq * math.sin(arg_l)
-    dosc_d = -params.amp_D * params.osc_freq * math.sin(arg_d)
+    osc_l = params.mean_lambda + params.amp_lambda * xp.cos(arg_l)
+    osc_d = params.mean_D + params.amp_D * xp.cos(arg_d)
+    dosc_l = -params.amp_lambda * params.osc_freq * xp.sin(arg_l)
+    dosc_d = -params.amp_D * params.osc_freq * xp.sin(arg_d)
 
-    return CoefficientSample(
-        friction=ramp * osc_l,
-        diffusion=ramp * osc_d,
-        dfriction_dt=dramp * osc_l + ramp * dosc_l,
-        ddiffusion_dt=dramp * osc_d + ramp * dosc_d,
-    )
+    return CoefficientSample(ramp * osc_l, ramp * osc_d,
+                             dramp * osc_l + ramp * dosc_l,
+                             dramp * osc_d + ramp * dosc_d)
 
 
-def eval_constant(lambda0: float, D0: float, t: float) -> CoefficientSample:
+def eval_constant(lambda0: float, D0: float,
+                  t: float | np.ndarray) -> CoefficientSample:
     """Time-independent coefficients; derivatives are exactly zero."""
+    if isinstance(t, np.ndarray):
+        return CoefficientSample(np.full(t.shape, lambda0), np.full(t.shape, D0),
+                                 np.zeros(t.shape), np.zeros(t.shape))
     return CoefficientSample(lambda0, D0, 0.0, 0.0)
 
 
@@ -160,22 +173,61 @@ class TabulatedCoefficients:
         s_dif = CubicSpline(self.grid, self.D_values, bc_type="natural")
         return s_lam, s_lam.derivative(), s_dif, s_dif.derivative()
 
+    @cached_property
+    def _kernel(self):
+        """Tables for scalar evaluation without scipy.
 
-def eval_tabulated(table: TabulatedCoefficients, t: float) -> CoefficientSample:
-    """Spline-interpolate the table at time t (no extrapolation)."""
-    lo, hi = float(table.grid[0]), float(table.grid[-1])
-    slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
-    if t < lo - slack or t > hi + slack:
-        raise OutOfRange(
-            f"time {float(t):g} outside coefficient table range [{lo:g}, {hi:g}]")
-    tc = min(max(t, lo), hi)
-    s_lam, ds_lam, s_dif, ds_dif = table._splines
-    return CoefficientSample(
-        friction=float(s_lam(tc)),
-        diffusion=float(s_dif(tc)),
-        dfriction_dt=float(ds_lam(tc)),
-        ddiffusion_dt=float(ds_dif(tc)),
-    )
+        Row i of ``coefs`` holds the ascending-power coefficients of the
+        four pieces on [grid[i], grid[i+1]): lambda (4), dlambda/dt (3),
+        D (4), dD/dt (3).  Adding 0.0 turns -0.0 into +0.0, as scipy's
+        evaluation (which starts its sum from 0.0) does.
+        """
+        coefs = np.hstack([s.c[::-1].T for s in self._splines]) + 0.0
+        lo, hi = float(self.grid[0]), float(self.grid[-1])
+        slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+        return self.grid.tolist(), lo, hi, slack, coefs
+
+
+def _out_of_range(lo: float, hi: float, t: float) -> OutOfRange:
+    return OutOfRange(
+        f"time {float(t):g} outside coefficient table range [{lo:g}, {hi:g}]")
+
+
+def eval_tabulated(table: TabulatedCoefficients,
+                   t: float | np.ndarray) -> CoefficientSample:
+    """Spline-interpolate the table at time t (no extrapolation).
+
+    A scalar is evaluated from the cached per-interval coefficients in
+    scipy's summation order, ``c0 + c1*d + c2*d**2 + c3*(d**2*d)``, which
+    reproduces ``CubicSpline.__call__`` bit for bit.  An array goes to the
+    splines themselves.
+    """
+    knots, lo, hi, slack, coefs = table._kernel
+    if isinstance(t, np.ndarray):
+        outside = (t < lo - slack) | (t > hi + slack)
+        if outside.any():
+            raise _out_of_range(lo, hi, t[outside][0])
+        tc = np.clip(t, lo, hi)
+        s_lam, ds_lam, s_dif, ds_dif = table._splines
+        return CoefficientSample(s_lam(tc), s_dif(tc), ds_lam(tc), ds_dif(tc))
+    if t < lo:
+        if t < lo - slack:
+            raise _out_of_range(lo, hi, t)
+        t = lo
+    elif t > hi:
+        if t > hi + slack:
+            raise _out_of_range(lo, hi, t)
+        t = hi
+    # Interval i holds knots[i] <= t < knots[i+1]; the last one is closed.
+    i = bisect_right(knots, t, 1, len(knots) - 1) - 1
+    d = t - knots[i]
+    d2 = d * d
+    d3 = d2 * d
+    l0, l1, l2, l3, dl0, dl1, dl2, f0, f1, f2, f3, df0, df1, df2 = coefs[i].tolist()
+    return CoefficientSample(l0 + l1 * d + l2 * d2 + l3 * d3,
+                             f0 + f1 * d + f2 * d2 + f3 * d3,
+                             dl0 + dl1 * d + dl2 * d2,
+                             df0 + df1 * d + df2 * d2)
 
 
 class PhenomenologicalProvider:
@@ -184,7 +236,7 @@ class PhenomenologicalProvider:
     def __init__(self, params: PhenomenologicalParams):
         self.params = params
 
-    def __call__(self, t: float) -> CoefficientSample:
+    def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         return eval_phenomenological(self.params, t)
 
     def describe(self) -> ProviderConfig:
@@ -211,7 +263,7 @@ class ConstantProvider:
         self.lambda0 = float(lambda0)
         self.D0 = float(D0)
 
-    def __call__(self, t: float) -> CoefficientSample:
+    def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         return eval_constant(self.lambda0, self.D0, t)
 
     def describe(self) -> ProviderConfig:
@@ -225,7 +277,7 @@ class TabulatedProvider:
         self.table = table
         self.source = source
 
-    def __call__(self, t: float) -> CoefficientSample:
+    def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         return eval_tabulated(self.table, t)
 
     def describe(self) -> ProviderConfig:
@@ -254,21 +306,14 @@ def check_derivatives(provider: CoefficientProvider,
     if h <= 0:
         raise ValueError("h must be positive")
     ts = np.asarray(list(t_grid), dtype=float)
-    reported_l = np.empty(ts.size)
-    reported_d = np.empty(ts.size)
-    fd_l = np.empty(ts.size)
-    fd_d = np.empty(ts.size)
-    for k, t in enumerate(ts):
-        sample = provider(t)
-        plus = provider(t + h)
-        minus = provider(t - h)
-        reported_l[k] = sample.dfriction_dt
-        reported_d[k] = sample.ddiffusion_dt
-        fd_l[k] = (plus.friction - minus.friction) / (2.0 * h)
-        fd_d[k] = (plus.diffusion - minus.diffusion) / (2.0 * h)
+    sample = provider(ts)
+    plus = provider(ts + h)
+    minus = provider(ts - h)
+    fd_l = (plus.friction - minus.friction) / (2.0 * h)
+    fd_d = (plus.diffusion - minus.diffusion) / (2.0 * h)
 
     worst = 0.0
-    for rep, fd in ((reported_l, fd_l), (reported_d, fd_d)):
+    for rep, fd in ((sample.dfriction_dt, fd_l), (sample.ddiffusion_dt, fd_d)):
         scale = float(np.abs(fd).max())
         if scale == 0.0 and float(np.abs(rep).max()) == 0.0:
             continue

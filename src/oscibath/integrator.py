@@ -31,6 +31,7 @@ from .model import (
 __all__ = [
     "IntegratorError",
     "StepSizeUnderflow",
+    "PositivityViolation",
     "integrate_single_first_order",
     "integrate_single_second_order",
     "integrate_coupled",
@@ -45,6 +46,10 @@ class IntegratorError(RuntimeError):
 
 class StepSizeUnderflow(IntegratorError):
     """Error control drove the step size below the resolvable limit."""
+
+
+class PositivityViolation(IntegratorError):
+    """A run whose exact flow keeps n >= 0 produced a clearly negative n."""
 
 
 # Dormand-Prince 5(4) tableau.  The fifth-order solution propagates; the
@@ -236,10 +241,9 @@ def _sample_coefficients(providers, grid) -> tuple[np.ndarray, np.ndarray]:
     lam = np.empty((len(providers), grid.size))
     dif = np.empty((len(providers), grid.size))
     for i, provider in enumerate(providers):
-        for j, t in enumerate(grid):
-            s = provider(t)
-            lam[i, j] = s.friction
-            dif[i, j] = s.diffusion
+        s = provider(grid)
+        lam[i] = s.friction
+        dif[i] = s.diffusion
     return lam, dif
 
 
@@ -269,7 +273,7 @@ def integrate_single_first_order(osc: OscillatorSpec,
 
     When the provider keeps D(t) >= 0 (checked at the output samples) and
     n0 >= 0, the exact flow preserves n >= 0 and the result is checked to
-    stay above -10 * atol.
+    stay above -10 * atol; PositivityViolation is raised otherwise.
     """
     config = _single_config(osc, provider, t_end, output_dt, rtol, atol)
     grid = _output_grid(t_end, output_dt)
@@ -283,9 +287,8 @@ def integrate_single_first_order(osc: OscillatorSpec,
     lam, dif = _sample_coefficients([provider], grid)
     v = -2.0 * lam * n + 2.0 * dif
 
-    if osc.n0 >= 0 and (dif >= 0).all():
-        assert n.min() >= -10.0 * atol, (
-            f"positivity violated: min n = {n.min():g}")
+    if osc.n0 >= 0 and (dif >= 0).all() and not n.min() >= -10.0 * atol:
+        raise PositivityViolation(f"positivity violated: min n = {n.min():g}")
 
     diagnostics = dict(stats)
     diagnostics["formulation"] = "first_order"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -78,18 +78,19 @@ class BathSpec:
     cutoff: float
 
 
-@dataclass(frozen=True)
-class CoefficientSample:
-    """Friction and diffusion coefficients and their time derivatives at one instant.
+class CoefficientSample(NamedTuple):
+    """Friction and diffusion coefficients and their time derivatives.
 
-    All four fields must be finite; providers guarantee this by construction
-    and the integrator aborts on any non-finite right-hand side.
+    Each field is a float for a scalar time, or an array shaped like the
+    time array a provider was called with.  All values must be finite;
+    providers guarantee this by construction and the integrator aborts on
+    any non-finite right-hand side.
     """
 
-    friction: float
-    diffusion: float
-    dfriction_dt: float
-    ddiffusion_dt: float
+    friction: float | np.ndarray
+    diffusion: float | np.ndarray
+    dfriction_dt: float | np.ndarray
+    ddiffusion_dt: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from oscibath.coefficients import (
     ConstantProvider,
@@ -141,6 +143,104 @@ class TestTabulated:
         with pytest.raises(InvalidConfig, match="strictly increasing"):
             TabulatedCoefficients(grid=grid, lambda_values=np.zeros(4),
                                   D_values=np.zeros(4))
+
+
+def irregular_table() -> TabulatedCoefficients:
+    rng = np.random.default_rng(11)
+    grid = np.cumsum(rng.uniform(0.05, 0.7, size=40)) - 1.7
+    return TabulatedCoefficients(grid=grid,
+                                 lambda_values=rng.normal(size=grid.size),
+                                 D_values=rng.normal(size=grid.size))
+
+
+def spline_reference(table: TabulatedCoefficients):
+    """(lambda, D, dlambda/dt, dD/dt) from scipy's natural CubicSpline."""
+    s_lam = CubicSpline(table.grid, table.lambda_values, bc_type="natural")
+    s_dif = CubicSpline(table.grid, table.D_values, bc_type="natural")
+    ds_lam, ds_dif = s_lam.derivative(), s_dif.derivative()
+    return lambda t: (float(s_lam(t)), float(s_dif(t)),
+                      float(ds_lam(t)), float(ds_dif(t)))
+
+
+class TestTabulatedKernel:
+    @pytest.mark.parametrize("make_table", [sine_table, irregular_table])
+    def test_scalar_matches_cubic_spline_bit_for_bit(self, make_table):
+        table = make_table()
+        reference = spline_reference(table)
+        lo, hi = float(table.grid[0]), float(table.grid[-1])
+        rng = np.random.default_rng(3)
+        times = np.concatenate([rng.uniform(lo, hi, size=2000), table.grid])
+        for t in times.tolist():
+            assert tuple(eval_tabulated(table, t)) == reference(t)
+
+        slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+        # Times within half the slack outside the grid clamp to its ends.
+        for t, at in ((lo, lo), (hi, hi), (lo - slack / 2, lo), (hi + slack / 2, hi),
+                      (lo + slack / 2, lo + slack / 2),
+                      (hi - slack / 2, hi - slack / 2)):
+            assert tuple(eval_tabulated(table, t)) == reference(at)
+
+    @pytest.mark.parametrize("make_table", [sine_table, irregular_table])
+    def test_out_of_range_just_beyond_the_slack(self, make_table):
+        table = make_table()
+        lo, hi = float(table.grid[0]), float(table.grid[-1])
+        slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+        for t in (float(np.nextafter(lo - slack, -np.inf)),
+                  float(np.nextafter(hi + slack, np.inf))):
+            message = f"time {t:g} outside coefficient table range [{lo:g}, {hi:g}]"
+            with pytest.raises(OutOfRange, match=re.escape(message)):
+                eval_tabulated(table, t)
+
+
+def scalar_calls(provider, ts: np.ndarray) -> np.ndarray:
+    """The four fields of [provider(t) for t in ts], one row per field."""
+    return np.array([tuple(provider(t)) for t in ts.tolist()]).T
+
+
+NEGATIVE_FRICTION = PhenomenologicalParams(
+    0.05, 0.1, 0.05, 0.05, osc_freq=3.0, phase_lambda=1.0, phase_D=2.0,
+    ramp_time=2.0, allow_negative_friction=True)
+
+
+class TestArrayCalls:
+    TIMES = np.concatenate([[0.0], np.random.default_rng(5).uniform(0.0, 20.0, 3000),
+                            np.arange(0.0, 20.0 + 0.005, 0.01)])
+
+    @pytest.mark.parametrize("provider", [
+        ConstantProvider(0.5, 0.25),
+        ConstantProvider(0.0, 0.0),
+        TabulatedProvider(sine_table()),
+    ], ids=["constant", "constant-zero", "tabulated"])
+    def test_exact_providers(self, provider):
+        sample = provider(self.TIMES)
+        expected = scalar_calls(provider, self.TIMES)
+        for field, row in zip(sample, expected):
+            assert field.shape == self.TIMES.shape
+            assert np.array_equal(field, row)
+
+    @pytest.mark.parametrize("params", [STANDARD, NEGATIVE_FRICTION],
+                             ids=["standard", "negative-friction"])
+    def test_phenomenological_within_4_ulp(self, params):
+        # np.exp and math.exp may differ in the last bit.  The ramp
+        # 1 - exp(-u^2) cancels near t = 0, so the ulp is taken at each
+        # field's largest magnitude rather than pointwise.
+        provider = PhenomenologicalProvider(params)
+        sample = provider(self.TIMES)
+        expected = scalar_calls(provider, self.TIMES)
+        for field, row in zip(sample, expected):
+            assert field.shape == self.TIMES.shape
+            ulp = np.spacing(np.abs(row).max())
+            assert np.abs(field - row).max() <= 4 * ulp
+
+    def test_one_out_of_range_time_rejects_the_array(self):
+        provider = TabulatedProvider(sine_table())
+        ts = np.linspace(0.0, 20.0, 101)
+        ts[57] = 20.5
+        with pytest.raises(OutOfRange, match=re.escape("time 20.5 outside")):
+            provider(ts)
+        ts[57] = -0.25
+        with pytest.raises(OutOfRange, match=re.escape("time -0.25 outside")):
+            provider(ts)
 
 
 class TestCheckDerivatives:

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import oscibath
 
 from oscibath.coefficients import (
     ConstantProvider,
@@ -13,6 +19,7 @@ from oscibath.coefficients import (
 )
 from oscibath.integrator import (
     IntegratorError,
+    PositivityViolation,
     StepSizeUnderflow,
     convergence_order,
     integrate_coupled,
@@ -251,6 +258,52 @@ class TestErrorHandling:
         with pytest.raises(OutOfRange):
             integrate_single_first_order(OscillatorSpec(1.0),
                                          TabulatedProvider(table), t_end=10.0)
+
+
+def dips_between_samples(t):
+    """lambda = 0 and D = -0.1 sin^2(4 pi t): D <= 0, and exactly 0 at
+    every multiple of 0.25, so an output grid of that spacing sees D = 0."""
+    phase = math.pi * (4.0 * t - np.floor(4.0 * t))
+    zero = 0.0 * t
+    return CoefficientSample(zero, -0.1 * np.sin(phase) ** 2, zero,
+                             -0.4 * math.pi * np.sin(2.0 * phase))
+
+
+_POSITIVITY_SCRIPT = """
+import sys
+from oscibath.integrator import PositivityViolation, integrate_single_first_order
+from oscibath.model import OscillatorSpec
+from test_integrator import dips_between_samples
+try:
+    integrate_single_first_order(OscillatorSpec(1.0), dips_between_samples,
+                                 t_end=2.0, output_dt=0.25)
+except PositivityViolation:
+    sys.exit(0 if sys.flags.optimize else 3)
+sys.exit(1)
+"""
+
+
+class TestPositivity:
+    # Checks use pytest.raises / pytest.fail rather than bare asserts so
+    # the class also means something when pytest itself runs under -O.
+
+    def test_violation_raises_named_error(self):
+        with pytest.raises(PositivityViolation, match="positivity violated"):
+            integrate_single_first_order(OscillatorSpec(1.0), dips_between_samples,
+                                         t_end=2.0, output_dt=0.25)
+        if not issubclass(PositivityViolation, IntegratorError):
+            pytest.fail("PositivityViolation must be an IntegratorError")
+
+    def test_violation_raises_under_python_O(self):
+        src = Path(oscibath.__file__).resolve().parents[1]
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), str(tests), env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-O", "-c", _POSITIVITY_SCRIPT],
+                              env=env, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            pytest.fail(f"exit {proc.returncode}: {proc.stderr}")
 
 
 class TestConvergence:
