@@ -1,9 +1,10 @@
 """Master-equation simulator for bosonic oscillators coupled to heat baths.
 
 Integrates the occupation-number dynamics driven by time-dependent friction
-and diffusion coefficients (single oscillator in first- or second-order form,
-or any finite number of pairwise-coupled oscillators) and analyzes the
-resulting non-stationary late-time oscillations.
+and diffusion coefficients (a single oscillator in first-order form, or any
+finite number of pairwise-coupled oscillators in second-order form, one
+oscillator included) and analyzes the resulting non-stationary late-time
+oscillations.  Each coefficient kind is one provider class.
 """
 
 from .analysis import (
@@ -26,14 +27,9 @@ from .analysis import (
 from .coefficients import (
     ConstantProvider,
     OutOfRange,
-    PhenomenologicalParams,
     PhenomenologicalProvider,
-    TabulatedCoefficients,
     TabulatedProvider,
     check_derivatives,
-    eval_constant,
-    eval_phenomenological,
-    eval_tabulated,
     make_provider,
     read_coefficient_csv,
 )
@@ -45,7 +41,6 @@ from .integrator import (
     convergence_order,
     integrate_coupled,
     integrate_single_first_order,
-    integrate_single_second_order,
     rk4_fixed,
 )
 from .model import (

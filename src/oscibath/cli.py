@@ -245,20 +245,17 @@ def _sweep_worker(task) -> dict[str, str]:
     row["status"] = "ok"
     row["file"] = Path(csv_path).name
     window = _default_window(series.t)
-    periods = []
-    for i in range(series.n_oscillators):
+    # The summary row has columns for the first two channels only.
+    for i in range(min(2, series.n_oscillators)):
         try:
             report = extract_period(series.t, series.n[i], window,
                                     atol=config.atol)
-            periods.append(report.period)
-            if i < 2:
-                row[f"period_{i + 1}"] = _fmt(report.period)
+            row[f"period_{i + 1}"] = _fmt(report.period)
         except AnalysisError:
-            periods.append(None)
+            pass
         try:
-            if i < 2:
-                env = envelope(series.t, series.n[i], window)
-                row[f"modulation_depth_{i + 1}"] = _fmt(env.modulation_depth)
+            env = envelope(series.t, series.n[i], window)
+            row[f"modulation_depth_{i + 1}"] = _fmt(env.modulation_depth)
         except AnalysisError:
             pass
     if series.n_oscillators >= 2:

@@ -4,10 +4,12 @@ A provider is any callable ``t -> CoefficientSample`` that is deterministic
 and defined on the whole integration interval.  ``t`` is a float or a 1-D
 array; an array call returns the four fields as arrays shaped like ``t``, so
 the integrator samples a whole output grid in one call.  Three
-implementations ship here: an analytic phenomenological model (ramp times
-mean-plus-cosine), a natural-cubic-spline interpolator over tabulated
-samples, and a constant provider used as a test oracle.  Externally computed
-coefficient tables come in through a three-column CSV (``t,lambda,D``).
+providers ship here, one class per kind, each validating its parameters,
+evaluating itself (``__call__``) and describing itself (``describe``): an
+analytic phenomenological model (ramp times mean-plus-cosine), a
+natural-cubic-spline interpolator over tabulated samples, and a constant
+provider used as a test oracle.  Externally computed coefficient tables
+come in through a three-column CSV (``t,lambda,D``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -28,14 +30,9 @@ from .model import CoefficientSample, InvalidConfig, ProviderConfig
 __all__ = [
     "OutOfRange",
     "CoefficientProvider",
-    "PhenomenologicalParams",
     "PhenomenologicalProvider",
     "ConstantProvider",
-    "TabulatedCoefficients",
     "TabulatedProvider",
-    "eval_phenomenological",
-    "eval_tabulated",
-    "eval_constant",
     "check_derivatives",
     "read_coefficient_csv",
     "make_provider",
@@ -61,8 +58,8 @@ class CoefficientProvider(Protocol):
 
 
 @dataclass(frozen=True)
-class PhenomenologicalParams:
-    """Parameters of the analytic coefficient model.
+class PhenomenologicalProvider:
+    """The analytic coefficient model.
 
     The model is ``ramp(t) * (mean + amp * cos(osc_freq * t + phase))`` for
     both coefficients, with ``ramp(t) = 1 - exp(-(t/ramp_time)^2)``: zero at
@@ -101,54 +98,55 @@ class PhenomenologicalParams:
                     "require allow_negative_friction"
                 )
 
+    def __call__(self, t: float | np.ndarray) -> CoefficientSample:
+        """Evaluate the model and its exact time derivatives.
 
-def eval_phenomenological(params: PhenomenologicalParams,
-                          t: float | np.ndarray) -> CoefficientSample:
-    """Evaluate the analytic model and its exact time derivatives.
+        By construction both coefficients and both derivatives vanish at
+        t = 0.  Scalars go through :mod:`math`, arrays through numpy, with
+        the same formula (``np.exp`` may differ from ``math.exp`` in the
+        last bit).
+        """
+        xp = np if isinstance(t, np.ndarray) else math
+        u = t / self.ramp_time
+        gauss = xp.exp(-u * u)
+        ramp = 1.0 - gauss
+        dramp = 2.0 * t / (self.ramp_time * self.ramp_time) * gauss
 
-    By construction both coefficients and both derivatives vanish at t = 0.
-    Scalars go through :mod:`math`, arrays through numpy, with the same
-    formula (``np.exp`` may differ from ``math.exp`` in the last bit).
-    """
-    xp = np if isinstance(t, np.ndarray) else math
-    u = t / params.ramp_time
-    gauss = xp.exp(-u * u)
-    ramp = 1.0 - gauss
-    dramp = 2.0 * t / (params.ramp_time * params.ramp_time) * gauss
+        arg_l = self.osc_freq * t + self.phase_lambda
+        arg_d = self.osc_freq * t + self.phase_D
+        osc_l = self.mean_lambda + self.amp_lambda * xp.cos(arg_l)
+        osc_d = self.mean_D + self.amp_D * xp.cos(arg_d)
+        dosc_l = -self.amp_lambda * self.osc_freq * xp.sin(arg_l)
+        dosc_d = -self.amp_D * self.osc_freq * xp.sin(arg_d)
 
-    arg_l = params.osc_freq * t + params.phase_lambda
-    arg_d = params.osc_freq * t + params.phase_D
-    osc_l = params.mean_lambda + params.amp_lambda * xp.cos(arg_l)
-    osc_d = params.mean_D + params.amp_D * xp.cos(arg_d)
-    dosc_l = -params.amp_lambda * params.osc_freq * xp.sin(arg_l)
-    dosc_d = -params.amp_D * params.osc_freq * xp.sin(arg_d)
+        return CoefficientSample(ramp * osc_l, ramp * osc_d,
+                                 dramp * osc_l + ramp * dosc_l,
+                                 dramp * osc_d + ramp * dosc_d)
 
-    return CoefficientSample(ramp * osc_l, ramp * osc_d,
-                             dramp * osc_l + ramp * dosc_l,
-                             dramp * osc_d + ramp * dosc_d)
-
-
-def eval_constant(lambda0: float, D0: float,
-                  t: float | np.ndarray) -> CoefficientSample:
-    """Time-independent coefficients; derivatives are exactly zero."""
-    if isinstance(t, np.ndarray):
-        return CoefficientSample(np.full(t.shape, lambda0), np.full(t.shape, D0),
-                                 np.zeros(t.shape), np.zeros(t.shape))
-    return CoefficientSample(lambda0, D0, 0.0, 0.0)
+    def describe(self) -> ProviderConfig:
+        return ProviderConfig("phenomenological", asdict(self))
 
 
-@dataclass(frozen=True)
-class TabulatedCoefficients:
-    """Samples of both coefficients on a strictly increasing time grid.
+def _out_of_range(lo: float, hi: float, t: float) -> OutOfRange:
+    return OutOfRange(
+        f"time {float(t):g} outside coefficient table range [{lo:g}, {hi:g}]")
 
-    At least four points are required (cubic interpolation).  Interpolation
-    uses natural cubic splines; derivative samples come from the splines'
-    analytic derivatives.  Queries outside the grid raise OutOfRange.
+
+@dataclass(frozen=True, eq=False)
+class TabulatedProvider:
+    """Spline interpolation of both coefficients sampled on a time grid.
+
+    The grid is strictly increasing with at least four points (cubic
+    interpolation).  Interpolation uses natural cubic splines; derivative
+    samples come from the splines' analytic derivatives.  Queries outside
+    the grid raise OutOfRange.  ``source`` is the path the table was read
+    from, kept verbatim for ``describe``.
     """
 
     grid: np.ndarray
     lambda_values: np.ndarray
     D_values: np.ndarray
+    source: str | None = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -187,75 +185,48 @@ class TabulatedCoefficients:
         slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
         return self.grid.tolist(), lo, hi, slack, coefs
 
-
-def _out_of_range(lo: float, hi: float, t: float) -> OutOfRange:
-    return OutOfRange(
-        f"time {float(t):g} outside coefficient table range [{lo:g}, {hi:g}]")
-
-
-def eval_tabulated(table: TabulatedCoefficients,
-                   t: float | np.ndarray) -> CoefficientSample:
-    """Spline-interpolate the table at time t (no extrapolation).
-
-    A scalar is evaluated from the cached per-interval coefficients in
-    scipy's summation order, ``c0 + c1*d + c2*d**2 + c3*(d**2*d)``, which
-    reproduces ``CubicSpline.__call__`` bit for bit.  An array goes to the
-    splines themselves.
-    """
-    knots, lo, hi, slack, coefs = table._kernel
-    if isinstance(t, np.ndarray):
-        outside = (t < lo - slack) | (t > hi + slack)
-        if outside.any():
-            raise _out_of_range(lo, hi, t[outside][0])
-        tc = np.clip(t, lo, hi)
-        s_lam, ds_lam, s_dif, ds_dif = table._splines
-        return CoefficientSample(s_lam(tc), s_dif(tc), ds_lam(tc), ds_dif(tc))
-    if t < lo:
-        if t < lo - slack:
-            raise _out_of_range(lo, hi, t)
-        t = lo
-    elif t > hi:
-        if t > hi + slack:
-            raise _out_of_range(lo, hi, t)
-        t = hi
-    # Interval i holds knots[i] <= t < knots[i+1]; the last one is closed.
-    i = bisect_right(knots, t, 1, len(knots) - 1) - 1
-    d = t - knots[i]
-    d2 = d * d
-    d3 = d2 * d
-    l0, l1, l2, l3, dl0, dl1, dl2, f0, f1, f2, f3, df0, df1, df2 = coefs[i].tolist()
-    return CoefficientSample(l0 + l1 * d + l2 * d2 + l3 * d3,
-                             f0 + f1 * d + f2 * d2 + f3 * d3,
-                             dl0 + dl1 * d + dl2 * d2,
-                             df0 + df1 * d + df2 * d2)
-
-
-class PhenomenologicalProvider:
-    """Provider wrapper around :func:`eval_phenomenological`."""
-
-    def __init__(self, params: PhenomenologicalParams):
-        self.params = params
-
     def __call__(self, t: float | np.ndarray) -> CoefficientSample:
-        return eval_phenomenological(self.params, t)
+        """Spline-interpolate the table at time t (no extrapolation).
+
+        A scalar is evaluated from the cached per-interval coefficients in
+        scipy's summation order, ``c0 + c1*d + c2*d**2 + c3*(d**2*d)``, which
+        reproduces ``CubicSpline.__call__`` bit for bit.  An array goes to
+        the splines themselves.
+        """
+        knots, lo, hi, slack, coefs = self._kernel
+        if isinstance(t, np.ndarray):
+            outside = (t < lo - slack) | (t > hi + slack)
+            if outside.any():
+                raise _out_of_range(lo, hi, t[outside][0])
+            tc = np.clip(t, lo, hi)
+            s_lam, ds_lam, s_dif, ds_dif = self._splines
+            return CoefficientSample(s_lam(tc), s_dif(tc), ds_lam(tc), ds_dif(tc))
+        if t < lo:
+            if t < lo - slack:
+                raise _out_of_range(lo, hi, t)
+            t = lo
+        elif t > hi:
+            if t > hi + slack:
+                raise _out_of_range(lo, hi, t)
+            t = hi
+        # Interval i holds knots[i] <= t < knots[i+1]; the last one is closed.
+        i = bisect_right(knots, t, 1, len(knots) - 1) - 1
+        d = t - knots[i]
+        d2 = d * d
+        d3 = d2 * d
+        l0, l1, l2, l3, dl0, dl1, dl2, f0, f1, f2, f3, df0, df1, df2 = coefs[i].tolist()
+        return CoefficientSample(l0 + l1 * d + l2 * d2 + l3 * d3,
+                                 f0 + f1 * d + f2 * d2 + f3 * d3,
+                                 dl0 + dl1 * d + dl2 * d2,
+                                 df0 + df1 * d + df2 * d2)
 
     def describe(self) -> ProviderConfig:
-        p = self.params
-        return ProviderConfig("phenomenological", {
-            "mean_lambda": p.mean_lambda,
-            "amp_lambda": p.amp_lambda,
-            "mean_D": p.mean_D,
-            "amp_D": p.amp_D,
-            "osc_freq": p.osc_freq,
-            "phase_lambda": p.phase_lambda,
-            "phase_D": p.phase_D,
-            "ramp_time": p.ramp_time,
-            "allow_negative_friction": p.allow_negative_friction,
-        })
+        params = {} if self.source is None else {"path": self.source}
+        return ProviderConfig("tabulated", params)
 
 
 class ConstantProvider:
-    """Provider wrapper around :func:`eval_constant`."""
+    """Time-independent coefficients; derivatives are exactly zero."""
 
     def __init__(self, lambda0: float, D0: float):
         if not (math.isfinite(lambda0) and math.isfinite(D0)):
@@ -264,25 +235,14 @@ class ConstantProvider:
         self.D0 = float(D0)
 
     def __call__(self, t: float | np.ndarray) -> CoefficientSample:
-        return eval_constant(self.lambda0, self.D0, t)
+        if isinstance(t, np.ndarray):
+            return CoefficientSample(np.full(t.shape, self.lambda0),
+                                     np.full(t.shape, self.D0),
+                                     np.zeros(t.shape), np.zeros(t.shape))
+        return CoefficientSample(self.lambda0, self.D0, 0.0, 0.0)
 
     def describe(self) -> ProviderConfig:
         return ProviderConfig("constant", {"lambda": self.lambda0, "D": self.D0})
-
-
-class TabulatedProvider:
-    """Provider wrapper around :func:`eval_tabulated`."""
-
-    def __init__(self, table: TabulatedCoefficients, source: str | None = None):
-        self.table = table
-        self.source = source
-
-    def __call__(self, t: float | np.ndarray) -> CoefficientSample:
-        return eval_tabulated(self.table, t)
-
-    def describe(self) -> ProviderConfig:
-        params = {} if self.source is None else {"path": self.source}
-        return ProviderConfig("tabulated", params)
 
 
 def describe_provider(provider: CoefficientProvider) -> ProviderConfig:
@@ -321,8 +281,12 @@ def check_derivatives(provider: CoefficientProvider,
     return worst
 
 
-def read_coefficient_csv(path: str | Path) -> TabulatedCoefficients:
-    """Load a ``t,lambda,D`` CSV (header required, strictly increasing t)."""
+def read_coefficient_csv(path: str | Path) -> TabulatedProvider:
+    """Load a ``t,lambda,D`` CSV (header required, strictly increasing t).
+
+    The provider's ``source`` is ``str(path)`` as given, not normalised.
+    """
+    source = str(path)
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -344,8 +308,8 @@ def read_coefficient_csv(path: str | Path) -> TabulatedCoefficients:
     arr = np.asarray(data, dtype=float)
     if arr.shape[0] < 4:
         raise InvalidConfig(f"coefficient csv {path}: needs at least 4 rows")
-    return TabulatedCoefficients(grid=arr[:, 0], lambda_values=arr[:, 1],
-                                 D_values=arr[:, 2])
+    return TabulatedProvider(grid=arr[:, 0], lambda_values=arr[:, 1],
+                             D_values=arr[:, 2], source=source)
 
 
 def make_provider(pc: ProviderConfig) -> CoefficientProvider:
@@ -362,12 +326,11 @@ def make_provider(pc: ProviderConfig) -> CoefficientProvider:
             raise InvalidConfig(f"constant provider missing key {exc}") from exc
     if pc.kind == "phenomenological":
         try:
-            return PhenomenologicalProvider(PhenomenologicalParams(**params))
+            return PhenomenologicalProvider(**params)
         except TypeError as exc:
             raise InvalidConfig(f"phenomenological provider: {exc}") from exc
     if pc.kind == "tabulated":
         if "path" not in params:
             raise InvalidConfig("tabulated provider missing key 'path'")
-        table = read_coefficient_csv(params["path"])
-        return TabulatedProvider(table, source=str(params["path"]))
+        return read_coefficient_csv(params["path"])
     raise InvalidConfig(f"unknown coefficient kind '{pc.kind}'")

@@ -3,7 +3,8 @@
 Layout: one version comment line, one column-name line, then data rows.
 Columns are ``t`` followed by ``n{i},v{i},lambda{i},D{i}`` per oscillator.
 Floats are written with 17 significant digits so repeated runs are
-byte-comparable and values round-trip exactly.
+byte-comparable and values round-trip exactly.  The time column must be
+strictly increasing with uniform spacing, as every estimator assumes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TimeSeries
+from .model import TimeSeries, check_uniform_grid
 
 __all__ = ["CsvSchemaError", "CsvData", "write_timeseries_csv",
            "read_timeseries_csv", "CSV_VERSION_LINE"]
@@ -41,10 +42,6 @@ class CsvData:
         return self.n.shape[0]
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _column_names(n_osc: int) -> list[str]:
     names = ["t"]
     for i in range(1, n_osc + 1):
@@ -54,14 +51,15 @@ def _column_names(n_osc: int) -> list[str]:
 
 def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
     n_osc = series.n_oscillators
-    lines = [CSV_VERSION_LINE, ",".join(_column_names(n_osc))]
-    for j in range(series.t.size):
-        row = [_fmt(series.t[j])]
-        for i in range(n_osc):
-            row += [_fmt(series.n[i, j]), _fmt(series.v[i, j]),
-                    _fmt(series.friction[i, j]), _fmt(series.diffusion[i, j])]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.empty((series.t.size, 1 + 4 * n_osc))
+    table[:, 0] = series.t
+    table[:, 1::4] = series.n.T
+    table[:, 2::4] = series.v.T
+    table[:, 3::4] = series.friction.T
+    table[:, 4::4] = series.diffusion.T
+    header = CSV_VERSION_LINE + "\n" + ",".join(_column_names(n_osc))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header,
+               comments="")
 
 
 def read_timeseries_csv(path: str | Path) -> CsvData:
@@ -87,6 +85,11 @@ def read_timeseries_csv(path: str | Path) -> CsvData:
     if data.shape[1] != len(names):
         raise CsvSchemaError("csv row width does not match header")
     t = data[:, 0]
+    if t.size >= 2:
+        try:
+            check_uniform_grid(t, t[1] - t[0])
+        except ValueError as exc:
+            raise CsvSchemaError(f"csv time column: {exc}") from None
     n = data[:, 1::4].T
     v = data[:, 2::4].T
     lam = data[:, 3::4].T

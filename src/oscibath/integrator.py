@@ -1,13 +1,15 @@
 """Adaptive Runge-Kutta integration of the occupation-number master equations.
 
-Three solve paths share one embedded Dormand-Prince 5(4) core with dense
+Two solve paths share one embedded Dormand-Prince 5(4) core with dense
 output (output samples come from the step interpolant, never from
 re-integration):
 
 * first-order single oscillator:   dn/dt = -2 lam(t) n + 2 D(t)
-* second-order single oscillator:  n'' + 2 lam n' + 2 lam' n = 2 D'
 * coupled second-order system:     n_i'' + 2 lam_i n_i' + 2 lam_i' n_i
                                      + sum_j beta_ij (n_i - n_j) = 2 D_i'
+
+A single oscillator in second-order form is the coupled system with one
+oscillator and ``CouplingNetwork.none(1)``.
 
 A fixed-step classical RK4 mode backs convergence studies.
 """
@@ -33,7 +35,6 @@ __all__ = [
     "StepSizeUnderflow",
     "PositivityViolation",
     "integrate_single_first_order",
-    "integrate_single_second_order",
     "integrate_coupled",
     "rk4_fixed",
     "convergence_order",
@@ -253,17 +254,6 @@ def _negative_excursions(n: np.ndarray) -> dict:
     return {"count": count, "most_negative": most_negative}
 
 
-def _single_config(osc: OscillatorSpec, provider: CoefficientProvider,
-                   t_end: float, output_dt: float, rtol: float,
-                   atol: float) -> SimulationConfig:
-    return validate_config(SimulationConfig(
-        oscillators=(osc,),
-        provider_config=(describe_provider(provider),),
-        coupling=CouplingNetwork.none(1),
-        t_end=t_end, output_dt=output_dt, rtol=rtol, atol=atol,
-    ))
-
-
 def integrate_single_first_order(osc: OscillatorSpec,
                                  provider: CoefficientProvider,
                                  t_end: float, output_dt: float = 0.01,
@@ -275,7 +265,12 @@ def integrate_single_first_order(osc: OscillatorSpec,
     n0 >= 0, the exact flow preserves n >= 0 and the result is checked to
     stay above -10 * atol; PositivityViolation is raised otherwise.
     """
-    config = _single_config(osc, provider, t_end, output_dt, rtol, atol)
+    config = validate_config(SimulationConfig(
+        oscillators=(osc,),
+        provider_config=(describe_provider(provider),),
+        coupling=CouplingNetwork.none(1),
+        t_end=t_end, output_dt=output_dt, rtol=rtol, atol=atol,
+    ))
     grid = _output_grid(t_end, output_dt)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
@@ -297,17 +292,6 @@ def integrate_single_first_order(osc: OscillatorSpec,
                       config=config, diagnostics=diagnostics)
 
 
-def _second_order_rhs(provider: CoefficientProvider) -> RHS:
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        s = provider(t)
-        return np.array([
-            y[1],
-            2.0 * s.ddiffusion_dt - 2.0 * s.friction * y[1]
-            - 2.0 * s.dfriction_dt * y[0],
-        ])
-    return f
-
-
 def _consistency_residual(osc: OscillatorSpec,
                           provider: CoefficientProvider) -> float:
     # The second-order form is the time derivative of the first-order one;
@@ -317,37 +301,14 @@ def _consistency_residual(osc: OscillatorSpec,
     return abs(osc.v0 + 2.0 * s0.friction * osc.n0 - 2.0 * s0.diffusion)
 
 
-def integrate_single_second_order(osc: OscillatorSpec,
-                                  provider: CoefficientProvider,
-                                  t_end: float, output_dt: float = 0.01,
-                                  rtol: float = 1e-9,
-                                  atol: float = 1e-12) -> TimeSeries:
-    """Solve n'' + 2 lam n' + 2 lam' n = 2 D' from (n0, v0)."""
-    config = _single_config(osc, provider, t_end, output_dt, rtol, atol)
-    grid = _output_grid(t_end, output_dt)
-    residual = _consistency_residual(osc, provider)
-
-    out, stats = _rk45_solve(_second_order_rhs(provider),
-                             np.array([osc.n0, osc.v0]), grid, rtol, atol)
-    n = out[:, 0][None, :]
-    v = out[:, 1][None, :]
-    lam, dif = _sample_coefficients([provider], grid)
-
-    diagnostics = dict(stats)
-    diagnostics["formulation"] = "second_order"
-    diagnostics["consistency_residuals"] = (residual,)
-    diagnostics["negative_excursions"] = _negative_excursions(n)
-    return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
-                      config=config, diagnostics=diagnostics)
-
-
 def integrate_coupled(config: SimulationConfig,
                       providers: Sequence[CoefficientProvider]) -> TimeSeries:
     """Solve the coupled second-order system for all oscillators at once.
 
     The pairwise coupling enters as sum_j beta_ij (n_i - n_j); with two
-    oscillators this is exactly the two-equation system, and beta = 0
-    decouples every channel.
+    oscillators this is exactly the two-equation system, with one it is
+    the single-oscillator form n'' + 2 lam n' + 2 lam' n = 2 D', and
+    beta = 0 decouples every channel.
     """
     config = validate_config(config)
     n_osc = config.n_oscillators

@@ -26,6 +26,7 @@ __all__ = [
     "ProviderConfig",
     "SimulationConfig",
     "TimeSeries",
+    "check_uniform_grid",
     "validate_config",
 ]
 
@@ -209,13 +210,7 @@ class TimeSeries:
             setattr(self, name, arr)
             if arr.shape[1] != self.t.size:
                 raise ValueError(f"channel {name} length does not match grid")
-        if self.t.size >= 2:
-            steps = np.diff(self.t)
-            dt = self.config.output_dt
-            if steps.min() <= 0:
-                raise ValueError("grid not strictly increasing")
-            if np.abs(steps - dt).max() > GRID_SLACK * max(dt, abs(self.t[-1])):
-                raise ValueError("grid spacing not uniform")
+        check_uniform_grid(self.t, self.config.output_dt)
 
     @property
     def n_oscillators(self) -> int:
@@ -224,6 +219,23 @@ class TimeSeries:
     @property
     def output_dt(self) -> float:
         return self.config.output_dt
+
+
+def check_uniform_grid(t: np.ndarray, dt: float) -> None:
+    """Raise ValueError unless ``t`` increases strictly in steps of ``dt``.
+
+    Every step may differ from ``dt`` by GRID_SLACK relative to the larger
+    of ``dt`` and the last time.  The estimators in :mod:`analysis` rely on
+    this grid; a grid of fewer than two times passes.  A NaN time fails,
+    because the comparisons are written so that NaN never satisfies them.
+    """
+    if t.size < 2:
+        return
+    steps = np.diff(t)
+    if not steps.min() > 0:
+        raise ValueError("grid not strictly increasing")
+    if not np.abs(steps - dt).max() <= GRID_SLACK * max(dt, abs(t[-1])):
+        raise ValueError("grid spacing not uniform")
 
 
 def _require(condition: bool, message: str) -> None:

@@ -80,8 +80,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -281,13 +279,6 @@ def load_scenario(path: str | Path) -> SimulationConfig:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-_SERIALIZE_PARAM_ORDER = {
-    "constant": ("lambda", "D"),
-    "phenomenological": _PROVIDER_KEYS["phenomenological"],
-    "tabulated": ("path",),
-}
-
-
 def serialize_scenario(config: SimulationConfig) -> str:
     """Canonical scenario text for a validated config."""
     config = validate_config(config)
@@ -307,7 +298,7 @@ def serialize_scenario(config: SimulationConfig) -> str:
             raise InvalidConfig("custom providers have no scenario representation")
         params = pc.as_dict()
         items: list[tuple[str, object]] = [("kind", pc.kind)]
-        for key in _SERIALIZE_PARAM_ORDER[pc.kind]:
+        for key in _PROVIDER_KEYS[pc.kind]:
             if key in params:
                 items.append((key, params.pop(key)))
         for key in sorted(params):

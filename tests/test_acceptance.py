@@ -14,7 +14,6 @@ from oscibath.analysis import extract_period
 from oscibath.cli import cmd_demo
 from oscibath.coefficients import (
     ConstantProvider,
-    PhenomenologicalParams,
     PhenomenologicalProvider,
     check_derivatives,
     make_provider,
@@ -24,7 +23,6 @@ from oscibath.integrator import (
     convergence_order,
     integrate_coupled,
     integrate_single_first_order,
-    integrate_single_second_order,
 )
 from oscibath.model import (
     CouplingNetwork,
@@ -72,24 +70,25 @@ def test_criterion_1_constant_coefficient_oracle():
 
 def test_criterion_2_first_second_order_equivalence():
     with criterion(2, "first/second-order solves agree for consistent slope"):
-        params = PhenomenologicalParams(0.1, 0.05, 0.05, 0.04, osc_freq=1.0,
-                                        phase_D=math.pi)
-        provider = PhenomenologicalProvider(params)
+        provider = PhenomenologicalProvider(0.1, 0.05, 0.05, 0.04,
+                                            osc_freq=1.0, phase_D=math.pi)
         first = integrate_single_first_order(
             OscillatorSpec(1.0, n0=0.0), provider, t_end=50.0,
             rtol=1e-12, atol=1e-14)
-        second = integrate_single_second_order(
-            OscillatorSpec(1.0, n0=0.0, v0=0.0), provider, t_end=50.0,
-            rtol=1e-12, atol=1e-14)
+        second = integrate_coupled(SimulationConfig(
+            oscillators=(OscillatorSpec(1.0, n0=0.0, v0=0.0),),
+            provider_config=(ProviderConfig("custom"),),
+            coupling=CouplingNetwork.none(1), t_end=50.0,
+            rtol=1e-12, atol=1e-14), [provider])
         assert np.abs(first.n[0] - second.n[0]).max() <= 1e-8
 
 
 def test_criterion_3_zero_coupling_decouples():
     with criterion(3, "beta = 0 coupled run equals independent runs"):
-        p1 = PhenomenologicalProvider(PhenomenologicalParams(
-            0.1, 0.05, 0.05, 0.04, osc_freq=1.0, phase_D=math.pi))
-        p2 = PhenomenologicalProvider(PhenomenologicalParams(
-            0.2, 0.05, 0.05, 0.05, osc_freq=1.5, phase_lambda=math.pi))
+        p1 = PhenomenologicalProvider(
+            0.1, 0.05, 0.05, 0.04, osc_freq=1.0, phase_D=math.pi)
+        p2 = PhenomenologicalProvider(
+            0.2, 0.05, 0.05, 0.05, osc_freq=1.5, phase_lambda=math.pi)
         oscs = (OscillatorSpec(1.0), OscillatorSpec(1.5))
         config = SimulationConfig(
             oscillators=oscs, provider_config=(ProviderConfig("custom"),) * 2,
@@ -97,8 +96,10 @@ def test_criterion_3_zero_coupling_decouples():
             rtol=1e-12, atol=1e-14)
         both = integrate_coupled(config, [p1, p2])
         for i, (osc, provider) in enumerate(zip(oscs, (p1, p2))):
-            alone = integrate_single_second_order(osc, provider, t_end=30.0,
-                                                  rtol=1e-12, atol=1e-14)
+            alone = integrate_coupled(SimulationConfig(
+                oscillators=(osc,), provider_config=(ProviderConfig("custom"),),
+                coupling=CouplingNetwork.none(1), t_end=30.0,
+                rtol=1e-12, atol=1e-14), [provider])
             assert np.abs(both.n[i] - alone.n[0]).max() <= 1e-9
 
 
@@ -178,8 +179,8 @@ def test_criterion_9_provider_derivative_consistency():
     with criterion(9, "analytic providers match central differences"):
         rng = np.random.default_rng(20260809)
         times = rng.uniform(0.05, 40.0, size=1000)
-        phen = PhenomenologicalProvider(PhenomenologicalParams(
-            0.1, 0.05, 0.05, 0.04, osc_freq=1.0, phase_D=math.pi))
+        phen = PhenomenologicalProvider(
+            0.1, 0.05, 0.05, 0.04, osc_freq=1.0, phase_D=math.pi)
         assert check_derivatives(phen, times, h=1e-4) <= 1e-6
         assert check_derivatives(ConstantProvider(0.5, 0.25),
                                  times, h=1e-4) <= 1e-6

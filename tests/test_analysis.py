@@ -15,8 +15,8 @@ from oscibath.analysis import (
     nearest_candidate,
     synchronization_metrics,
 )
-from oscibath.coefficients import PhenomenologicalParams, PhenomenologicalProvider
-from oscibath.integrator import integrate_single_first_order, integrate_single_second_order
+from oscibath.coefficients import PhenomenologicalProvider
+from oscibath.integrator import integrate_coupled, integrate_single_first_order
 from oscibath.model import (
     CouplingNetwork,
     OscillatorSpec,
@@ -80,10 +80,9 @@ class TestExtractPeriod:
     def test_pipeline_inherits_coefficient_period(self):
         # the integrated occupation number oscillates at the coefficient
         # frequency: full pipeline from provider through the solver
-        params = PhenomenologicalParams(0.1, 0.05, 0.05, 0.04, osc_freq=1.0,
-                                        phase_D=math.pi)
-        ts = integrate_single_first_order(OscillatorSpec(1.0, n0=0.0),
-                                          PhenomenologicalProvider(params),
+        provider = PhenomenologicalProvider(0.1, 0.05, 0.05, 0.04, osc_freq=1.0,
+                                            phase_D=math.pi)
+        ts = integrate_single_first_order(OscillatorSpec(1.0, n0=0.0), provider,
                                           t_end=50.0)
         report = extract_period(ts.t, ts.n[0], (25.0, 50.0), atol=1e-12)
         assert not report.is_stationary
@@ -169,11 +168,13 @@ class TestSynchronization:
     def test_uncoupled_detuned_runs_track_eigenfrequencies(self):
         reports = []
         for omega in (1.0, 1.5):
-            params = PhenomenologicalParams(0.1, 0.05, 0.05, 0.04,
-                                            osc_freq=omega, phase_D=math.pi)
-            ts = integrate_single_second_order(
-                OscillatorSpec(omega, n0=0.0, v0=0.0),
-                PhenomenologicalProvider(params), t_end=50.0)
+            provider = PhenomenologicalProvider(0.1, 0.05, 0.05, 0.04,
+                                                osc_freq=omega, phase_D=math.pi)
+            config = SimulationConfig(
+                oscillators=(OscillatorSpec(omega, n0=0.0, v0=0.0),),
+                provider_config=(ProviderConfig("custom"),),
+                coupling=CouplingNetwork.none(1), t_end=50.0)
+            ts = integrate_coupled(config, [provider])
             reports.append(ts)
         sync = synchronization_metrics(reports[0].t, reports[0].n[0],
                                        reports[1].n[0], (25.0, 50.0),
@@ -207,10 +208,9 @@ def test_headline_property_no_asymptotic_limit():
     # positive-mean friction and diffusion with periodic late-time
     # oscillation: the occupation number keeps oscillating instead of
     # reaching a stationary value
-    params = PhenomenologicalParams(0.12, 0.06, 0.06, 0.05, osc_freq=1.0,
-                                    phase_D=math.pi)
-    ts = integrate_single_first_order(OscillatorSpec(1.0, n0=0.0),
-                                      PhenomenologicalProvider(params),
+    provider = PhenomenologicalProvider(0.12, 0.06, 0.06, 0.05, osc_freq=1.0,
+                                        phase_D=math.pi)
+    ts = integrate_single_first_order(OscillatorSpec(1.0, n0=0.0), provider,
                                       t_end=50.0)
     report = extract_period(ts.t, ts.n[0], (25.0, 50.0), atol=1e-12)
     assert not report.is_stationary

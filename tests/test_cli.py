@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -64,6 +65,31 @@ ramp_time = 0.5
 beta 1 2 = 0
 
 [integration]""")
+
+TRIPLE_SCN = PAIR_SCN.replace("[coupling]", """\
+[oscillator 3]
+omega = 2
+n0 = 0
+v0 = 0
+
+[coefficients 3]
+kind = phenomenological
+mean_lambda = 0.15
+amp_lambda = 0.05
+mean_D = 0.05
+amp_D = 0.05
+ramp_time = 0.5
+
+[coupling]""").replace("t_end = 20", "t_end = 40").replace(
+    "rtol = 1e-12\natol = 1e-14", "rtol = 1e-9\natol = 1e-12")
+
+
+def write_sine_csv(path, t):
+    """A one-oscillator CSV whose n channel is a sine of period 3 at times t."""
+    lines = ["# oscibath-csv v1", "t,n1,v1,lambda1,D1"]
+    lines += [f"{ti:.17g},{0.5 + 0.1 * math.sin(2.0 * math.pi * ti / 3.0):.17g},0,0,0"
+              for ti in t]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestSimulate:
@@ -157,6 +183,30 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 1
         assert "version" in capsys.readouterr().err
 
+    def test_swapped_rows_exit_1(self, tmp_path, capsys):
+        t = 0.01 * np.arange(6001)
+        t[[4500, 4501]] = t[[4501, 4500]]
+        path = tmp_path / "swapped.csv"
+        write_sine_csv(path, t)
+        assert main(["analyze", str(path), "--period"]) == 1
+        assert "not strictly increasing" in capsys.readouterr().err
+
+    def test_nan_time_exits_1(self, tmp_path, capsys):
+        t = 0.01 * np.arange(6001)
+        t[4500] = math.nan
+        path = tmp_path / "nan.csv"
+        write_sine_csv(path, t)
+        assert main(["analyze", str(path), "--period"]) == 1
+        assert "csv time column" in capsys.readouterr().err
+
+    def test_stretched_spacing_exits_1(self, tmp_path, capsys):
+        t = 0.01 * np.arange(6001)
+        t[4501:] += 0.001
+        path = tmp_path / "stretched.csv"
+        write_sine_csv(path, t)
+        assert main(["analyze", str(path), "--period"]) == 1
+        assert "not uniform" in capsys.readouterr().err
+
     def test_aperiodic_channel_exits_3(self, tmp_path, capsys):
         noise = np.random.default_rng(0).normal(size=2000)
         lines = ["# oscibath-csv v1", "t,n1,v1,lambda1,D1"]
@@ -237,6 +287,34 @@ class TestSweep:
         assert float(good[4]) > 0
         assert float(good[5]) >= 0
         assert "failed" in rows[2]
+
+    def test_summary_estimates_only_its_two_channels(self, tmp_path,
+                                                     monkeypatch, capsys):
+        from oscibath import cli
+
+        seen = []
+
+        def spy(t, x, *args, **kwargs):
+            seen.append(np.array(x))
+            return extract_period(t, x, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "extract_period", spy)
+        scn = tmp_path / "triple.scn"
+        scn.write_text(TRIPLE_SCN)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scn), str(out_dir), "--param",
+                     "coupling.beta", "--values", "0.1,0.3"]) == 0
+        with (out_dir / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(seen) == 2 * len(rows) == 4
+        for k, row in enumerate(rows):
+            data = read_timeseries_csv(out_dir / row["file"])
+            assert data.n_oscillators == 3
+            for i in range(2):
+                assert np.array_equal(seen[2 * k + i], data.n[i])
+                report = extract_period(data.t, data.n[i], (20.0, 40.0),
+                                        atol=1e-12)
+                assert row[f"period_{i + 1}"] == format(report.period, ".17g")
 
 
 class TestCsvFormat:

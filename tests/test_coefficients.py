@@ -8,53 +8,48 @@ from scipy.interpolate import CubicSpline
 from oscibath.coefficients import (
     ConstantProvider,
     OutOfRange,
-    PhenomenologicalParams,
     PhenomenologicalProvider,
-    TabulatedCoefficients,
     TabulatedProvider,
     check_derivatives,
-    eval_constant,
-    eval_phenomenological,
-    eval_tabulated,
     make_provider,
     read_coefficient_csv,
 )
 from oscibath.model import InvalidConfig, ProviderConfig
 
-STANDARD = PhenomenologicalParams(
+STANDARD = PhenomenologicalProvider(
     mean_lambda=0.1, amp_lambda=0.05, mean_D=0.05, amp_D=0.04,
     osc_freq=1.0, phase_lambda=0.0, phase_D=math.pi, ramp_time=0.5)
 
 
 class TestPhenomenological:
     def test_zero_at_initial_time(self):
-        sample = eval_phenomenological(STANDARD, 0.0)
+        sample = STANDARD(0.0)
         assert sample.friction == 0.0
         assert sample.diffusion == 0.0
         assert sample.dfriction_dt == 0.0
         assert sample.ddiffusion_dt == 0.0
 
     def test_zero_amplitude_plateau(self):
-        params = PhenomenologicalParams(0.1, 0.0, 0.05, 0.0, osc_freq=1.0,
-                                        ramp_time=0.5)
-        sample = eval_phenomenological(params, 20.0)
+        provider = PhenomenologicalProvider(0.1, 0.0, 0.05, 0.0, osc_freq=1.0,
+                                            ramp_time=0.5)
+        sample = provider(20.0)
         assert sample.friction == pytest.approx(0.1, abs=1e-15)
         assert sample.diffusion == pytest.approx(0.05, abs=1e-15)
 
     def test_direct_formula_at_t10(self):
         # Independent evaluation of the stated closed form.
-        params = PhenomenologicalParams(0.1, 0.05, 0.05, 0.0, osc_freq=1.0,
-                                        phase_lambda=0.0, ramp_time=0.5)
+        provider = PhenomenologicalProvider(0.1, 0.05, 0.05, 0.0, osc_freq=1.0,
+                                            phase_lambda=0.0, ramp_time=0.5)
         expected = (1.0 - math.exp(-(10.0 / 0.5) ** 2)) \
             * (0.1 + 0.05 * math.cos(10.0))
-        sample = eval_phenomenological(params, 10.0)
+        sample = provider(10.0)
         assert sample.friction == pytest.approx(expected, rel=1e-15)
 
     def test_derivative_matches_finite_difference_at_t10(self):
         h = 1e-5
-        plus = eval_phenomenological(STANDARD, 10.0 + h)
-        minus = eval_phenomenological(STANDARD, 10.0 - h)
-        sample = eval_phenomenological(STANDARD, 10.0)
+        plus = STANDARD(10.0 + h)
+        minus = STANDARD(10.0 - h)
+        sample = STANDARD(10.0)
         fd = (plus.friction - minus.friction) / (2 * h)
         assert sample.dfriction_dt == pytest.approx(fd, abs=1e-9)
 
@@ -62,98 +57,98 @@ class TestPhenomenological:
         period = 2.0 * math.pi / STANDARD.osc_freq
         bound = 1e-9 * (STANDARD.mean_lambda + STANDARD.amp_lambda)
         for t in np.linspace(5 * STANDARD.ramp_time, 30.0, 40):
-            a = eval_phenomenological(STANDARD, t).friction
-            b = eval_phenomenological(STANDARD, t + period).friction
+            a = STANDARD(t).friction
+            b = STANDARD(t + period).friction
             assert abs(b - a) <= bound
 
     def test_out_of_phase_pair_anticorrelates(self):
-        shifted = PhenomenologicalParams(
+        shifted = PhenomenologicalProvider(
             0.1, 0.05, 0.05, 0.04, osc_freq=1.0,
             phase_lambda=math.pi, phase_D=0.0, ramp_time=0.5)
         t = np.linspace(10.0, 60.0, 5000)
-        lam_a = np.array([eval_phenomenological(STANDARD, ti).friction for ti in t])
-        lam_b = np.array([eval_phenomenological(shifted, ti).friction for ti in t])
+        lam_a = np.array([STANDARD(ti).friction for ti in t])
+        lam_b = np.array([shifted(ti).friction for ti in t])
         lam_a -= lam_a.mean()
         lam_b -= lam_b.mean()
         assert float(np.mean(lam_a * lam_b)) < 0.0
 
     def test_negative_friction_requires_flag(self):
         with pytest.raises(InvalidConfig, match="negative friction"):
-            PhenomenologicalParams(0.05, 0.1, 0.05, 0.0)
-        params = PhenomenologicalParams(0.05, 0.1, 0.05, 0.0,
-                                        allow_negative_friction=True)
-        trough = eval_phenomenological(params, math.pi * 5)
+            PhenomenologicalProvider(0.05, 0.1, 0.05, 0.0)
+        provider = PhenomenologicalProvider(0.05, 0.1, 0.05, 0.0,
+                                            allow_negative_friction=True)
+        trough = provider(math.pi * 5)
         assert trough.friction < 0.0
 
 
 class TestConstant:
     def test_definition(self):
         for t in (0.0, 1.7, 300.0):
-            sample = eval_constant(0.5, 0.25, t)
+            sample = ConstantProvider(0.5, 0.25)(t)
             assert (sample.friction, sample.diffusion) == (0.5, 0.25)
             assert (sample.dfriction_dt, sample.ddiffusion_dt) == (0.0, 0.0)
 
     def test_all_zero(self):
-        sample = eval_constant(0.0, 0.0, 42.0)
+        sample = ConstantProvider(0.0, 0.0)(42.0)
         assert (sample.friction, sample.diffusion,
                 sample.dfriction_dt, sample.ddiffusion_dt) == (0, 0, 0, 0)
 
 
-def sine_table(spacing=0.05, t_max=20.0) -> TabulatedCoefficients:
+def sine_table(spacing=0.05, t_max=20.0) -> TabulatedProvider:
     grid = np.arange(0.0, t_max + spacing / 2, spacing)
-    return TabulatedCoefficients(grid=grid, lambda_values=np.sin(grid),
-                                 D_values=np.cos(grid))
+    return TabulatedProvider(grid=grid, lambda_values=np.sin(grid),
+                             D_values=np.cos(grid))
 
 
 class TestTabulated:
     def test_linear_table_reproduced_exactly(self):
         grid = np.linspace(0.0, 10.0, 21)
-        table = TabulatedCoefficients(grid=grid, lambda_values=grid,
-                                      D_values=2.0 * grid + 1.0)
-        sample = eval_tabulated(table, 3.5)
+        table = TabulatedProvider(grid=grid, lambda_values=grid,
+                                  D_values=2.0 * grid + 1.0)
+        sample = table(3.5)
         assert sample.friction == pytest.approx(3.5, abs=1e-12)
         assert sample.diffusion == pytest.approx(8.0, abs=1e-12)
 
     def test_out_of_range_rejected(self):
         table = sine_table()
         with pytest.raises(OutOfRange):
-            eval_tabulated(table, 20.1)
+            table(20.1)
         with pytest.raises(OutOfRange):
-            eval_tabulated(table, -0.1)
+            table(-0.1)
 
     def test_endpoints_allowed(self):
         table = sine_table()
-        eval_tabulated(table, 0.0)
-        eval_tabulated(table, 20.0)
+        table(0.0)
+        table(20.0)
 
     def test_sine_value_and_derivative_accuracy(self):
         table = sine_table()
-        sample = eval_tabulated(table, 7.3)
+        sample = table(7.3)
         assert sample.friction == pytest.approx(math.sin(7.3), abs=1e-6)
         assert sample.dfriction_dt == pytest.approx(math.cos(7.3), abs=1e-4)
 
     def test_needs_four_points(self):
         with pytest.raises(InvalidConfig, match="4 points"):
-            TabulatedCoefficients(grid=np.array([0.0, 1.0, 2.0]),
-                                  lambda_values=np.zeros(3),
-                                  D_values=np.zeros(3))
+            TabulatedProvider(grid=np.array([0.0, 1.0, 2.0]),
+                              lambda_values=np.zeros(3),
+                              D_values=np.zeros(3))
 
     def test_needs_increasing_grid(self):
         grid = np.array([0.0, 1.0, 1.0, 2.0])
         with pytest.raises(InvalidConfig, match="strictly increasing"):
-            TabulatedCoefficients(grid=grid, lambda_values=np.zeros(4),
-                                  D_values=np.zeros(4))
+            TabulatedProvider(grid=grid, lambda_values=np.zeros(4),
+                              D_values=np.zeros(4))
 
 
-def irregular_table() -> TabulatedCoefficients:
+def irregular_table() -> TabulatedProvider:
     rng = np.random.default_rng(11)
     grid = np.cumsum(rng.uniform(0.05, 0.7, size=40)) - 1.7
-    return TabulatedCoefficients(grid=grid,
-                                 lambda_values=rng.normal(size=grid.size),
-                                 D_values=rng.normal(size=grid.size))
+    return TabulatedProvider(grid=grid,
+                             lambda_values=rng.normal(size=grid.size),
+                             D_values=rng.normal(size=grid.size))
 
 
-def spline_reference(table: TabulatedCoefficients):
+def spline_reference(table: TabulatedProvider):
     """(lambda, D, dlambda/dt, dD/dt) from scipy's natural CubicSpline."""
     s_lam = CubicSpline(table.grid, table.lambda_values, bc_type="natural")
     s_dif = CubicSpline(table.grid, table.D_values, bc_type="natural")
@@ -171,14 +166,14 @@ class TestTabulatedKernel:
         rng = np.random.default_rng(3)
         times = np.concatenate([rng.uniform(lo, hi, size=2000), table.grid])
         for t in times.tolist():
-            assert tuple(eval_tabulated(table, t)) == reference(t)
+            assert tuple(table(t)) == reference(t)
 
         slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
         # Times within half the slack outside the grid clamp to its ends.
         for t, at in ((lo, lo), (hi, hi), (lo - slack / 2, lo), (hi + slack / 2, hi),
                       (lo + slack / 2, lo + slack / 2),
                       (hi - slack / 2, hi - slack / 2)):
-            assert tuple(eval_tabulated(table, t)) == reference(at)
+            assert tuple(table(t)) == reference(at)
 
     @pytest.mark.parametrize("make_table", [sine_table, irregular_table])
     def test_out_of_range_just_beyond_the_slack(self, make_table):
@@ -189,7 +184,7 @@ class TestTabulatedKernel:
                   float(np.nextafter(hi + slack, np.inf))):
             message = f"time {t:g} outside coefficient table range [{lo:g}, {hi:g}]"
             with pytest.raises(OutOfRange, match=re.escape(message)):
-                eval_tabulated(table, t)
+                table(t)
 
 
 def scalar_calls(provider, ts: np.ndarray) -> np.ndarray:
@@ -197,7 +192,7 @@ def scalar_calls(provider, ts: np.ndarray) -> np.ndarray:
     return np.array([tuple(provider(t)) for t in ts.tolist()]).T
 
 
-NEGATIVE_FRICTION = PhenomenologicalParams(
+NEGATIVE_FRICTION = PhenomenologicalProvider(
     0.05, 0.1, 0.05, 0.05, osc_freq=3.0, phase_lambda=1.0, phase_D=2.0,
     ramp_time=2.0, allow_negative_friction=True)
 
@@ -209,7 +204,7 @@ class TestArrayCalls:
     @pytest.mark.parametrize("provider", [
         ConstantProvider(0.5, 0.25),
         ConstantProvider(0.0, 0.0),
-        TabulatedProvider(sine_table()),
+        sine_table(),
     ], ids=["constant", "constant-zero", "tabulated"])
     def test_exact_providers(self, provider):
         sample = provider(self.TIMES)
@@ -218,13 +213,12 @@ class TestArrayCalls:
             assert field.shape == self.TIMES.shape
             assert np.array_equal(field, row)
 
-    @pytest.mark.parametrize("params", [STANDARD, NEGATIVE_FRICTION],
+    @pytest.mark.parametrize("provider", [STANDARD, NEGATIVE_FRICTION],
                              ids=["standard", "negative-friction"])
-    def test_phenomenological_within_4_ulp(self, params):
+    def test_phenomenological_within_4_ulp(self, provider):
         # np.exp and math.exp may differ in the last bit.  The ramp
         # 1 - exp(-u^2) cancels near t = 0, so the ulp is taken at each
         # field's largest magnitude rather than pointwise.
-        provider = PhenomenologicalProvider(params)
         sample = provider(self.TIMES)
         expected = scalar_calls(provider, self.TIMES)
         for field, row in zip(sample, expected):
@@ -233,7 +227,7 @@ class TestArrayCalls:
             assert np.abs(field - row).max() <= 4 * ulp
 
     def test_one_out_of_range_time_rejects_the_array(self):
-        provider = TabulatedProvider(sine_table())
+        provider = sine_table()
         ts = np.linspace(0.0, 20.0, 101)
         ts[57] = 20.5
         with pytest.raises(OutOfRange, match=re.escape("time 20.5 outside")):
@@ -245,32 +239,28 @@ class TestArrayCalls:
 
 class TestCheckDerivatives:
     def test_phenomenological_on_fixed_grid(self):
-        provider = PhenomenologicalProvider(STANDARD)
         grid = np.linspace(0.5, 20.0, 200)
-        assert check_derivatives(provider, grid, h=1e-4) <= 1e-6
+        assert check_derivatives(STANDARD, grid, h=1e-4) <= 1e-6
 
     def test_constant_is_exact(self):
         assert check_derivatives(ConstantProvider(0.5, 0.25),
                                  np.linspace(0.1, 10.0, 50), h=1e-4) == 0.0
 
     def test_tabulated_sine(self):
-        provider = TabulatedProvider(sine_table())
         grid = np.linspace(0.5, 19.5, 200)
-        assert check_derivatives(provider, grid, h=1e-4) <= 1e-3
+        assert check_derivatives(sine_table(), grid, h=1e-4) <= 1e-3
 
     def test_analytic_providers_at_random_points(self):
         rng = np.random.default_rng(20260809)
         grid = rng.uniform(0.05, 40.0, size=1000)
-        assert check_derivatives(PhenomenologicalProvider(STANDARD),
-                                 grid, h=1e-4) <= 1e-6
+        assert check_derivatives(STANDARD, grid, h=1e-4) <= 1e-6
         assert check_derivatives(ConstantProvider(0.3, 0.1),
                                  grid, h=1e-4) <= 1e-6
 
     def test_tabulated_at_random_points(self):
         rng = np.random.default_rng(7)
         grid = rng.uniform(0.1, 19.9, size=1000)
-        assert check_derivatives(TabulatedProvider(sine_table()),
-                                 grid, h=1e-4) <= 1e-3
+        assert check_derivatives(sine_table(), grid, h=1e-4) <= 1e-3
 
 
 class TestCsvIngestion:
@@ -282,7 +272,7 @@ class TestCsvIngestion:
         table = read_coefficient_csv(path)
         assert np.allclose(table.grid, grid)
         assert np.allclose(table.lambda_values, 0.1 * grid)
-        sample = eval_tabulated(table, 2.5)
+        sample = table(2.5)
         assert sample.friction == pytest.approx(0.25, abs=1e-12)
 
     def test_header_required(self, tmp_path):
@@ -305,9 +295,9 @@ class TestMakeProvider:
         assert provider(3.0).friction == 0.5
 
     def test_phenomenological_round_trip(self):
-        described = PhenomenologicalProvider(STANDARD).describe()
+        described = STANDARD.describe()
         rebuilt = make_provider(described)
-        assert rebuilt(2.7) == PhenomenologicalProvider(STANDARD)(2.7)
+        assert rebuilt(2.7) == STANDARD(2.7)
 
     def test_tabulated_from_path(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -315,6 +305,25 @@ class TestMakeProvider:
         provider = make_provider(ProviderConfig("tabulated", {"path": str(path)}))
         assert provider(1.5).friction == pytest.approx(0.15, abs=1e-12)
         assert provider(1.5).diffusion == pytest.approx(0.3, abs=1e-12)
+
+    def test_describe_round_trip_for_every_kind(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        grid = np.linspace(0.0, 5.0, 11)
+        rows = ["t,lambda,D"] + [f"{t:.17g},{math.sin(t):.17g},{math.cos(t):.17g}"
+                                 for t in grid]
+        (tmp_path / "coef.csv").write_text("\n".join(rows) + "\n")
+        tabulated = read_coefficient_csv("./coef.csv")
+        assert tabulated.describe().as_dict() == {"path": "./coef.csv"}
+
+        ts = np.linspace(0.0, 5.0, 37)
+        for provider in (ConstantProvider(0.5, 0.25), STANDARD,
+                         NEGATIVE_FRICTION, tabulated):
+            rebuilt = make_provider(provider.describe())
+            assert type(rebuilt) is type(provider)
+            assert rebuilt.describe() == provider.describe()
+            assert tuple(rebuilt(2.7)) == tuple(provider(2.7))
+            for got, want in zip(rebuilt(ts), provider(ts)):
+                assert np.array_equal(got, want)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig, match="unknown coefficient kind"):

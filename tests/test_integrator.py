@@ -12,9 +12,7 @@ import oscibath
 from oscibath.coefficients import (
     ConstantProvider,
     OutOfRange,
-    PhenomenologicalParams,
     PhenomenologicalProvider,
-    TabulatedCoefficients,
     TabulatedProvider,
 )
 from oscibath.integrator import (
@@ -24,7 +22,6 @@ from oscibath.integrator import (
     convergence_order,
     integrate_coupled,
     integrate_single_first_order,
-    integrate_single_second_order,
     rk4_fixed,
 )
 from oscibath.model import (
@@ -35,7 +32,7 @@ from oscibath.model import (
     SimulationConfig,
 )
 
-STANDARD = PhenomenologicalParams(
+STANDARD = PhenomenologicalProvider(
     mean_lambda=0.1, amp_lambda=0.05, mean_D=0.05, amp_D=0.04,
     osc_freq=1.0, phase_lambda=0.0, phase_D=math.pi, ramp_time=0.5)
 
@@ -43,6 +40,14 @@ STANDARD = PhenomenologicalParams(
 def relaxation_exact(t, lam, diff, n0):
     """Closed form of dn/dt = -2 lam n + 2 diff with constant coefficients."""
     return diff / lam + (n0 - diff / lam) * np.exp(-2.0 * lam * t)
+
+
+def single_second_order(osc, provider, t_end, rtol=1e-9, atol=1e-12):
+    """One oscillator in second-order form: the coupled system with N = 1."""
+    config = SimulationConfig(
+        oscillators=(osc,), provider_config=(ProviderConfig("custom"),),
+        coupling=CouplingNetwork.none(1), t_end=t_end, rtol=rtol, atol=atol)
+    return integrate_coupled(config, [provider])
 
 
 def coupled_config(osc1, osc2, beta, t_end, output_dt=0.01,
@@ -81,15 +86,14 @@ class TestFirstOrder:
         assert np.abs(ts.v - expected_v).max() == 0.0
 
     def test_positivity_preserved(self):
-        for provider in (ConstantProvider(0.5, 0.25),
-                         PhenomenologicalProvider(STANDARD)):
+        for provider in (ConstantProvider(0.5, 0.25), STANDARD):
             ts = integrate_single_first_order(OscillatorSpec(1.0, n0=0.0),
                                               provider, t_end=30.0)
             assert ts.n.min() >= -10.0 * 1e-12
             assert ts.diagnostics["negative_excursions"]["count"] == 0
 
     def test_linearity_affine_superposition(self):
-        provider = PhenomenologicalProvider(STANDARD)
+        provider = STANDARD
         runs = {}
         for n0 in (0.2, 0.8, 0.5):
             ts = integrate_single_first_order(OscillatorSpec(1.0, n0=n0),
@@ -114,30 +118,30 @@ class TestFirstOrder:
 class TestSecondOrder:
     def test_consistent_slope_matches_closed_form(self):
         # consistent slope with constant coefficients: v0 = 2 D(0) - 2 lam(0) n0
-        ts = integrate_single_second_order(OscillatorSpec(1.0, n0=0.0, v0=0.5),
-                                           ConstantProvider(0.5, 0.25),
-                                           t_end=20.0)
+        ts = single_second_order(OscillatorSpec(1.0, n0=0.0, v0=0.5),
+                                 ConstantProvider(0.5, 0.25),
+                                 t_end=20.0)
         exact = relaxation_exact(ts.t, 0.5, 0.25, 0.0)
         assert np.abs(ts.n[0] - exact).max() <= 1e-8
         assert ts.diagnostics["consistency_residuals"][0] == 0.0
 
     def test_matches_first_order_with_vanishing_initial_coefficients(self):
-        provider = PhenomenologicalProvider(STANDARD)
+        provider = STANDARD
         first = integrate_single_first_order(OscillatorSpec(1.0, n0=0.0),
                                              provider, t_end=50.0,
                                              rtol=1e-12, atol=1e-14)
-        second = integrate_single_second_order(OscillatorSpec(1.0, n0=0.0, v0=0.0),
-                                               provider, t_end=50.0,
-                                               rtol=1e-12, atol=1e-14)
+        second = single_second_order(OscillatorSpec(1.0, n0=0.0, v0=0.0),
+                                     provider, t_end=50.0,
+                                     rtol=1e-12, atol=1e-14)
         assert np.abs(first.n[0] - second.n[0]).max() <= 1e-8
 
     def test_inconsistent_slope_reported_and_solved(self):
         # With constant coefficients the general solution is
         # n = (n0 + v0/(2 lam)) - v0/(2 lam) exp(-2 lam t); v0 = 1 is a valid
         # trajectory of the second-order form but not of the first-order one.
-        ts = integrate_single_second_order(OscillatorSpec(1.0, n0=0.0, v0=1.0),
-                                           ConstantProvider(0.5, 0.25),
-                                           t_end=10.0)
+        ts = single_second_order(OscillatorSpec(1.0, n0=0.0, v0=1.0),
+                                 ConstantProvider(0.5, 0.25),
+                                 t_end=10.0)
         assert ts.diagnostics["consistency_residuals"][0] == pytest.approx(0.5)
         exact = 1.0 - np.exp(-ts.t)
         assert np.abs(ts.n[0] - exact).max() <= 1e-8
@@ -148,10 +152,10 @@ class TestSecondOrder:
         # independent implementation check on a problem with no closed form
         from scipy.integrate import solve_ivp
 
-        provider = PhenomenologicalProvider(STANDARD)
-        ts = integrate_single_second_order(OscillatorSpec(1.0, n0=0.3, v0=0.0),
-                                           provider, t_end=30.0,
-                                           rtol=1e-10, atol=1e-13)
+        provider = STANDARD
+        ts = single_second_order(OscillatorSpec(1.0, n0=0.3, v0=0.0),
+                                 provider, t_end=30.0,
+                                 rtol=1e-10, atol=1e-13)
 
         def rhs(t, y):
             s = provider(t)
@@ -165,22 +169,22 @@ class TestSecondOrder:
 
 class TestCoupled:
     def test_zero_coupling_decouples(self):
-        p1 = PhenomenologicalProvider(STANDARD)
-        p2 = PhenomenologicalProvider(PhenomenologicalParams(
+        p1 = STANDARD
+        p2 = PhenomenologicalProvider(
             0.2, 0.05, 0.05, 0.05, osc_freq=1.5, phase_lambda=math.pi,
-            phase_D=0.0, ramp_time=0.5))
+            phase_D=0.0, ramp_time=0.5)
         osc1 = OscillatorSpec(1.0, n0=0.0, v0=0.0)
         osc2 = OscillatorSpec(1.5, n0=0.0, v0=0.0)
         config = coupled_config(osc1, osc2, 0.0, t_end=30.0,
                                 rtol=1e-12, atol=1e-14)
         both = integrate_coupled(config, [p1, p2])
         for i, (osc, provider) in enumerate(((osc1, p1), (osc2, p2))):
-            alone = integrate_single_second_order(osc, provider, t_end=30.0,
-                                                  rtol=1e-12, atol=1e-14)
+            alone = single_second_order(osc, provider, t_end=30.0,
+                                        rtol=1e-12, atol=1e-14)
             assert np.abs(both.n[i] - alone.n[0]).max() <= 1e-9
 
     def test_symmetric_manifold_stays_symmetric(self):
-        provider = PhenomenologicalProvider(STANDARD)
+        provider = STANDARD
         osc = OscillatorSpec(1.0, n0=0.2, v0=0.0)
         config = coupled_config(osc, osc, 0.7, t_end=30.0)
         ts = integrate_coupled(config, [provider, provider])
@@ -253,11 +257,10 @@ class TestErrorHandling:
 
     def test_provider_errors_propagate(self):
         grid = np.linspace(0.0, 5.0, 11)
-        table = TabulatedCoefficients(grid=grid, lambda_values=0.1 * grid,
-                                      D_values=0.05 * grid)
+        table = TabulatedProvider(grid=grid, lambda_values=0.1 * grid,
+                                  D_values=0.05 * grid)
         with pytest.raises(OutOfRange):
-            integrate_single_first_order(OscillatorSpec(1.0),
-                                         TabulatedProvider(table), t_end=10.0)
+            integrate_single_first_order(OscillatorSpec(1.0), table, t_end=10.0)
 
 
 def dips_between_samples(t):
