@@ -5,8 +5,10 @@ Subcommands: ``simulate`` (scenario -> time-series CSV), ``analyze``
 values, concurrent via --jobs), ``demo`` (bundled fig2/fig4 scenarios run
 end to end).
 
-Exit codes: 0 success, 1 configuration or file-format error, 2 integration
-failure, 3 analysis inconclusive.
+Exit codes: 0 success, 1 configuration or file-format error or a file that
+cannot be read or written, 2 integration failure, 3 analysis inconclusive.
+``main`` maps every failure to its exit code; a sweep member that fails is
+marked ``failed: ...`` in the summary and the other members still run.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    AmbiguousPeriod,
     AnalysisError,
     NoOscillation,
-    TooFewPeaks,
-    TooShort,
     eigenfrequency_candidates,
     envelope,
     extract_period,
@@ -32,11 +31,12 @@ from .analysis import (
     synchronization_metrics,
 )
 from .coefficients import OutOfRange, make_provider
-from .csvio import CsvSchemaError, read_timeseries_csv, write_timeseries_csv
+from .csvio import read_timeseries_csv, write_timeseries_csv
 from .integrator import IntegratorError, integrate_coupled
 from .model import InvalidConfig, SimulationConfig, TimeSeries
 from .scenario import (
     DEMO_FIG4_BETAS,
+    Sections,
     apply_override,
     build_config,
     demo_fig2_scenario,
@@ -49,6 +49,12 @@ EXIT_CONFIG = 1
 EXIT_INTEGRATION = 2
 EXIT_INCONCLUSIVE = 3
 
+# Failures of one run: the integration errors exit with EXIT_INTEGRATION,
+# the rest (InvalidConfig, CsvSchemaError, unreadable or unwritable files)
+# with EXIT_CONFIG.
+_INTEGRATION_ERRORS = (IntegratorError, OutOfRange)
+_RUN_ERRORS = (*_INTEGRATION_ERRORS, OSError, ValueError)
+
 _SUMMARY_COLUMNS = ("value", "period_1", "period_2", "modulation_depth_1",
                     "modulation_depth_2", "phase_lock_score", "status", "file")
 
@@ -57,13 +63,13 @@ def _err(message: str) -> None:
     print(f"oscibath: {message}", file=sys.stderr)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _run_config(config: SimulationConfig) -> TimeSeries:
-    providers = [make_provider(pc) for pc in config.provider_config]
-    return integrate_coupled(config, providers)
+def _run(sections: Sections, csv_path: str | Path) -> TimeSeries:
+    """Build, integrate and write one run; ``series.config`` is its config."""
+    config = build_config(sections)
+    series = integrate_coupled(
+        config, [make_provider(pc) for pc in config.provider_config])
+    write_timeseries_csv(series, csv_path)
+    return series
 
 
 def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
@@ -93,10 +99,16 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
                     sync_pair: tuple[int, int] | None,
                     window: tuple[float, float], atol: float,
                     config: SimulationConfig | None = None
-                    ) -> tuple[list[str], int]:
-    """key = value report lines for the requested metrics, plus an exit code."""
+                    ) -> tuple[list[str], dict[str, str], list[str]]:
+    """Analyze the requested metrics once.
+
+    Returns the key = value report lines, the summary-row values (``.17g``,
+    keyed ``period_i``, ``modulation_depth_i`` and ``phase_lock_score``) and
+    one error message per metric that could not be estimated.
+    """
     lines: list[str] = [f"window = {window[0]:.6g}:{window[1]:.6g}"]
-    code = EXIT_OK
+    values: dict[str, str] = {}
+    errors: list[str] = []
     n_osc = channels.shape[0]
 
     def sfx(i: int) -> str:
@@ -114,13 +126,12 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
                 lines.append(f"is_stationary{sfx(i)} = true")
                 lines.append(f"mean_level{sfx(i)} = "
                              f"{exc.report.mean_level:.6g} ± {exc.residual_std:.2g}")
-                _err(f"channel {i}: {exc}")
-                code = max(code, EXIT_INCONCLUSIVE)
+                errors.append(f"channel {i}: {exc}")
                 continue
-            except (AmbiguousPeriod, TooShort) as exc:
-                _err(f"channel {i}: {exc}")
-                code = max(code, EXIT_INCONCLUSIVE)
+            except AnalysisError as exc:
+                errors.append(f"channel {i}: {exc}")
                 continue
+            values[f"period_{i}"] = format(report.period, ".17g")
             lines.append(f"period{sfx(i)} = {report.period:.6g} "
                          f"± {report.period_uncertainty:.2g}")
             lines.append(f"mean_level{sfx(i)} = {report.mean_level:.6g} ± {std:.2g}")
@@ -131,10 +142,10 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
         for i in range(1, n_osc + 1):
             try:
                 report = envelope(t, channels[i - 1], window)
-            except TooFewPeaks as exc:
-                _err(f"channel {i}: {exc}")
-                code = max(code, EXIT_INCONCLUSIVE)
+            except AnalysisError as exc:
+                errors.append(f"channel {i}: {exc}")
                 continue
+            values[f"modulation_depth_{i}"] = format(report.modulation_depth, ".17g")
             lines.append(f"modulation_depth{sfx(i)} = "
                          f"{report.modulation_depth:.6g}")
             lines.append(f"n_peaks{sfx(i)} = {len(report.peak_times)}")
@@ -145,9 +156,9 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
             sync = synchronization_metrics(t, channels[a - 1], channels[b - 1],
                                            window, atol=atol)
         except AnalysisError as exc:
-            _err(f"sync {a},{b}: {exc}")
-            code = max(code, EXIT_INCONCLUSIVE)
+            errors.append(f"sync {a},{b}: {exc}")
         else:
+            values["phase_lock_score"] = format(sync.phase_lock_score, ".17g")
             lines.append(f"period_ratio = {sync.period_ratio:.6g} "
                          f"± {sync.ratio_uncertainty:.2g}")
             lines.append(f"phase_lock_score = {sync.phase_lock_score:.6g}")
@@ -158,21 +169,29 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
                                                       candidates)
                     lines.append(f"nearest_frequency_{idx} = "
                                  f"{family} {value:.6g}")
-    return lines, code
+    return lines, values, errors
+
+
+def _print_analysis(lines: list[str], errors: list[str]) -> int:
+    """Print an analysis; return EXIT_INCONCLUSIVE if any metric failed."""
+    for message in errors:
+        _err(message)
+    for line in lines:
+        print(line)
+    return EXIT_INCONCLUSIVE if errors else EXIT_OK
+
+
+def _write_summary(path: Path, rows: list[dict[str, str]]) -> None:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=_SUMMARY_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"wrote = {path}")
 
 
 def cmd_simulate(scenario_path: str, output_path: str) -> int:
-    try:
-        config = build_config(read_sections(
-            Path(scenario_path).read_text(encoding="utf-8")))
-        series = _run_config(config)
-    except (OSError, InvalidConfig) as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
-    except (IntegratorError, OutOfRange) as exc:
-        _err(f"integration failed: {exc}")
-        return EXIT_INTEGRATION
-    write_timeseries_csv(series, output_path)
+    series = _run(read_sections(Path(scenario_path).read_text(encoding="utf-8")),
+                  output_path)
     for line in _simulation_summary(series, output_path):
         print(line)
     return EXIT_OK
@@ -202,84 +221,49 @@ def _parse_pair(raw: str, n_osc: int) -> tuple[int, int]:
 def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
                 sync: str | None, window: str | None,
                 scenario: str | None) -> int:
-    try:
-        data = read_timeseries_csv(csv_path)
-    except (OSError, CsvSchemaError) as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
-
+    data = read_timeseries_csv(csv_path)
     config = None
-    try:
-        if scenario is not None:
-            config = build_config(read_sections(
-                Path(scenario).read_text(encoding="utf-8")))
-        pair = _parse_pair(sync, data.n_oscillators) if sync else None
-        win = _parse_window(window) if window else _default_window(data.t)
-    except (OSError, InvalidConfig) as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
+    if scenario is not None:
+        config = build_config(read_sections(
+            Path(scenario).read_text(encoding="utf-8")))
+    pair = _parse_pair(sync, data.n_oscillators) if sync else None
+    win = _parse_window(window) if window else _default_window(data.t)
 
     if not (do_period or do_envelope or pair):
         do_period = True
 
-    lines, code = _analysis_lines(
+    # A v1 CSV does not record the run's atol; without --scenario assume
+    # the scenario default.
+    atol = config.atol if config is not None else SimulationConfig.atol
+    lines, _, errors = _analysis_lines(
         data.t, data.n, do_period=do_period, do_envelope=do_envelope,
-        sync_pair=pair, window=win, atol=1e-12, config=config)
-    for line in lines:
-        print(line)
-    return code
+        sync_pair=pair, window=win, atol=atol, config=config)
+    return _print_analysis(lines, errors)
 
 
 def _sweep_worker(task) -> dict[str, str]:
     sections, param, token, csv_path = task
-    row = {column: "" for column in _SUMMARY_COLUMNS}
-    row["value"] = token
+    row = {"value": token}
     try:
-        config = build_config(apply_override(sections, param, token))
-        series = _run_config(config)
-        write_timeseries_csv(series, csv_path)
-    except (InvalidConfig, IntegratorError, OutOfRange, ValueError) as exc:
+        series = _run(apply_override(sections, param, token), csv_path)
+    except _RUN_ERRORS as exc:
         row["status"] = f"failed: {exc}"
         return row
 
-    row["status"] = "ok"
-    row["file"] = Path(csv_path).name
-    window = _default_window(series.t)
     # The summary row has columns for the first two channels only.
-    for i in range(min(2, series.n_oscillators)):
-        try:
-            report = extract_period(series.t, series.n[i], window,
-                                    atol=config.atol)
-            row[f"period_{i + 1}"] = _fmt(report.period)
-        except AnalysisError:
-            pass
-        try:
-            env = envelope(series.t, series.n[i], window)
-            row[f"modulation_depth_{i + 1}"] = _fmt(env.modulation_depth)
-        except AnalysisError:
-            pass
-    if series.n_oscillators >= 2:
-        try:
-            sync = synchronization_metrics(series.t, series.n[0], series.n[1],
-                                           window, atol=config.atol)
-            row["phase_lock_score"] = _fmt(sync.phase_lock_score)
-        except AnalysisError:
-            pass
-    return row
+    _, values, _ = _analysis_lines(
+        series.t, series.n[:2], do_period=True, do_envelope=True,
+        sync_pair=(1, 2) if series.n_oscillators >= 2 else None,
+        window=_default_window(series.t), atol=series.config.atol)
+    return dict(row, **values, status="ok", file=Path(csv_path).name)
 
 
 def cmd_sweep(scenario_path: str, output_dir: str, *, param: str,
               values: str, jobs: int) -> int:
-    try:
-        sections = read_sections(Path(scenario_path).read_text(encoding="utf-8"))
-    except (OSError, InvalidConfig) as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
-
+    sections = read_sections(Path(scenario_path).read_text(encoding="utf-8"))
     tokens = [token.strip() for token in values.split(",") if token.strip()]
     if not tokens:
-        _err("--values is empty")
-        return EXIT_CONFIG
+        raise InvalidConfig("--values is empty")
 
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,15 +276,9 @@ def cmd_sweep(scenario_path: str, output_dir: str, *, param: str,
     else:
         rows = [_sweep_worker(task) for task in tasks]
 
-    summary_path = out_dir / "summary.csv"
-    with summary_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_SUMMARY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
     for row in rows:
         print(f"{param} = {row['value']}: {row['status']}")
-    print(f"wrote = {summary_path}")
+    _write_summary(out_dir / "summary.csv", rows)
     return EXIT_OK if any(row["status"] == "ok" for row in rows) else EXIT_CONFIG
 
 
@@ -308,37 +286,20 @@ def _demo_run(scenario_text: str, stem: str, out_dir: Path, *,
               do_envelope: bool, do_sync: bool) -> tuple[int, dict[str, str]]:
     """Write scenario + CSV + report for one demo run; return (code, summary row)."""
     (out_dir / f"{stem}.scn").write_text(scenario_text, encoding="utf-8")
-    config = build_config(read_sections(scenario_text))
-    try:
-        series = _run_config(config)
-    except (IntegratorError, OutOfRange) as exc:
-        _err(f"integration failed: {exc}")
-        return EXIT_INTEGRATION, {}
     csv_path = out_dir / f"{stem}.csv"
-    write_timeseries_csv(series, csv_path)
+    series = _run(read_sections(scenario_text), csv_path)
     for line in _simulation_summary(series, str(csv_path)):
         print(line)
 
     pair = (1, 2) if (do_sync and series.n_oscillators >= 2) else None
-    lines, code = _analysis_lines(
+    lines, values, errors = _analysis_lines(
         series.t, series.n, do_period=True, do_envelope=do_envelope,
-        sync_pair=pair, window=_default_window(series.t), atol=config.atol,
-        config=config)
+        sync_pair=pair, window=_default_window(series.t),
+        atol=series.config.atol, config=series.config)
     report_path = out_dir / f"{stem}_report.txt"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
-        print(line)
-
-    row = {column: "" for column in _SUMMARY_COLUMNS}
-    row["status"] = "ok"
-    row["file"] = csv_path.name
-    for line in lines:
-        key, _, rest = line.partition(" = ")
-        value = rest.split(" ±")[0].strip()
-        if key in ("period_1", "period_2", "modulation_depth_1",
-                   "modulation_depth_2", "phase_lock_score"):
-            row[key] = value
-    return code, row
+    row = dict(values, status="ok", file=csv_path.name)
+    return _print_analysis(lines, errors), row
 
 
 def cmd_demo(name: str, output_dir: str) -> int:
@@ -348,26 +309,18 @@ def cmd_demo(name: str, output_dir: str) -> int:
         code, _ = _demo_run(demo_fig2_scenario(), "fig2", out_dir,
                             do_envelope=False, do_sync=False)
         return code
-    if name == "fig4":
-        worst = EXIT_OK
-        rows = []
-        for beta in DEMO_FIG4_BETAS:
-            stem = f"fig4_beta{beta}"
-            code, row = _demo_run(demo_fig4_scenario(beta), stem, out_dir,
-                                  do_envelope=True, do_sync=True)
-            worst = max(worst, code)
-            if row:
-                row["value"] = beta
-                rows.append(row)
-        summary_path = out_dir / "fig4_summary.csv"
-        with summary_path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=_SUMMARY_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote = {summary_path}")
-        return worst
-    _err(f"unknown demo '{name}' (available: fig2, fig4)")
-    return EXIT_CONFIG
+    if name != "fig4":
+        raise InvalidConfig(f"unknown demo '{name}' (available: fig2, fig4)")
+    worst = EXIT_OK
+    rows = []
+    for beta in DEMO_FIG4_BETAS:
+        stem = f"fig4_beta{beta}"
+        code, row = _demo_run(demo_fig4_scenario(beta), stem, out_dir,
+                              do_envelope=True, do_sync=True)
+        worst = max(worst, code)
+        rows.append(dict(row, value=beta))
+    _write_summary(out_dir / "fig4_summary.csv", rows)
+    return worst
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--sync", metavar="A,B")
     p_ana.add_argument("--window", metavar="TA:TB")
     p_ana.add_argument("--scenario", metavar="PATH",
-                       help="scenario of the run; enables eigenfrequency "
-                            "candidate reporting for --sync")
+                       help="scenario of the run; supplies its atol and "
+                            "enables eigenfrequency candidate reporting "
+                            "for --sync")
 
     p_sw = sub.add_parser("sweep", help="run a scenario over several values "
                                         "of one field")
@@ -408,17 +362,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.scenario, args.output)
-    if args.command == "analyze":
-        return cmd_analyze(args.csv, do_period=args.period,
-                           do_envelope=args.envelope, sync=args.sync,
-                           window=args.window, scenario=args.scenario)
-    if args.command == "sweep":
-        return cmd_sweep(args.scenario, args.output_dir, param=args.param,
-                         values=args.values, jobs=args.jobs)
-    if args.command == "demo":
-        return cmd_demo(args.name, args.output_dir)
+    try:
+        if args.command == "simulate":
+            return cmd_simulate(args.scenario, args.output)
+        if args.command == "analyze":
+            return cmd_analyze(args.csv, do_period=args.period,
+                               do_envelope=args.envelope, sync=args.sync,
+                               window=args.window, scenario=args.scenario)
+        if args.command == "sweep":
+            return cmd_sweep(args.scenario, args.output_dir, param=args.param,
+                             values=args.values, jobs=args.jobs)
+        if args.command == "demo":
+            return cmd_demo(args.name, args.output_dir)
+    except _INTEGRATION_ERRORS as exc:
+        _err(f"integration failed: {exc}")
+        return EXIT_INTEGRATION
+    except _RUN_ERRORS as exc:
+        _err(str(exc))
+        return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command}")
 
 

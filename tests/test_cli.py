@@ -1,9 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscibath
 from oscibath.analysis import extract_period
 from oscibath.cli import main
 from oscibath.csvio import read_timeseries_csv
@@ -84,12 +89,22 @@ ramp_time = 0.5
     "rtol = 1e-12\natol = 1e-14", "rtol = 1e-9\natol = 1e-12")
 
 
-def write_sine_csv(path, t):
+def write_sine_csv(path, t, mean=0.5, amplitude=0.1):
     """A one-oscillator CSV whose n channel is a sine of period 3 at times t."""
     lines = ["# oscibath-csv v1", "t,n1,v1,lambda1,D1"]
-    lines += [f"{ti:.17g},{0.5 + 0.1 * math.sin(2.0 * math.pi * ti / 3.0):.17g},0,0,0"
+    lines += [f"{ti:.17g},"
+              f"{mean + amplitude * math.sin(2.0 * math.pi * ti / 3.0):.17g},0,0,0"
               for ti in t]
     path.write_text("\n".join(lines) + "\n")
+
+
+def run_cli(*args):
+    """Run the command line in a fresh interpreter, as the console script does."""
+    src = Path(oscibath.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "oscibath.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestSimulate:
@@ -149,6 +164,14 @@ t_end = 30
         b = read_timeseries_csv(out_pair)
         assert b.n_oscillators == 2
         assert np.abs(a.n[0] - b.n[0]).max() <= 1e-9
+
+    def test_unwritable_output_exits_1_without_traceback(self, tmp_path):
+        scn = tmp_path / "const.scn"
+        scn.write_text(CONSTANT_SCN)
+        proc = run_cli("simulate", scn, tmp_path / "missing" / "out.csv")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("oscibath:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestAnalyze:
@@ -239,6 +262,19 @@ class TestAnalyze:
                      "--sync", "1,2"]) == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_scenario_supplies_atol(self, tmp_path, capsys):
+        # Residual std 7e-10 is below the stationarity threshold 100 * atol
+        # of a run with atol = 1e-9, but above the one for atol = 1e-12.
+        path = tmp_path / "tiny.csv"
+        write_sine_csv(path, 0.01 * np.arange(6001), mean=0.0, amplitude=1e-9)
+        scn = tmp_path / "loose.scn"
+        scn.write_text(CONSTANT_SCN + "atol = 1e-9\n")
+        assert main(["analyze", str(path), "--period",
+                     "--scenario", str(scn)]) == 3
+        assert "is_stationary = true" in capsys.readouterr().out
+        assert main(["analyze", str(path), "--period"]) == 0
+        assert "is_stationary = false" in capsys.readouterr().out
+
 
 class TestSweep:
     def test_error_isolation_and_jobs(self, tmp_path, capsys):
@@ -256,6 +292,20 @@ class TestSweep:
         assert ",ok," in rows[3]
         assert (out_dir / "sweep_000.csv").exists()
         assert not (out_dir / "sweep_001.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_member_is_marked_failed(self, tmp_path, capsys, jobs):
+        scn = tmp_path / "const.scn"
+        scn.write_text(CONSTANT_SCN)
+        out_dir = tmp_path / "sweep"
+        (out_dir / "sweep_001.csv").mkdir(parents=True)
+        assert main(["sweep", str(scn), str(out_dir),
+                     "--param", "integration.rtol",
+                     "--values", "1e-6,1e-8,1e-9", "--jobs", jobs]) == 0
+        with (out_dir / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows[::2]] == ["ok", "ok"]
+        assert rows[1]["status"].startswith("failed: ")
 
     def test_rtol_sweep_periods_agree(self, tmp_path, capsys):
         scn = tmp_path / "fig2.scn"
@@ -320,11 +370,13 @@ class TestSweep:
 class TestCsvFormat:
     def test_values_round_trip_exactly(self, fig2_demo_dir):
         # 17 significant digits reproduce the binary doubles exactly
+        from oscibath.coefficients import make_provider
+        from oscibath.integrator import integrate_coupled
         from oscibath.scenario import load_scenario
-        from oscibath.cli import _run_config
 
         config = load_scenario(fig2_demo_dir / "fig2.scn")
-        series = _run_config(config)
+        series = integrate_coupled(
+            config, [make_provider(pc) for pc in config.provider_config])
         data = read_timeseries_csv(fig2_demo_dir / "fig2.csv")
         assert np.array_equal(data.t, series.t)
         assert np.array_equal(data.n, series.n)
@@ -358,3 +410,37 @@ class TestDemo:
     def test_unknown_name_exits_1(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["demo", "fig9", str(tmp_path)])
+
+    def test_fig4_summary_equals_sweep(self, fig4_demo_dir, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(fig4_demo_dir / "fig4_beta0.05.scn"),
+                     str(out_dir), "--param", "coupling.beta",
+                     "--values", "0.05,0.2,0.5"]) == 0
+        tables = []
+        for path in (fig4_demo_dir / "fig4_summary.csv", out_dir / "summary.csv"):
+            with path.open(newline="") as handle:
+                tables.append(list(csv.DictReader(handle)))
+        demo, sweep = tables
+        assert len(demo) == len(sweep) == 3
+        columns = ("value", "period_1", "period_2", "modulation_depth_1",
+                   "modulation_depth_2", "phase_lock_score", "status")
+        for a, b in zip(demo, sweep):
+            assert [a[c] for c in columns] == [b[c] for c in columns]
+
+    def test_fig2_unwritable_csv_exits_1(self, tmp_path, capsys):
+        (tmp_path / "fig2.csv").mkdir()
+        assert main(["demo", "fig2", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("oscibath: ")
+
+
+@pytest.mark.parametrize("command", ["demo", "sweep"])
+def test_output_dir_that_is_a_file_exits_1(tmp_path, capsys, command):
+    scn = tmp_path / "const.scn"
+    scn.write_text(CONSTANT_SCN)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    args = {"demo": ["demo", "fig2", str(taken)],
+            "sweep": ["sweep", str(scn), str(taken), "--param",
+                      "integration.rtol", "--values", "1e-6"]}[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("oscibath: ")
