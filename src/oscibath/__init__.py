@@ -4,7 +4,9 @@ Integrates the occupation-number dynamics driven by time-dependent friction
 and diffusion coefficients (a single oscillator in first-order form, or any
 finite number of pairwise-coupled oscillators in second-order form, one
 oscillator included) and analyzes the resulting non-stationary late-time
-oscillations.  Each coefficient kind is one provider class.
+oscillations.  Each coefficient kind is one provider class, and a run's
+samples are one ``TimeSeries``, whether an integrator returned it or it was
+read back from a CSV.
 """
 
 from .analysis import (
@@ -16,8 +18,6 @@ from .analysis import (
     SyncReport,
     TooFewPeaks,
     TooShort,
-    TransientEstimate,
-    detect_transient,
     eigenfrequency_candidates,
     envelope,
     extract_period,
@@ -33,7 +33,7 @@ from .coefficients import (
     make_provider,
     read_coefficient_csv,
 )
-from .csvio import CsvData, CsvSchemaError, read_timeseries_csv, write_timeseries_csv
+from .csvio import CsvSchemaError, read_timeseries_csv, write_timeseries_csv
 from .integrator import (
     IntegratorError,
     PositivityViolation,

@@ -1,13 +1,13 @@
 """Late-time observables of occupation-number traces.
 
-Estimators for the quantities the simulations are about: where the transient
-ends, the dominant late-time period (autocorrelation-primary with a spectral
-cross-check), the oscillation envelope and its modulation depth, and
-two-channel synchronization (period ratio and an analytic-signal phase-lock
-score).
+Estimators for the quantities the simulations are about: the dominant
+late-time period (autocorrelation-primary with a spectral cross-check), the
+oscillation envelope and its modulation depth, and two-channel
+synchronization (period ratio and an analytic-signal phase-lock score).
 
 All functions work on a plain (t, x) sample pair restricted to an analysis
-window; they are pure and safe to run concurrently.
+window; every statistic an estimator reports comes from the samples of that
+one window.  They are pure and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ __all__ = [
     "NoOscillation",
     "AmbiguousPeriod",
     "TooFewPeaks",
-    "TransientEstimate",
     "OscillationReport",
     "EnvelopeReport",
     "SyncReport",
-    "detect_transient",
     "extract_period",
     "envelope",
     "synchronization_metrics",
@@ -41,10 +39,6 @@ __all__ = [
 
 #: Minimum number of samples an analysis window must contain.
 MIN_WINDOW_SAMPLES = 64
-
-#: Relative change between consecutive windows below which a channel counts
-#: as settled.
-STABILITY_FRACTION = 0.05
 
 #: The two period estimators must agree to this relative tolerance.
 ESTIMATOR_AGREEMENT = 0.10
@@ -63,15 +57,13 @@ class TooShort(AnalysisError):
 class NoOscillation(AnalysisError):
     """The windowed signal is stationary; no period exists.
 
-    Carries the partial ``report`` (mean level, stationarity flag) plus the
-    windowed standard deviation as ``residual_std``.
+    Carries the partial ``report`` (mean level, standard deviation,
+    stationarity flag).
     """
 
-    def __init__(self, message: str, report: "OscillationReport",
-                 residual_std: float):
+    def __init__(self, message: str, report: "OscillationReport"):
         super().__init__(message)
         self.report = report
-        self.residual_std = residual_std
 
 
 class AmbiguousPeriod(AnalysisError):
@@ -83,23 +75,17 @@ class TooFewPeaks(AnalysisError):
 
 
 @dataclass(frozen=True)
-class TransientEstimate:
-    """Where the late-time regime begins; low_confidence marks the fallback."""
-
-    time: float
-    low_confidence: bool = False
-
-
-@dataclass(frozen=True)
 class OscillationReport:
     """Late-time oscillation summary for one channel.
 
-    ``period`` and ``period_uncertainty`` are None when the channel is
-    stationary; ``amplitude`` is the mean peak-to-trough half-range.
+    ``mean_level`` and ``std`` are the mean and standard deviation of the
+    window's samples.  ``period`` and ``period_uncertainty`` are None when
+    the channel is stationary; ``amplitude`` is the mean peak-to-trough
+    half-range.
     """
 
-    transient_end: float
     mean_level: float
+    std: float
     amplitude: float | None
     period: float | None
     period_uncertainty: float | None
@@ -139,49 +125,6 @@ def _slice_window(t: np.ndarray, x: np.ndarray,
     ia = int(np.searchsorted(t, ta - slack, side="left"))
     ib = int(np.searchsorted(t, tb + slack, side="right"))
     return t[ia:ib], x[ia:ib]
-
-
-def detect_transient(t: np.ndarray, x: np.ndarray,
-                     window: float) -> TransientEstimate:
-    """Earliest time after which consecutive-window mean and amplitude settle.
-
-    The series is cut into consecutive windows of the given length; a pair of
-    neighbours counts as settled when both the mean and the half-range change
-    by less than 5% of the local signal scale.  If no settled suffix exists
-    the midpoint is returned with low_confidence set.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    span = t[-1] - t[0]
-    n_win = int(math.floor(span / window + 1e-9))
-    if n_win < 4:
-        raise TooShort("series cannot host 4 windows")
-
-    edges = t[0] + window * np.arange(n_win + 1)
-    idx = np.searchsorted(t, edges)
-    idx[-1] = t.size
-    means = np.empty(n_win)
-    amps = np.empty(n_win)
-    for j in range(n_win):
-        chunk = x[idx[j]:idx[j + 1]]
-        if chunk.size == 0:
-            raise TooShort("window contains no samples")
-        means[j] = chunk.mean()
-        amps[j] = (chunk.max() - chunk.min()) / 2.0
-
-    stable = np.empty(n_win - 1, dtype=bool)
-    for j in range(n_win - 1):
-        scale = max(abs(means[j]), abs(means[j + 1]),
-                    amps[j], amps[j + 1], _TINY)
-        stable[j] = (abs(means[j + 1] - means[j]) < STABILITY_FRACTION * scale
-                     and abs(amps[j + 1] - amps[j]) < STABILITY_FRACTION * scale)
-
-    k = n_win - 1
-    while k > 0 and stable[k - 1]:
-        k -= 1
-    if k == n_win - 1 and not stable[-1]:
-        return TransientEstimate(time=t[0] + span / 2.0, low_confidence=True)
-    return TransientEstimate(time=float(t[0] + k * window))
 
 
 def _parabolic_offset(ym: float, y0: float, yp: float) -> float:
@@ -271,11 +214,11 @@ def extract_period(t: np.ndarray, x: np.ndarray,
 
     if sd < max(100.0 * atol, 1e-6 * abs(mean_level)):
         report = OscillationReport(
-            transient_end=float(tw[0]), mean_level=mean_level,
+            mean_level=mean_level, std=sd,
             amplitude=None, period=None, period_uncertainty=None,
             is_stationary=True)
         raise NoOscillation("signal is stationary over the analysis window",
-                            report, residual_std=sd)
+                            report)
 
     xc = xw - mean_level
     p_acf = _acf_period(xc, dt)
@@ -293,8 +236,8 @@ def extract_period(t: np.ndarray, x: np.ndarray,
         amplitude = float((xw.max() - xw.min()) / 2.0)
 
     return OscillationReport(
-        transient_end=float(tw[0]),
         mean_level=mean_level,
+        std=sd,
         amplitude=amplitude,
         period=float(p_acf),
         period_uncertainty=float(max(dt, abs(p_acf - p_fft))),

@@ -63,13 +63,14 @@ def _err(message: str) -> None:
     print(f"oscibath: {message}", file=sys.stderr)
 
 
-def _run(sections: Sections, csv_path: str | Path) -> TimeSeries:
-    """Build, integrate and write one run; ``series.config`` is its config."""
+def _run(sections: Sections,
+         csv_path: str | Path) -> tuple[SimulationConfig, TimeSeries]:
+    """Build, integrate and write one run; return its config and series."""
     config = build_config(sections)
     series = integrate_coupled(
         config, [make_provider(pc) for pc in config.provider_config])
     write_timeseries_csv(series, csv_path)
-    return series
+    return config, series
 
 
 def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
@@ -79,11 +80,11 @@ def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
         f"steps_rejected = {diag['steps_rejected']}",
         f"rhs_evaluations = {diag['rhs_evaluations']}",
     ]
-    for i, residual in enumerate(diag.get("consistency_residuals", ()), start=1):
+    for i, residual in enumerate(diag["consistency_residuals"], start=1):
         lines.append(f"consistency_residual_{i} = {residual:.6g}")
-    neg = diag.get("negative_excursions", {})
-    lines.append(f"negative_excursions = {neg.get('count', 0)}")
-    lines.append(f"most_negative_n = {neg.get('most_negative', 0.0):.6g}")
+    neg = diag["negative_excursions"]
+    lines.append(f"negative_excursions = {neg['count']}")
+    lines.append(f"most_negative_n = {neg['most_negative']:.6g}")
     lines.append(f"wrote = {output_path}")
     return lines
 
@@ -114,18 +115,14 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
     def sfx(i: int) -> str:
         return "" if n_osc == 1 else f"_{i}"
 
-    in_window = (t >= window[0]) & (t <= window[1])
-
     if do_period:
         for i in range(1, n_osc + 1):
-            x = channels[i - 1]
-            std = float(x[in_window].std()) if in_window.any() else 0.0
             try:
-                report = extract_period(t, x, window, atol=atol)
+                report = extract_period(t, channels[i - 1], window, atol=atol)
             except NoOscillation as exc:
                 lines.append(f"is_stationary{sfx(i)} = true")
                 lines.append(f"mean_level{sfx(i)} = "
-                             f"{exc.report.mean_level:.6g} ± {exc.residual_std:.2g}")
+                             f"{exc.report.mean_level:.6g} ± {exc.report.std:.2g}")
                 errors.append(f"channel {i}: {exc}")
                 continue
             except AnalysisError as exc:
@@ -134,7 +131,8 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
             values[f"period_{i}"] = format(report.period, ".17g")
             lines.append(f"period{sfx(i)} = {report.period:.6g} "
                          f"± {report.period_uncertainty:.2g}")
-            lines.append(f"mean_level{sfx(i)} = {report.mean_level:.6g} ± {std:.2g}")
+            lines.append(f"mean_level{sfx(i)} = {report.mean_level:.6g} "
+                         f"± {report.std:.2g}")
             lines.append(f"amplitude{sfx(i)} = {report.amplitude:.6g}")
             lines.append(f"is_stationary{sfx(i)} = false")
 
@@ -190,8 +188,9 @@ def _write_summary(path: Path, rows: list[dict[str, str]]) -> None:
 
 
 def cmd_simulate(scenario_path: str, output_path: str) -> int:
-    series = _run(read_sections(Path(scenario_path).read_text(encoding="utf-8")),
-                  output_path)
+    _, series = _run(
+        read_sections(Path(scenario_path).read_text(encoding="utf-8")),
+        output_path)
     for line in _simulation_summary(series, output_path):
         print(line)
     return EXIT_OK
@@ -221,13 +220,17 @@ def _parse_pair(raw: str, n_osc: int) -> tuple[int, int]:
 def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
                 sync: str | None, window: str | None,
                 scenario: str | None) -> int:
-    data = read_timeseries_csv(csv_path)
+    series = read_timeseries_csv(csv_path)
     config = None
     if scenario is not None:
         config = build_config(read_sections(
             Path(scenario).read_text(encoding="utf-8")))
-    pair = _parse_pair(sync, data.n_oscillators) if sync else None
-    win = _parse_window(window) if window else _default_window(data.t)
+        if config.n_oscillators != series.n_oscillators:
+            raise InvalidConfig(f"--scenario has {config.n_oscillators} "
+                                f"oscillators, the csv has "
+                                f"{series.n_oscillators}")
+    pair = _parse_pair(sync, series.n_oscillators) if sync else None
+    win = _parse_window(window) if window else _default_window(series.t)
 
     if not (do_period or do_envelope or pair):
         do_period = True
@@ -236,7 +239,7 @@ def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
     # the scenario default.
     atol = config.atol if config is not None else SimulationConfig.atol
     lines, _, errors = _analysis_lines(
-        data.t, data.n, do_period=do_period, do_envelope=do_envelope,
+        series.t, series.n, do_period=do_period, do_envelope=do_envelope,
         sync_pair=pair, window=win, atol=atol, config=config)
     return _print_analysis(lines, errors)
 
@@ -245,7 +248,7 @@ def _sweep_worker(task) -> dict[str, str]:
     sections, param, token, csv_path = task
     row = {"value": token}
     try:
-        series = _run(apply_override(sections, param, token), csv_path)
+        config, series = _run(apply_override(sections, param, token), csv_path)
     except _RUN_ERRORS as exc:
         row["status"] = f"failed: {exc}"
         return row
@@ -254,7 +257,7 @@ def _sweep_worker(task) -> dict[str, str]:
     _, values, _ = _analysis_lines(
         series.t, series.n[:2], do_period=True, do_envelope=True,
         sync_pair=(1, 2) if series.n_oscillators >= 2 else None,
-        window=_default_window(series.t), atol=series.config.atol)
+        window=_default_window(series.t), atol=config.atol)
     return dict(row, **values, status="ok", file=Path(csv_path).name)
 
 
@@ -287,7 +290,7 @@ def _demo_run(scenario_text: str, stem: str, out_dir: Path, *,
     """Write scenario + CSV + report for one demo run; return (code, summary row)."""
     (out_dir / f"{stem}.scn").write_text(scenario_text, encoding="utf-8")
     csv_path = out_dir / f"{stem}.csv"
-    series = _run(read_sections(scenario_text), csv_path)
+    config, series = _run(read_sections(scenario_text), csv_path)
     for line in _simulation_summary(series, str(csv_path)):
         print(line)
 
@@ -295,7 +298,7 @@ def _demo_run(scenario_text: str, stem: str, out_dir: Path, *,
     lines, values, errors = _analysis_lines(
         series.t, series.n, do_period=True, do_envelope=do_envelope,
         sync_pair=pair, window=_default_window(series.t),
-        atol=series.config.atol, config=series.config)
+        atol=config.atol, config=config)
     report_path = out_dir / f"{stem}_report.txt"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     row = dict(values, status="ok", file=csv_path.name)
@@ -342,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--sync", metavar="A,B")
     p_ana.add_argument("--window", metavar="TA:TB")
     p_ana.add_argument("--scenario", metavar="PATH",
-                       help="scenario of the run; supplies its atol and "
+                       help="scenario of the run (same oscillator count "
+                            "as the CSV); supplies its atol and "
                             "enables eigenfrequency candidate reporting "
                             "for --sync")
 

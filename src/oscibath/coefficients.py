@@ -36,7 +36,6 @@ __all__ = [
     "check_derivatives",
     "read_coefficient_csv",
     "make_provider",
-    "describe_provider",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -243,14 +242,6 @@ class ConstantProvider:
 
     def describe(self) -> ProviderConfig:
         return ProviderConfig("constant", {"lambda": self.lambda0, "D": self.D0})
-
-
-def describe_provider(provider: CoefficientProvider) -> ProviderConfig:
-    """Best-effort declarative description; 'custom' for unknown callables."""
-    describe = getattr(provider, "describe", None)
-    if describe is not None:
-        return describe()
-    return ProviderConfig("custom")
 
 
 def check_derivatives(provider: CoefficientProvider,

@@ -3,21 +3,22 @@
 Layout: one version comment line, one column-name line, then data rows.
 Columns are ``t`` followed by ``n{i},v{i},lambda{i},D{i}`` per oscillator.
 Floats are written with 17 significant digits so repeated runs are
-byte-comparable and values round-trip exactly.  The time column must be
-strictly increasing with uniform spacing, as every estimator assumes.
+byte-comparable and values round-trip exactly.  The reader returns the
+``TimeSeries`` the writer was given, without its ``diagnostics``; the time
+column must therefore pass the ``TimeSeries`` grid rule (strictly
+increasing, uniform spacing), as every estimator assumes.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import TimeSeries, check_uniform_grid
+from .model import TimeSeries
 
-__all__ = ["CsvSchemaError", "CsvData", "write_timeseries_csv",
+__all__ = ["CsvSchemaError", "write_timeseries_csv",
            "read_timeseries_csv", "CSV_VERSION_LINE"]
 
 CSV_VERSION_LINE = "# oscibath-csv v1"
@@ -25,21 +26,6 @@ CSV_VERSION_LINE = "# oscibath-csv v1"
 
 class CsvSchemaError(ValueError):
     """The file does not follow the versioned time-series schema."""
-
-
-@dataclass
-class CsvData:
-    """Channels read back from a time-series CSV (no config attached)."""
-
-    t: np.ndarray
-    n: np.ndarray
-    v: np.ndarray
-    friction: np.ndarray
-    diffusion: np.ndarray
-
-    @property
-    def n_oscillators(self) -> int:
-        return self.n.shape[0]
 
 
 def _column_names(n_osc: int) -> list[str]:
@@ -62,7 +48,7 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
                comments="")
 
 
-def read_timeseries_csv(path: str | Path) -> CsvData:
+def read_timeseries_csv(path: str | Path) -> TimeSeries:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_VERSION_LINE:
@@ -84,14 +70,8 @@ def read_timeseries_csv(path: str | Path) -> CsvData:
         raise CsvSchemaError(f"malformed csv data: {exc}") from exc
     if data.shape[1] != len(names):
         raise CsvSchemaError("csv row width does not match header")
-    t = data[:, 0]
-    if t.size >= 2:
-        try:
-            check_uniform_grid(t, t[1] - t[0])
-        except ValueError as exc:
-            raise CsvSchemaError(f"csv time column: {exc}") from None
-    n = data[:, 1::4].T
-    v = data[:, 2::4].T
-    lam = data[:, 3::4].T
-    dif = data[:, 4::4].T
-    return CsvData(t=t, n=n, v=v, friction=lam, diffusion=dif)
+    try:
+        return TimeSeries(t=data[:, 0], n=data[:, 1::4].T, v=data[:, 2::4].T,
+                          friction=data[:, 3::4].T, diffusion=data[:, 4::4].T)
+    except ValueError as exc:
+        raise CsvSchemaError(f"csv time column: {exc}") from None

@@ -21,10 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientProvider, describe_provider
+from .coefficients import CoefficientProvider
 from .model import (
     CouplingNetwork,
     OscillatorSpec,
+    ProviderConfig,
     SimulationConfig,
     TimeSeries,
     validate_config,
@@ -265,9 +266,9 @@ def integrate_single_first_order(osc: OscillatorSpec,
     n0 >= 0, the exact flow preserves n >= 0 and the result is checked to
     stay above -10 * atol; PositivityViolation is raised otherwise.
     """
-    config = validate_config(SimulationConfig(
+    validate_config(SimulationConfig(
         oscillators=(osc,),
-        provider_config=(describe_provider(provider),),
+        provider_config=(ProviderConfig("custom"),),
         coupling=CouplingNetwork.none(1),
         t_end=t_end, output_dt=output_dt, rtol=rtol, atol=atol,
     ))
@@ -289,7 +290,7 @@ def integrate_single_first_order(osc: OscillatorSpec,
     diagnostics["formulation"] = "first_order"
     diagnostics["negative_excursions"] = _negative_excursions(n)
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
-                      config=config, diagnostics=diagnostics)
+                      diagnostics=diagnostics)
 
 
 def _consistency_residual(osc: OscillatorSpec,
@@ -346,4 +347,4 @@ def integrate_coupled(config: SimulationConfig,
         for o, p in zip(config.oscillators, providers))
     diagnostics["negative_excursions"] = _negative_excursions(n)
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
-                      config=config, diagnostics=diagnostics)
+                      diagnostics=diagnostics)

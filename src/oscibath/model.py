@@ -1,7 +1,9 @@
 """Domain types and configuration validation.
 
 Everything downstream (coefficient providers, integrator, analysis, CLI)
-exchanges the immutable types defined here.  Conventions: all quantities are
+exchanges the types defined here; a run's samples travel as one
+``TimeSeries`` from the integrator through the CSV writer and reader to the
+analysis.  Conventions: all quantities are
 dimensionless, times in units of the inverse reference frequency, oscillator
 frequencies in units of the reference frequency, pairwise couplings in units
 of the reference frequency squared.
@@ -26,7 +28,6 @@ __all__ = [
     "ProviderConfig",
     "SimulationConfig",
     "TimeSeries",
-    "check_uniform_grid",
     "validate_config",
 ]
 
@@ -128,13 +129,6 @@ class CouplingNetwork:
         np.fill_diagonal(mat, 0.0)
         return cls(n=n, beta=mat)
 
-    def with_pair(self, i: int, j: int, beta: float) -> "CouplingNetwork":
-        """Copy with the (i, j) and (j, i) entries set to ``beta`` (0-based)."""
-        mat = np.array(self.beta, copy=True)
-        mat[i, j] = beta
-        mat[j, i] = beta
-        return CouplingNetwork(n=self.n, beta=mat)
-
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -188,9 +182,18 @@ class SimulationConfig:
 class TimeSeries:
     """Uniform-grid record of a run: occupations, rates, coefficient channels.
 
-    Channel arrays are shaped (n_oscillators, n_samples).  ``diagnostics``
-    carries integrator bookkeeping (step counts, consistency residuals,
-    negative-excursion report).
+    The one record of a run's samples: the integrators return it and
+    :func:`oscibath.csvio.read_timeseries_csv` reads it back.  Channel
+    arrays are shaped (n_oscillators, n_samples).  ``diagnostics`` carries
+    integrator bookkeeping (step counts, consistency residuals,
+    negative-excursion report); it is empty for a series read from a CSV.
+
+    The grid ``t`` must increase strictly in steps equal to its first step
+    ``t[1] - t[0]``: every step may differ from it by GRID_SLACK relative to
+    the larger of that step and the last time.  The estimators in
+    :mod:`analysis` rely on this grid; a grid of fewer than two times
+    passes.  A NaN time fails, because the comparisons are written so that
+    NaN never satisfies them.
     """
 
     t: np.ndarray
@@ -198,7 +201,6 @@ class TimeSeries:
     v: np.ndarray
     friction: np.ndarray
     diffusion: np.ndarray
-    config: SimulationConfig
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -210,7 +212,14 @@ class TimeSeries:
             setattr(self, name, arr)
             if arr.shape[1] != self.t.size:
                 raise ValueError(f"channel {name} length does not match grid")
-        check_uniform_grid(self.t, self.config.output_dt)
+        if self.t.size < 2:
+            return
+        steps = np.diff(self.t)
+        dt = steps[0]
+        if not steps.min() > 0:
+            raise ValueError("grid not strictly increasing")
+        if not np.abs(steps - dt).max() <= GRID_SLACK * max(dt, abs(self.t[-1])):
+            raise ValueError("grid spacing not uniform")
 
     @property
     def n_oscillators(self) -> int:
@@ -218,24 +227,8 @@ class TimeSeries:
 
     @property
     def output_dt(self) -> float:
-        return self.config.output_dt
-
-
-def check_uniform_grid(t: np.ndarray, dt: float) -> None:
-    """Raise ValueError unless ``t`` increases strictly in steps of ``dt``.
-
-    Every step may differ from ``dt`` by GRID_SLACK relative to the larger
-    of ``dt`` and the last time.  The estimators in :mod:`analysis` rely on
-    this grid; a grid of fewer than two times passes.  A NaN time fails,
-    because the comparisons are written so that NaN never satisfies them.
-    """
-    if t.size < 2:
-        return
-    steps = np.diff(t)
-    if not steps.min() > 0:
-        raise ValueError("grid not strictly increasing")
-    if not np.abs(steps - dt).max() <= GRID_SLACK * max(dt, abs(t[-1])):
-        raise ValueError("grid spacing not uniform")
+        """The grid's first step; for a solver grid, the config's output_dt."""
+        return float(self.t[1] - self.t[0])
 
 
 def _require(condition: bool, message: str) -> None:

@@ -8,7 +8,6 @@ from oscibath.analysis import (
     NoOscillation,
     TooFewPeaks,
     TooShort,
-    detect_transient,
     eigenfrequency_candidates,
     envelope,
     extract_period,
@@ -31,34 +30,6 @@ def grid(t_end, dt=DT):
     return np.arange(0.0, t_end + dt / 2, dt)
 
 
-class TestDetectTransient:
-    def test_ramped_periodic_signal(self):
-        # ramp reaches 0.999 before t = 1.32, so windowed statistics settle
-        # within the first couple of unit windows
-        t = grid(20.0)
-        x = (1.0 - np.exp(-((t / 0.5) ** 2))) * np.sin(2.0 * math.pi * t)
-        estimate = detect_transient(t, x, window=1.0)
-        assert not estimate.low_confidence
-        assert estimate.time <= 2.0
-
-    def test_constant_series(self):
-        t = grid(10.0)
-        estimate = detect_transient(t, np.full_like(t, 0.7), window=1.0)
-        assert estimate.time == 0.0
-        assert not estimate.low_confidence
-
-    def test_monotone_growth_is_low_confidence(self):
-        t = grid(20.0)
-        estimate = detect_transient(t, np.exp(0.1 * t), window=2.0)
-        assert estimate.low_confidence
-        assert estimate.time == pytest.approx(10.0)
-
-    def test_too_short(self):
-        t = grid(3.0)
-        with pytest.raises(TooShort):
-            detect_transient(t, np.sin(t), window=1.0)
-
-
 class TestExtractPeriod:
     def test_synthetic_known_period(self):
         t = grid(60.0)
@@ -76,6 +47,22 @@ class TestExtractPeriod:
         assert excinfo.value.report.is_stationary
         assert excinfo.value.report.period is None
         assert excinfo.value.report.mean_level == pytest.approx(0.5)
+
+    def test_std_is_that_of_the_window_samples(self):
+        # 35 * 0.01 rounds to just above 0.35, so the window (-0.3, 0.35)
+        # ends on a sample a plain t <= 0.35 mask would drop; the report's
+        # std must come from the samples the estimator itself keeps.
+        t = 0.01 * np.arange(-40, 100)
+        x = np.sin(2.0 * math.pi * t / 0.2)
+        kept = slice(10, 76)
+        assert t[kept][0] == -0.3 and t[kept][-1] > 0.35 and t[76] > 0.351
+        report = extract_period(t, x, (-0.3, 0.35))
+        assert report.std == np.std(x[kept])
+        assert report.std != np.std(x[(t >= -0.3) & (t <= 0.35)])
+
+        with pytest.raises(NoOscillation) as excinfo:
+            extract_period(t, 0.5 + 1e-9 * x, (-0.3, 0.35))
+        assert excinfo.value.report.std == np.std(0.5 + 1e-9 * x[kept])
 
     def test_pipeline_inherits_coefficient_period(self):
         # the integrated occupation number oscillates at the coefficient

@@ -12,6 +12,7 @@ import oscibath
 from oscibath.analysis import extract_period
 from oscibath.cli import main
 from oscibath.csvio import read_timeseries_csv
+from oscibath.model import TimeSeries
 from oscibath.scenario import demo_fig2_scenario, demo_fig4_scenario
 
 CONSTANT_SCN = """\
@@ -257,6 +258,16 @@ class TestAnalyze:
         assert "nearest_frequency_1 = bare 2" in out
         assert "nearest_frequency_2 = bare 3" in out
 
+    def test_scenario_of_another_oscillator_count_exits_1(self, fig4_demo_dir,
+                                                          fig2_demo_dir, capsys):
+        assert main(["analyze", str(fig4_demo_dir / "fig4_beta0.05.csv"),
+                     "--sync", "1,2",
+                     "--scenario", str(fig2_demo_dir / "fig2.scn")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("oscibath: --scenario has 1 oscillators, "
+                                "the csv has 2\n")
+
     def test_sync_pair_out_of_range_exits_1(self, fig2_demo_dir, capsys):
         assert main(["analyze", str(fig2_demo_dir / "fig2.csv"),
                      "--sync", "1,2"]) == 1
@@ -378,6 +389,8 @@ class TestCsvFormat:
         series = integrate_coupled(
             config, [make_provider(pc) for pc in config.provider_config])
         data = read_timeseries_csv(fig2_demo_dir / "fig2.csv")
+        assert isinstance(data, TimeSeries)
+        assert data.diagnostics == {}
         assert np.array_equal(data.t, series.t)
         assert np.array_equal(data.n, series.n)
         assert np.array_equal(data.friction, series.friction)

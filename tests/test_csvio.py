@@ -1,13 +1,7 @@
 import numpy as np
 
 from oscibath.csvio import CSV_VERSION_LINE, read_timeseries_csv, write_timeseries_csv
-from oscibath.model import (
-    CouplingNetwork,
-    OscillatorSpec,
-    ProviderConfig,
-    SimulationConfig,
-    TimeSeries,
-)
+from oscibath.model import TimeSeries
 
 # Signed zero, the smallest subnormal, a huge value, and two values whose
 # shortest repr is shorter than 17 digits.
@@ -16,16 +10,11 @@ AWKWARD = np.array([-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0])
 
 def awkward_series(n_osc: int = 3, samples: int = 7) -> TimeSeries:
     """Every channel cycles through AWKWARD with alternating sign."""
-    config = SimulationConfig(
-        oscillators=(OscillatorSpec(1.0),) * n_osc,
-        provider_config=(ProviderConfig("custom"),) * n_osc,
-        coupling=CouplingNetwork.none(n_osc),
-        t_end=0.01 * (samples - 1), output_dt=0.01)
     index = np.arange(4 * n_osc * samples).reshape(4, n_osc, samples)
     sign = np.where(index % 2 == 0, 1.0, -1.0)
     channels = sign * AWKWARD[index % AWKWARD.size]
     return TimeSeries(t=0.01 * np.arange(samples), n=channels[0], v=channels[1],
-                      friction=channels[2], diffusion=channels[3], config=config)
+                      friction=channels[2], diffusion=channels[3])
 
 
 class TestWriter:
@@ -49,6 +38,8 @@ class TestWriter:
         path = tmp_path / "series.csv"
         write_timeseries_csv(series, path)
         data = read_timeseries_csv(path)
+        assert isinstance(data, TimeSeries)
+        assert data.diagnostics == {}
         for name in ("t", "n", "v", "friction", "diffusion"):
             written = getattr(series, name)
             read = getattr(data, name)

@@ -134,18 +134,14 @@ def test_provider_config_params_are_sorted_and_hashable():
 
 
 def test_timeseries_rejects_nonuniform_grid():
-    config = validate_config(single_config(t_end=1.0))
     t = np.array([0.0, 0.01, 0.03])
     flat = np.zeros((1, 3))
     with pytest.raises(ValueError, match="uniform"):
-        TimeSeries(t=t, n=flat, v=flat, friction=flat, diffusion=flat,
-                   config=config)
+        TimeSeries(t=t, n=flat, v=flat, friction=flat, diffusion=flat)
 
 
 def test_timeseries_rejects_length_mismatch():
-    config = validate_config(single_config(t_end=1.0))
     t = np.arange(5) * 0.01
     with pytest.raises(ValueError, match="length"):
         TimeSeries(t=t, n=np.zeros((1, 4)), v=np.zeros((1, 5)),
-                   friction=np.zeros((1, 5)), diffusion=np.zeros((1, 5)),
-                   config=config)
+                   friction=np.zeros((1, 5)), diffusion=np.zeros((1, 5)))
