@@ -78,7 +78,10 @@ def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
     lines = [
         f"steps_accepted = {diag['steps_accepted']}",
         f"steps_rejected = {diag['steps_rejected']}",
+        f"rejection_ratio = {diag['rejection_ratio']:.6g}",
         f"rhs_evaluations = {diag['rhs_evaluations']}",
+        f"h_min = {diag['h_min']:.6g}",
+        f"h_max = {diag['h_max']:.6g}",
     ]
     for i, residual in enumerate(diag["consistency_residuals"], start=1):
         lines.append(f"consistency_residual_{i} = {residual:.6g}")

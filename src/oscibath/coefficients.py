@@ -51,6 +51,11 @@ class CoefficientProvider(Protocol):
     ``t`` is either a float or a 1-D float array.  For an array the fields
     of the returned sample are arrays of the same shape, so custom providers
     must be written with numpy operations.
+
+    A provider may also carry an optional ``breakpoints`` attribute: the
+    times where its coefficients are not smooth (``TabulatedProvider``: its
+    knots).  The integrator ends a step exactly on each one; a provider
+    without the attribute declares none.
     """
 
     def __call__(self, t: float | np.ndarray) -> CoefficientSample: ...
@@ -138,8 +143,9 @@ class TabulatedProvider:
     The grid is strictly increasing with at least four points (cubic
     interpolation).  Interpolation uses natural cubic splines; derivative
     samples come from the splines' analytic derivatives.  Queries outside
-    the grid raise OutOfRange.  ``source`` is the path the table was read
-    from, kept verbatim for ``describe``.
+    the grid raise OutOfRange.  The knots are the ``breakpoints``.
+    ``source`` is the path the table was read from, kept verbatim for
+    ``describe``.
     """
 
     grid: np.ndarray
@@ -163,6 +169,11 @@ class TabulatedProvider:
         for name, arr in (("grid", grid), ("lambda_values", lam), ("D_values", dif)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The knots: each one ends a polynomial piece of the splines."""
+        return self.grid
 
     @cached_property
     def _splines(self):

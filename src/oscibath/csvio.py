@@ -11,7 +11,6 @@ increasing, uniform spacing), as every estimator assumes.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +48,27 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_VERSION_LINE:
-        found = lines[0].strip() if lines else "<empty file>"
-        raise CsvSchemaError(f"unsupported csv version line: {found!r}")
-    if len(lines) < 3:
-        raise CsvSchemaError("csv has no data rows")
-    names = [c.strip() for c in lines[1].split(",")]
-    if len(names) < 5 or (len(names) - 1) % 4 != 0:
-        raise CsvSchemaError("csv column count must be 1 + 4 per oscillator")
-    n_osc = (len(names) - 1) // 4
-    if names != _column_names(n_osc):
-        raise CsvSchemaError(f"unexpected csv columns: {names}")
+    with open(path, encoding="utf-8") as fh:
+        version = fh.readline()
+        if version.strip() != CSV_VERSION_LINE:
+            found = version.strip() if version else "<empty file>"
+            raise CsvSchemaError(f"unsupported csv version line: {found!r}")
+        header = fh.readline()
+        start = fh.tell()
+        if not header or not fh.readline():
+            raise CsvSchemaError("csv has no data rows")
+        names = [c.strip() for c in header.split(",")]
+        if len(names) < 5 or (len(names) - 1) % 4 != 0:
+            raise CsvSchemaError("csv column count must be 1 + 4 per oscillator")
+        n_osc = (len(names) - 1) // 4
+        if names != _column_names(n_osc):
+            raise CsvSchemaError(f"unexpected csv columns: {names}")
 
-    try:
-        data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",",
-                          ndmin=2)
-    except ValueError as exc:
-        raise CsvSchemaError(f"malformed csv data: {exc}") from exc
+        fh.seek(start)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise CsvSchemaError(f"malformed csv data: {exc}") from exc
     if data.shape[1] != len(names):
         raise CsvSchemaError("csv row width does not match header")
     try:

@@ -11,6 +11,10 @@ re-integration):
 A single oscillator in second-order form is the coupled system with one
 oscillator and ``CouplingNetwork.none(1)``.
 
+A provider may declare ``breakpoints``: times where its coefficients are
+less smooth (a tabulated provider's knots).  Steps end exactly on each one
+inside the interval, so no step straddles a change of polynomial piece.
+
 A fixed-step classical RK4 mode backs convergence studies.
 """
 
@@ -115,11 +119,35 @@ def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
     return min(100 * h0, h1, span)
 
 
+def _breakpoints(providers: Sequence[CoefficientProvider]) -> list[float]:
+    """The union of every provider's ``breakpoints`` (optional attribute)."""
+    return [float(b) for p in providers for b in getattr(p, "breakpoints", ())]
+
+
+def _stops(breakpoints: Sequence[float], t0: float,
+           t_final: float) -> list[float]:
+    """Sorted distinct breakpoints strictly inside (t0, t_final), then t_final.
+
+    A breakpoint within the step-size underflow threshold of t_final is
+    dropped: the step to it would leave a last step too short to take.
+    """
+    tiny = 10.0 * np.finfo(float).eps * max(abs(t0), abs(t_final))
+    return sorted({b for b in breakpoints
+                   if t0 < b and t_final - b > tiny}) + [t_final]
+
+
 def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
-                rtol: float, atol: float) -> tuple[np.ndarray, dict]:
-    """Integrate from grid[0] to grid[-1]; sample the interpolant on the grid."""
+                rtol: float, atol: float,
+                breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, dict]:
+    """Integrate from grid[0] to grid[-1]; sample the interpolant on the grid.
+
+    No step crosses a breakpoint: a step that would is shortened to end on
+    it exactly.
+    """
     t = float(grid[0])
     t_final = float(grid[-1])
+    stops = _stops(breakpoints, t, t_final)
+    next_stop = 0
     y = np.array(y0, dtype=float)
     dim = y.size
 
@@ -137,9 +165,18 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
 
     accepted = 0
     rejected = 0
+    h_min = math.inf
+    h_max = 0.0
     while t < t_final:
-        h = min(h, t_final - t)
         tiny = 10.0 * np.finfo(float).eps * max(abs(t), abs(t_final))
+        # Skip the stops already reached or within the underflow threshold
+        # of t (two tables whose knots differ by a few ulp); t_final stays.
+        while next_stop < len(stops) - 1 and stops[next_stop] - t <= tiny:
+            next_stop += 1
+        stop = stops[next_stop]
+        clamped = h >= stop - t
+        if clamped:
+            h = stop - t
         if h < tiny:
             raise StepSizeUnderflow(f"step size underflow at t={t!r}")
         if accepted + rejected > _MAX_STEPS:
@@ -149,7 +186,7 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
         for i in range(1, 6):
             k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
         y_new = y + h * (_B @ k[:6])
-        t_new = t + h
+        t_new = stop if clamped else t + h
         k[6] = f(t_new, y_new)
         nfev += 6
 
@@ -176,6 +213,8 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
             y = y_new
             f0 = k[6]
             accepted += 1
+            h_min = min(h_min, h)
+            h_max = max(h_max, h)
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
             h *= factor
@@ -188,7 +227,8 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     if next_idx != grid.size:
         raise IntegratorError("internal error: output grid not fully covered")
     stats = {"steps_accepted": accepted, "steps_rejected": rejected,
-             "rhs_evaluations": nfev}
+             "rhs_evaluations": nfev, "h_min": h_min, "h_max": h_max,
+             "rejection_ratio": rejected / (accepted + rejected)}
     return out, stats
 
 
@@ -278,7 +318,8 @@ def integrate_single_first_order(osc: OscillatorSpec,
         s = provider(t)
         return np.array([-2.0 * s.friction * y[0] + 2.0 * s.diffusion])
 
-    out, stats = _rk45_solve(f, np.array([osc.n0]), grid, rtol, atol)
+    out, stats = _rk45_solve(f, np.array([osc.n0]), grid, rtol, atol,
+                             _breakpoints([provider]))
     n = out[:, 0][None, :]
     lam, dif = _sample_coefficients([provider], grid)
     v = -2.0 * lam * n + 2.0 * dif
@@ -335,7 +376,8 @@ def integrate_coupled(config: SimulationConfig,
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol)
+    out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol,
+                             _breakpoints(providers))
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
     lam, dif = _sample_coefficients(providers, grid)

@@ -117,6 +117,8 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert "steps_accepted = " in captured.out
         assert "steps_rejected = " in captured.out
+        for key in ("rejection_ratio", "h_min", "h_max"):
+            assert f"\n{key} = " in captured.out
         assert "consistency_residual_1 = 0" in captured.out
         assert "negative_excursions = 0" in captured.out
         lines = out.read_text().splitlines()

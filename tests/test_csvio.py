@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from oscibath.csvio import CSV_VERSION_LINE, read_timeseries_csv, write_timeseries_csv
+from oscibath.csvio import (CSV_VERSION_LINE, CsvSchemaError, read_timeseries_csv,
+                            write_timeseries_csv)
 from oscibath.model import TimeSeries
 
 # Signed zero, the smallest subnormal, a huge value, and two values whose
@@ -44,3 +46,41 @@ class TestWriter:
             written = getattr(series, name)
             read = getattr(data, name)
             assert np.array_equal(read.view(np.uint64), written.view(np.uint64))
+
+
+HEADER = CSV_VERSION_LINE + "\nt,n1,v1,lambda1,D1\n"
+
+
+class TestReader:
+    @pytest.mark.parametrize("text, message", [
+        ("", "unsupported csv version line: '<empty file>'"),
+        ("\n", "unsupported csv version line: ''"),
+        ("# oscibath-csv v9\n", "unsupported csv version line: '# oscibath-csv v9'"),
+        (CSV_VERSION_LINE, "csv has no data rows"),
+        (HEADER, "csv has no data rows"),
+        (CSV_VERSION_LINE + "\nt,n1\n0,1\n",
+         "csv column count must be 1 + 4 per oscillator"),
+        (CSV_VERSION_LINE + "\nt,a,b,c,d\n0,1,2,3,4\n",
+         "unexpected csv columns: ['t', 'a', 'b', 'c', 'd']"),
+        (HEADER + "0,1,2,3\n0.5,1,2,3\n", "csv row width does not match header"),
+        (HEADER + "0,1,2,3,x\n", "malformed csv data: "),
+        (HEADER + "0,1,2,3,4\n1,1,2,3,4\n0.5,1,2,3,4\n",
+         "csv time column: grid not strictly increasing"),
+    ], ids=["empty", "blank", "version", "no-header", "no-rows", "columns",
+            "names", "width", "malformed", "time"])
+    def test_schema_errors(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvSchemaError) as info:
+            read_timeseries_csv(path)
+        assert str(info.value).startswith(message)
+
+    def test_windows_line_endings_read_the_same(self, tmp_path):
+        series = awkward_series()
+        unix, windows = tmp_path / "unix.csv", tmp_path / "windows.csv"
+        write_timeseries_csv(series, unix)
+        windows.write_bytes(unix.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = read_timeseries_csv(unix), read_timeseries_csv(windows)
+        for name in ("t", "n", "v", "friction", "diffusion"):
+            assert np.array_equal(getattr(a, name).view(np.uint64),
+                                  getattr(b, name).view(np.uint64))

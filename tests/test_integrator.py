@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,13 +10,19 @@ import pytest
 
 import oscibath
 
-from oscibath.coefficients import (
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+from oscibench.inputs import write_chain  # noqa: E402
+from oscibath.coefficients import (  # noqa: E402
     ConstantProvider,
     OutOfRange,
     PhenomenologicalProvider,
     TabulatedProvider,
+    make_provider,
 )
-from oscibath.integrator import (
+from oscibath.integrator import (  # noqa: E402
     IntegratorError,
     PositivityViolation,
     StepSizeUnderflow,
@@ -24,13 +31,14 @@ from oscibath.integrator import (
     integrate_single_first_order,
     rk4_fixed,
 )
-from oscibath.model import (
+from oscibath.model import (  # noqa: E402
     CoefficientSample,
     CouplingNetwork,
     OscillatorSpec,
     ProviderConfig,
     SimulationConfig,
 )
+from oscibath.scenario import load_scenario  # noqa: E402
 
 STANDARD = PhenomenologicalProvider(
     mean_lambda=0.1, amp_lambda=0.05, mean_D=0.05, amp_D=0.04,
@@ -340,3 +348,113 @@ class TestConvergence:
             y = rk4_fixed(f, 0.0, 2.0, np.array([0.0]), n)
             errors.append(np.abs(y - exact).max())
         assert all(a / b >= 14.0 for a, b in zip(errors, errors[1:]))
+
+
+class Recorder:
+    """Forwards a provider and its breakpoints; records every scalar call."""
+
+    def __init__(self, provider, breakpoints=None):
+        self.provider = provider
+        self.breakpoints = (getattr(provider, "breakpoints", ())
+                            if breakpoints is None else breakpoints)
+        self.times = []
+
+    def __call__(self, t):
+        if not isinstance(t, np.ndarray):
+            self.times.append(t)
+        return self.provider(t)
+
+
+def hide_breakpoints(provider):
+    """The provider's call alone: the knot-free path."""
+    return lambda t: provider(t)
+
+
+def table_on(grid):
+    grid = np.asarray(grid, dtype=float)
+    return TabulatedProvider(grid=grid, lambda_values=0.1 + 0.05 * np.sin(3 * grid),
+                             D_values=0.05 + 0.04 * np.cos(2 * grid))
+
+
+class TestBreakpoints:
+    def test_chain_is_more_accurate_for_fewer_rhs_evaluations(self, tmp_path):
+        config = load_scenario(write_chain(tmp_path, [1, 0]))
+        providers = [make_provider(pc) for pc in config.provider_config]
+        tight = dataclasses.replace(config, rtol=1e-13, atol=1e-16)
+        reference = integrate_coupled(tight, providers).n
+
+        knots = integrate_coupled(config, providers)
+        knot_free = integrate_coupled(
+            config, [hide_breakpoints(p) for p in providers])
+        assert np.abs(knots.n - reference).max() <= 2e-9
+        assert np.abs(knot_free.n - reference).max() > 1e-8
+        assert (2 * knots.diagnostics["rhs_evaluations"]
+                < knot_free.diagnostics["rhs_evaluations"])
+
+    def test_steps_end_exactly_on_every_interior_knot(self):
+        table = Recorder(table_on(np.linspace(0.0, 2.0, 9)))
+        series = single_second_order(OscillatorSpec(1.0), table, t_end=2.0)
+        assert set(table.breakpoints[1:-1].tolist()) <= set(table.times)
+        assert series.diagnostics["steps_accepted"] >= 8
+
+    def test_first_order_ends_steps_on_knots(self):
+        table = Recorder(table_on([0.0, 0.7, 1.3, 2.2, 3.0]))
+        osc = OscillatorSpec(1.0, n0=0.2)
+        knots = integrate_single_first_order(osc, table, t_end=3.0)
+        assert {0.7, 1.3, 2.2} <= set(table.times)
+        reference = integrate_single_first_order(osc, table.provider, t_end=3.0,
+                                                 rtol=1e-13, atol=1e-16).n
+        knot_free = integrate_single_first_order(
+            osc, hide_breakpoints(table.provider), t_end=3.0)
+        assert (np.abs(knots.n - reference).max()
+                < np.abs(knot_free.n - reference).max())
+        assert (knots.diagnostics["rhs_evaluations"]
+                < knot_free.diagnostics["rhs_evaluations"])
+
+    def test_stops_at_ends_or_outside_are_ignored(self):
+        plain = integrate_coupled(coupled_config(OscillatorSpec(2.0),
+                                                 OscillatorSpec(3.0), 0.4, 5.0),
+                                  [STANDARD, STANDARD])
+        outside = Recorder(STANDARD, breakpoints=(
+            -1.0, 0.0, 5.0, 7.5, math.nan, np.nextafter(5.0, 0.0)))
+        stopped = integrate_coupled(coupled_config(OscillatorSpec(2.0),
+                                                   OscillatorSpec(3.0), 0.4, 5.0),
+                                    [outside, STANDARD])
+        for name in ("n", "v"):
+            assert np.array_equal(getattr(plain, name), getattr(stopped, name))
+        for key in ("steps_accepted", "steps_rejected", "rhs_evaluations"):
+            assert plain.diagnostics[key] == stopped.diagnostics[key]
+
+    def test_provider_without_breakpoints_steps_as_before(self):
+        # Step counts and final values of this run before providers could
+        # declare breakpoints; the values to a few ulp, so that another
+        # BLAS build's summation order does not matter.
+        config = coupled_config(OscillatorSpec(2.0),
+                                OscillatorSpec(3.0, n0=0.3), 0.4, 12.0)
+        series = integrate_coupled(config, [STANDARD, STANDARD])
+        diag = series.diagnostics
+        assert (diag["steps_accepted"], diag["steps_rejected"],
+                diag["rhs_evaluations"]) == (200, 35, 1412)
+        expected = [float.fromhex("0x1.0ec6c8543ae03p-1"),
+                    float.fromhex("0x1.056654e2ec91dp-1")]
+        assert series.n[:, -1] == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_knots_one_ulp_apart_are_merged(self):
+        grid = np.array([0.0, 0.3, 0.6, 1.0])
+        nudged = grid.copy()
+        nudged[1:3] = np.nextafter(grid[1:3], 1.0)
+        first, second = Recorder(table_on(grid)), Recorder(table_on(nudged))
+        series = integrate_coupled(
+            coupled_config(OscillatorSpec(1.0), OscillatorSpec(2.0), 0.3, 1.0),
+            [first, second])
+        assert series.diagnostics["steps_accepted"] > 0
+        assert {0.3, 0.6} <= set(first.times)
+
+    def test_step_statistics(self):
+        series = integrate_coupled(coupled_config(OscillatorSpec(2.0),
+                                                  OscillatorSpec(3.0), 0.4, 5.0),
+                                   [STANDARD, STANDARD])
+        diag = series.diagnostics
+        attempted = diag["steps_accepted"] + diag["steps_rejected"]
+        assert diag["rejection_ratio"] == diag["steps_rejected"] / attempted
+        assert 0.0 < diag["h_min"] <= diag["h_max"] <= 5.0
