@@ -12,14 +12,17 @@ A single oscillator in second-order form is the coupled system with one
 oscillator and ``CouplingNetwork.none(1)``.
 
 A provider may declare ``breakpoints``: times where its coefficients are
-less smooth (a tabulated provider's knots).  Steps end exactly on each one
-inside the interval, so no step straddles a change of polynomial piece.
+less smooth (a tabulated provider's knots).  A step that would reach past
+one ends exactly on the last one it reaches.  Where breakpoints are sparser
+than the steps, no step straddles a change of polynomial piece; where they
+are denser, steps cross the pieces instead of shrinking to their spacing.
 
 A fixed-step classical RK4 mode backs convergence studies.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Sequence
 
@@ -119,34 +122,33 @@ def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
     return min(100 * h0, h1, span)
 
 
-def _breakpoints(providers: Sequence[CoefficientProvider]) -> list[float]:
-    """The union of every provider's ``breakpoints`` (optional attribute)."""
-    return [float(b) for p in providers for b in getattr(p, "breakpoints", ())]
-
-
-def _stops(breakpoints: Sequence[float], t0: float,
+def _stops(providers: Sequence[CoefficientProvider], t0: float,
            t_final: float) -> list[float]:
-    """Sorted distinct breakpoints strictly inside (t0, t_final), then t_final.
+    """The providers' sorted distinct ``breakpoints`` inside (t0, t_final),
+    then t_final.
 
-    A breakpoint within the step-size underflow threshold of t_final is
-    dropped: the step to it would leave a last step too short to take.
+    ``breakpoints`` is an optional attribute; a provider without it declares
+    none.  A breakpoint within the step-size underflow threshold of t_final
+    is dropped: the step to it would leave a last step too short to take.
     """
     tiny = 10.0 * np.finfo(float).eps * max(abs(t0), abs(t_final))
-    return sorted({b for b in breakpoints
+    return sorted({b for p in providers
+                   for b in map(float, getattr(p, "breakpoints", ()))
                    if t0 < b and t_final - b > tiny}) + [t_final]
 
 
 def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
                 rtol: float, atol: float,
-                breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, dict]:
+                providers: Sequence[CoefficientProvider]
+                ) -> tuple[np.ndarray, dict]:
     """Integrate from grid[0] to grid[-1]; sample the interpolant on the grid.
 
-    No step crosses a breakpoint: a step that would is shortened to end on
-    it exactly.
+    A step that would reach past one of the providers' breakpoints (or
+    t_final) is shortened to end exactly on the last one it reaches.
     """
     t = float(grid[0])
     t_final = float(grid[-1])
-    stops = _stops(breakpoints, t, t_final)
+    stops = _stops(providers, t, t_final)
     next_stop = 0
     y = np.array(y0, dtype=float)
     dim = y.size
@@ -173,9 +175,12 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
         # of t (two tables whose knots differ by a few ulp); t_final stays.
         while next_stop < len(stops) - 1 and stops[next_stop] - t <= tiny:
             next_stop += 1
-        stop = stops[next_stop]
-        clamped = h >= stop - t
+        # Ending on the last stop reached, not the first, keeps steps
+        # longer than a dense table's knot spacing: the error control then
+        # prices the kinks they cross, instead of one step per knot.
+        clamped = h >= stops[next_stop] - t
         if clamped:
+            stop = stops[bisect.bisect_right(stops, t + h, next_stop + 1) - 1]
             h = stop - t
         if h < tiny:
             raise StepSizeUnderflow(f"step size underflow at t={t!r}")
@@ -319,7 +324,7 @@ def integrate_single_first_order(osc: OscillatorSpec,
         return np.array([-2.0 * s.friction * y[0] + 2.0 * s.diffusion])
 
     out, stats = _rk45_solve(f, np.array([osc.n0]), grid, rtol, atol,
-                             _breakpoints([provider]))
+                             [provider])
     n = out[:, 0][None, :]
     lam, dif = _sample_coefficients([provider], grid)
     v = -2.0 * lam * n + 2.0 * dif
@@ -377,7 +382,7 @@ def integrate_coupled(config: SimulationConfig,
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
     out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol,
-                             _breakpoints(providers))
+                             providers)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
     lam, dif = _sample_coefficients(providers, grid)

@@ -10,19 +10,13 @@ import pytest
 
 import oscibath
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-if str(BENCH) not in sys.path:
-    sys.path.insert(0, str(BENCH))
-
-from oscibench.inputs import write_chain  # noqa: E402
-from oscibath.coefficients import (  # noqa: E402
+from oscibath.coefficients import (
     ConstantProvider,
     OutOfRange,
     PhenomenologicalProvider,
     TabulatedProvider,
-    make_provider,
 )
-from oscibath.integrator import (  # noqa: E402
+from oscibath.integrator import (
     IntegratorError,
     PositivityViolation,
     StepSizeUnderflow,
@@ -31,14 +25,13 @@ from oscibath.integrator import (  # noqa: E402
     integrate_single_first_order,
     rk4_fixed,
 )
-from oscibath.model import (  # noqa: E402
+from oscibath.model import (
     CoefficientSample,
     CouplingNetwork,
     OscillatorSpec,
     ProviderConfig,
     SimulationConfig,
 )
-from oscibath.scenario import load_scenario  # noqa: E402
 
 STANDARD = PhenomenologicalProvider(
     mean_lambda=0.1, amp_lambda=0.05, mean_D=0.05, amp_D=0.04,
@@ -376,22 +369,61 @@ def table_on(grid):
                              D_values=0.05 + 0.04 * np.cos(2 * grid))
 
 
+def tabulated_chain(n, knot_dt, t_end=1.0):
+    """n nearest-neighbour coupled oscillators, each with its own table.
+
+    The tables sample a ramped mean-plus-cosine at the oscillator's
+    frequency, as the phenomenological model does, on knots knot_dt apart.
+    """
+    grid = np.linspace(0.0, t_end, int(round(t_end / knot_dt)) + 1)
+    ramp = 1.0 - np.exp(-(grid / 0.5) ** 2)
+    omegas = np.linspace(1.0, 3.0, n)
+    providers = [
+        TabulatedProvider(
+            grid=grid,
+            lambda_values=ramp * (0.15 + 0.05 * np.cos(w * grid + math.pi * (i % 2))),
+            D_values=ramp * (0.05 + 0.045 * np.cos(w * grid + math.pi * (1 - i % 2))))
+        for i, w in enumerate(omegas)]
+    beta = np.zeros((n, n))
+    i = np.arange(n - 1)
+    beta[i, i + 1] = beta[i + 1, i] = 0.3
+    config = SimulationConfig(
+        oscillators=tuple(OscillatorSpec(w) for w in omegas),
+        provider_config=(ProviderConfig("custom"),) * n,
+        coupling=CouplingNetwork(n, beta), t_end=t_end, rtol=1e-9, atol=1e-12)
+    return config, providers
+
+
 class TestBreakpoints:
-    def test_chain_is_more_accurate_for_fewer_rhs_evaluations(self, tmp_path):
-        config = load_scenario(write_chain(tmp_path, [1, 0]))
-        providers = [make_provider(pc) for pc in config.provider_config]
+    def test_chain_is_more_accurate_for_fewer_rhs_evaluations(self):
+        config, providers = tabulated_chain(8, knot_dt=0.1)
         tight = dataclasses.replace(config, rtol=1e-13, atol=1e-16)
         reference = integrate_coupled(tight, providers).n
 
         knots = integrate_coupled(config, providers)
         knot_free = integrate_coupled(
             config, [hide_breakpoints(p) for p in providers])
-        assert np.abs(knots.n - reference).max() <= 2e-9
-        assert np.abs(knot_free.n - reference).max() > 1e-8
+        knots_error = np.abs(knots.n - reference).max()
+        assert knots_error <= 2e-9
+        assert knots_error < np.abs(knot_free.n - reference).max()
         assert (2 * knots.diagnostics["rhs_evaluations"]
                 < knot_free.diagnostics["rhs_evaluations"])
 
-    def test_steps_end_exactly_on_every_interior_knot(self):
+    def test_knots_denser_than_the_steps_are_crossed(self):
+        # Ending a step on every knot would cost six RHS evaluations per
+        # knot; steps longer than the spacing end on the last knot reached.
+        grid = np.linspace(0.0, 10.0, 4001)
+        sample = STANDARD(grid)
+        table = TabulatedProvider(grid=grid, lambda_values=sample.friction,
+                                  D_values=sample.diffusion)
+        series = single_second_order(OscillatorSpec(1.0), table, t_end=10.0)
+        reference = single_second_order(OscillatorSpec(1.0), table, t_end=10.0,
+                                        rtol=1e-11, atol=1e-14).n
+        assert series.diagnostics["rhs_evaluations"] < grid.size
+        assert series.diagnostics["h_max"] > 10 * (grid[1] - grid[0])
+        assert np.abs(series.n - reference).max() <= 1e-6
+
+    def test_steps_end_exactly_on_every_sparser_interior_knot(self):
         table = Recorder(table_on(np.linspace(0.0, 2.0, 9)))
         series = single_second_order(OscillatorSpec(1.0), table, t_end=2.0)
         assert set(table.breakpoints[1:-1].tolist()) <= set(table.times)
@@ -448,7 +480,10 @@ class TestBreakpoints:
             coupled_config(OscillatorSpec(1.0), OscillatorSpec(2.0), 0.3, 1.0),
             [first, second])
         assert series.diagnostics["steps_accepted"] > 0
-        assert {0.3, 0.6} <= set(first.times)
+        # Each pair of nearly equal knots is one stop: a step ends on one
+        # of the two.
+        for a, b in zip(grid[1:3], nudged[1:3]):
+            assert {a, b} & set(first.times)
 
     def test_step_statistics(self):
         series = integrate_coupled(coupled_config(OscillatorSpec(2.0),
