@@ -62,9 +62,9 @@ class PositivityViolation(IntegratorError):
 
 
 # Dormand-Prince 5(4) tableau.  The fifth-order solution propagates; the
-# embedded fourth-order difference (E) drives step-size control; P holds the
-# quartic dense-output weights.  First-same-as-last: stage 7 seeds the next
-# step.
+# embedded fourth-order difference (E) drives step-size control; row j of PT
+# holds the stage weights of theta**(j+1) in the quartic dense output.
+# First-same-as-last: stage 7 of an accepted step is stage 1 of the next.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = [
     np.array([]),
@@ -77,7 +77,7 @@ _A = [
 _B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
-_P = np.array([
+_PT = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432],
     [0.0, 0.0, 0.0, 0.0],
@@ -90,18 +90,22 @@ _P = np.array([
     [0.0, -282668133 / 205662961, 2019193451 / 616988883,
      -1453857185 / 822651844],
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+]).T.copy()
+_POWERS = np.arange(1.0, 5.0)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 10_000_000
+_EPS = float(np.finfo(float).eps)
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
 
 def _error_norm(e: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((e / scale) ** 2)))
+    """Root-mean-square of e / scale."""
+    x = e / scale
+    return math.sqrt(float(x @ x) / x.size)
 
 
 def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -131,7 +135,7 @@ def _stops(providers: Sequence[CoefficientProvider], t0: float,
     none.  A breakpoint within the step-size underflow threshold of t_final
     is dropped: the step to it would leave a last step too short to take.
     """
-    tiny = 10.0 * np.finfo(float).eps * max(abs(t0), abs(t_final))
+    tiny = 10.0 * _EPS * max(abs(t0), abs(t_final))
     return sorted({b for p in providers
                    for b in map(float, getattr(p, "breakpoints", ()))
                    if t0 < b and t_final - b > tiny}) + [t_final]
@@ -157,12 +161,15 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     out[0] = y
     next_idx = 1
 
+    # Stage 1 (k[0]) is the slope at (t, y).  An attempt writes only
+    # k[1:], so a rejected attempt leaves k[0] for the retry; an accepted
+    # step copies its last stage there (first-same-as-last).
     k = np.empty((7, dim))
-    f0 = f(t, y)
+    k[0] = f(t, y)
     nfev = 1
-    if not np.all(np.isfinite(f0)):
+    if not np.isfinite(k[0]).all():
         raise IntegratorError(f"right-hand side not finite at t={t!r}")
-    h = _initial_step(f, t, y, f0, rtol, atol, t_final - t)
+    h = _initial_step(f, t, y, k[0], rtol, atol, t_final - t)
     nfev += 1
 
     accepted = 0
@@ -170,7 +177,7 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     h_min = math.inf
     h_max = 0.0
     while t < t_final:
-        tiny = 10.0 * np.finfo(float).eps * max(abs(t), abs(t_final))
+        tiny = 10.0 * _EPS * max(abs(t), abs(t_final))
         # Skip the stops already reached or within the underflow threshold
         # of t (two tables whose knots differ by a few ulp); t_final stays.
         while next_stop < len(stops) - 1 and stops[next_stop] - t <= tiny:
@@ -187,7 +194,6 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
         if accepted + rejected > _MAX_STEPS:
             raise IntegratorError("step budget exceeded")
 
-        k[0] = f0
         for i in range(1, 6):
             k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
         y_new = y + h * (_B @ k[:6])
@@ -195,7 +201,7 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
         k[6] = f(t_new, y_new)
         nfev += 6
 
-        if np.all(np.isfinite(k)) and np.all(np.isfinite(y_new)):
+        if np.isfinite(k).all() and np.isfinite(y_new).all():
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             err = _error_norm(h * (_E @ k), scale)
         else:
@@ -205,18 +211,17 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
             # Fill output samples covered by this step from the quartic
             # interpolant.
             hi = next_idx
-            limit = t_new + 4.0 * np.finfo(float).eps * max(abs(t_new), 1.0)
+            limit = t_new + 4.0 * _EPS * max(abs(t_new), 1.0)
             while hi < grid.size and grid[hi] <= limit:
                 hi += 1
             if hi > next_idx:
-                theta = np.clip((grid[next_idx:hi] - t) / h, 0.0, 1.0)
-                powers = np.vstack([theta, theta**2, theta**3, theta**4])
-                out[next_idx:hi] = (y[None, :]
-                                    + h * (powers.T @ (_P.T @ k)))
+                theta = ((grid[next_idx:hi] - t) / h).clip(0.0, 1.0)
+                out[next_idx:hi] = y + h * ((theta[:, None] ** _POWERS)
+                                            @ (_PT @ k))
                 next_idx = hi
             t = t_new
             y = y_new
-            f0 = k[6]
+            k[0] = k[6]
             accepted += 1
             h_min = min(h_min, h)
             h_max = max(h_max, h)
@@ -364,7 +369,8 @@ def integrate_coupled(config: SimulationConfig,
     grid = _output_grid(config.t_end, config.output_dt)
 
     beta = config.coupling.beta
-    rowsum = beta.sum(axis=1)
+    # sum_j beta_ij (n_i - n_j) = (L n)_i with the graph Laplacian L.
+    laplacian = np.diag(beta.sum(axis=1)) - beta
     providers = list(providers)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
@@ -372,7 +378,7 @@ def integrate_coupled(config: SimulationConfig,
         v = y[n_osc:]
         out = np.empty(2 * n_osc)
         out[:n_osc] = v
-        coupling = rowsum * n - beta @ n
+        coupling = laplacian @ n
         for i, provider in enumerate(providers):
             s = provider(t)
             out[n_osc + i] = (2.0 * s.ddiffusion_dt - 2.0 * s.friction * v[i]
