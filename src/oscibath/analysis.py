@@ -190,7 +190,7 @@ def _local_maxima(t: np.ndarray, x: np.ndarray):
 
 def extract_period(t: np.ndarray, x: np.ndarray,
                    window: tuple[float, float] | None = None,
-                   atol: float = 1e-12) -> OscillationReport:
+                   atol: float = SimulationConfig.atol) -> OscillationReport:
     """Dominant late-time period of one channel.
 
     Primary estimate: the dominant autocorrelation peak of the mean-subtracted
@@ -277,7 +277,7 @@ def _taper_interior(size: int) -> slice:
 
 def synchronization_metrics(t: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
                             window: tuple[float, float] | None = None,
-                            atol: float = 1e-12) -> SyncReport:
+                            atol: float = SimulationConfig.atol) -> SyncReport:
     """Period ratio and phase-lock score of two channels.
 
     phase_lock_score is the magnitude of the mean phasor of the
@@ -314,9 +314,7 @@ def eigenfrequency_candidates(config: SimulationConfig) -> dict[str, tuple[float
     decided.
     """
     bare = tuple(o.omega for o in config.oscillators)
-    beta = config.coupling.beta
-    laplacian = np.diag(beta.sum(axis=1)) - beta
-    eigs = np.linalg.eigvalsh(laplacian)
+    eigs = np.linalg.eigvalsh(config.coupling.laplacian)
     modes = tuple(float(math.sqrt(e)) for e in eigs if e > 1e-12)
     return {"bare": bare, "normal_mode": modes}
 

@@ -266,6 +266,8 @@ def _sweep_worker(task) -> dict[str, str]:
 
 def cmd_sweep(scenario_path: str, output_dir: str, *, param: str,
               values: str, jobs: int) -> int:
+    if jobs < 1:
+        raise InvalidConfig(f"--jobs must be at least 1, got {jobs}")
     sections = read_sections(Path(scenario_path).read_text(encoding="utf-8"))
     tokens = [token.strip() for token in values.split(",") if token.strip()]
     if not tokens:

@@ -176,21 +176,19 @@ class TabulatedProvider:
         return self.grid
 
     @cached_property
-    def _splines(self):
-        s_lam = CubicSpline(self.grid, self.lambda_values, bc_type="natural")
-        s_dif = CubicSpline(self.grid, self.D_values, bc_type="natural")
-        return s_lam, s_lam.derivative(), s_dif, s_dif.derivative()
-
-    @cached_property
     def _kernel(self):
-        """Tables for scalar evaluation without scipy.
+        """Per-interval coefficient table, built once from scipy's splines.
 
         Row i of ``coefs`` holds the ascending-power coefficients of the
         four pieces on [grid[i], grid[i+1]): lambda (4), dlambda/dt (3),
         D (4), dD/dt (3).  Adding 0.0 turns -0.0 into +0.0, as scipy's
         evaluation (which starts its sum from 0.0) does.
         """
-        coefs = np.hstack([s.c[::-1].T for s in self._splines]) + 0.0
+        splines = []
+        for values in (self.lambda_values, self.D_values):
+            spline = CubicSpline(self.grid, values, bc_type="natural")
+            splines += [spline, spline.derivative()]
+        coefs = np.hstack([s.c[::-1].T for s in splines]) + 0.0
         lo, hi = float(self.grid[0]), float(self.grid[-1])
         slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
         return self.grid.tolist(), lo, hi, slack, coefs
@@ -198,33 +196,37 @@ class TabulatedProvider:
     def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         """Spline-interpolate the table at time t (no extrapolation).
 
-        A scalar is evaluated from the cached per-interval coefficients in
-        scipy's summation order, ``c0 + c1*d + c2*d**2 + c3*(d**2*d)``, which
-        reproduces ``CubicSpline.__call__`` bit for bit.  An array goes to
-        the splines themselves.
+        Scalars and arrays are evaluated from the cached per-interval
+        coefficients in scipy's summation order,
+        ``c0 + c1*d + c2*d**2 + c3*(d**2*d)``, which reproduces
+        ``CubicSpline.__call__`` bit for bit.
         """
         knots, lo, hi, slack, coefs = self._kernel
         if isinstance(t, np.ndarray):
             outside = (t < lo - slack) | (t > hi + slack)
             if outside.any():
                 raise _out_of_range(lo, hi, t[outside][0])
-            tc = np.clip(t, lo, hi)
-            s_lam, ds_lam, s_dif, ds_dif = self._splines
-            return CoefficientSample(s_lam(tc), s_dif(tc), ds_lam(tc), ds_dif(tc))
-        if t < lo:
-            if t < lo - slack:
-                raise _out_of_range(lo, hi, t)
-            t = lo
-        elif t > hi:
-            if t > hi + slack:
-                raise _out_of_range(lo, hi, t)
-            t = hi
-        # Interval i holds knots[i] <= t < knots[i+1]; the last one is closed.
-        i = bisect_right(knots, t, 1, len(knots) - 1) - 1
-        d = t - knots[i]
+            t = np.clip(t, lo, hi)
+            # The interval the scalar bisect below picks, for every time.
+            i = np.searchsorted(self.grid[1:-1], t, side="right")
+            d = t - self.grid[i]
+            c = coefs[i].T
+        else:
+            if t < lo:
+                if t < lo - slack:
+                    raise _out_of_range(lo, hi, t)
+                t = lo
+            elif t > hi:
+                if t > hi + slack:
+                    raise _out_of_range(lo, hi, t)
+                t = hi
+            # Interval i holds knots[i] <= t < knots[i+1]; the last one is closed.
+            i = bisect_right(knots, t, 1, len(knots) - 1) - 1
+            d = t - knots[i]
+            c = coefs[i].tolist()
         d2 = d * d
         d3 = d2 * d
-        l0, l1, l2, l3, dl0, dl1, dl2, f0, f1, f2, f3, df0, df1, df2 = coefs[i].tolist()
+        l0, l1, l2, l3, dl0, dl1, dl2, f0, f1, f2, f3, df0, df1, df2 = c
         return CoefficientSample(l0 + l1 * d + l2 * d2 + l3 * d3,
                                  f0 + f1 * d + f2 * d2 + f3 * d3,
                                  dl0 + dl1 * d + dl2 * d2,

@@ -306,10 +306,10 @@ def _negative_excursions(n: np.ndarray) -> dict:
 
 
 def integrate_single_first_order(osc: OscillatorSpec,
-                                 provider: CoefficientProvider,
-                                 t_end: float, output_dt: float = 0.01,
-                                 rtol: float = 1e-9,
-                                 atol: float = 1e-12) -> TimeSeries:
+                                 provider: CoefficientProvider, t_end: float,
+                                 output_dt: float = SimulationConfig.output_dt,
+                                 rtol: float = SimulationConfig.rtol,
+                                 atol: float = SimulationConfig.atol) -> TimeSeries:
     """Solve dn/dt = -2 lam(t) n + 2 D(t) from n(0) = n0.
 
     When the provider keeps D(t) >= 0 (checked at the output samples) and
@@ -368,9 +368,7 @@ def integrate_coupled(config: SimulationConfig,
         raise ValueError("one provider per oscillator required")
     grid = _output_grid(config.t_end, config.output_dt)
 
-    beta = config.coupling.beta
-    # sum_j beta_ij (n_i - n_j) = (L n)_i with the graph Laplacian L.
-    laplacian = np.diag(beta.sum(axis=1)) - beta
+    laplacian = config.coupling.laplacian
     providers = list(providers)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:

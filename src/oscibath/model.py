@@ -129,6 +129,15 @@ class CouplingNetwork:
         np.fill_diagonal(mat, 0.0)
         return cls(n=n, beta=mat)
 
+    @property
+    def laplacian(self) -> np.ndarray:
+        """The graph Laplacian ``L = diag(row sums of beta) - beta``.
+
+        ``(L n)_i = sum_j beta_ij (n_i - n_j)``: the coupling term of the
+        equations of motion, and the normal-mode matrix of the network.
+        """
+        return np.diag(self.beta.sum(axis=1)) - self.beta
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -236,10 +245,6 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidConfig(message)
 
 
-def _finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 KNOWN_PROVIDER_KINDS = ("constant", "phenomenological", "tabulated", "custom")
 
 
@@ -260,9 +265,9 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
 
     for i, osc in enumerate(config.oscillators, start=1):
         where = f"oscillator {i}: "
-        _require(_finite(osc.omega) and osc.omega > 0, where + "omega not positive")
-        _require(_finite(osc.n0) and osc.n0 >= 0, where + "n0 negative")
-        _require(_finite(osc.v0), where + "v0 not finite")
+        _require(math.isfinite(osc.omega) and osc.omega > 0, where + "omega not positive")
+        _require(math.isfinite(osc.n0) and osc.n0 >= 0, where + "n0 negative")
+        _require(math.isfinite(osc.v0), where + "v0 not finite")
 
     _require(len(config.provider_config) == n, "provider_config count mismatch")
     for i, pc in enumerate(config.provider_config, start=1):
@@ -278,11 +283,11 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
                 where = f"bath {i} {j}: "
                 _require(isinstance(bath.statistics, BathStatistics),
                          where + "statistics must be fermionic or bosonic")
-                _require(_finite(bath.temperature) and bath.temperature >= 0,
+                _require(math.isfinite(bath.temperature) and bath.temperature >= 0,
                          where + "temperature negative")
-                _require(_finite(bath.coupling) and bath.coupling > 0,
+                _require(math.isfinite(bath.coupling) and bath.coupling > 0,
                          where + "coupling not positive")
-                _require(_finite(bath.cutoff) and bath.cutoff > 0,
+                _require(math.isfinite(bath.cutoff) and bath.cutoff > 0,
                          where + "cutoff not positive")
 
     coupling = config.coupling
@@ -299,12 +304,12 @@ def validate_config(config: SimulationConfig) -> SimulationConfig:
         _require(asym <= SYMMETRY_SLACK * scale, "beta not symmetric")
         coupling = CouplingNetwork(n=n, beta=(beta + beta.T) / 2.0)
 
-    _require(_finite(config.t_end) and config.t_end > 0, "t_end not positive")
-    _require(_finite(config.output_dt) and config.output_dt > 0,
+    _require(math.isfinite(config.t_end) and config.t_end > 0, "t_end not positive")
+    _require(math.isfinite(config.output_dt) and config.output_dt > 0,
              "output_dt not positive")
     _require(config.output_dt <= config.t_end, "output_dt exceeds t_end")
-    _require(_finite(config.rtol) and config.rtol > 0, "rtol not positive")
-    _require(_finite(config.atol) and config.atol > 0, "atol not positive")
+    _require(math.isfinite(config.rtol) and config.rtol > 0, "rtol not positive")
+    _require(math.isfinite(config.atol) and config.atol > 0, "atol not positive")
 
     if coupling is not config.coupling:
         return replace(config, coupling=coupling)

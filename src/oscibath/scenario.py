@@ -25,13 +25,16 @@ applied before the config is built, so derived defaults follow.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 import math
 import re
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
+from .coefficients import PhenomenologicalProvider
 from .model import (
     BathSpec,
     BathStatistics,
@@ -63,21 +66,26 @@ _COEF_RE = re.compile(r"^coefficients (\d+)$")
 _BATH_RE = re.compile(r"^bath (\d+) (\d+)$")
 _BETA_KEY_RE = re.compile(r"^beta (\d+) (\d+)$")
 
+# Keys absent from a section are left out of the constructor call, so the
+# model dataclasses own every default.
 _OSC_KEYS = ("omega", "n0", "v0")
 _PROVIDER_KEYS = {
     "constant": ("lambda", "D"),
-    "phenomenological": ("mean_lambda", "amp_lambda", "mean_D", "amp_D",
-                         "osc_freq", "phase_lambda", "phase_D", "ramp_time",
-                         "allow_negative_friction"),
+    "phenomenological": tuple(
+        f.name for f in dataclasses.fields(PhenomenologicalProvider)),
     "tabulated": ("path",),
 }
-_BATH_KEYS = ("statistics", "temperature", "alpha", "gamma")
+#: Scenario key -> BathSpec field, in serialization order.
+_BATH_KEYS = {"statistics": "statistics", "temperature": "temperature",
+              "alpha": "coupling", "gamma": "cutoff"}
 _INTEGRATION_KEYS = ("t_end", "output_dt", "rtol", "atol")
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, Enum):
+        return str(value.value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -113,6 +121,17 @@ def read_sections(text: str) -> Sections:
     except configparser.Error as exc:
         raise InvalidConfig(f"scenario syntax: {exc}") from exc
     return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def _check_keys(section: str, body: dict[str, str], allowed,
+                required=()) -> None:
+    """Reject the first unknown key, then the first missing required key."""
+    for key in body:
+        if key not in allowed:
+            raise InvalidConfig(f"[{section}] unknown key '{key}'")
+    for key in required:
+        if key not in body:
+            raise InvalidConfig(f"[{section}] {key} missing")
 
 
 def _contiguous_indices(found: dict[int, dict[str, str]], what: str) -> int:
@@ -154,16 +173,10 @@ def build_config(sections: Sections) -> SimulationConfig:
     for i in range(1, n + 1):
         body = osc_raw[i]
         section = f"oscillator {i}"
-        for key in body:
-            if key not in _OSC_KEYS:
-                raise InvalidConfig(f"[{section}] unknown key '{key}'")
-        if "omega" not in body:
-            raise InvalidConfig(f"[{section}] omega missing")
-        oscillators.append(OscillatorSpec(
-            omega=_float(section, "omega", body["omega"]),
-            n0=_float(section, "n0", body.get("n0", "0")),
-            v0=_float(section, "v0", body.get("v0", "0")),
-        ))
+        _check_keys(section, body, _OSC_KEYS, required=("omega",))
+        oscillators.append(OscillatorSpec(**{
+            key: _float(section, key, body[key])
+            for key in _OSC_KEYS if key in body}))
 
     providers = []
     for i in range(1, n + 1):
@@ -174,10 +187,7 @@ def build_config(sections: Sections) -> SimulationConfig:
             raise InvalidConfig(f"[{section}] kind missing")
         if kind not in _PROVIDER_KEYS:
             raise InvalidConfig(f"[{section}] unknown kind '{kind}'")
-        allowed = _PROVIDER_KEYS[kind]
-        for key in body:
-            if key not in allowed:
-                raise InvalidConfig(f"[{section}] unknown key '{key}'")
+        _check_keys(section, body, _PROVIDER_KEYS[kind])
         params: dict[str, object] = {}
         for key, token in body.items():
             if key == "path":
@@ -202,24 +212,16 @@ def build_config(sections: Sections) -> SimulationConfig:
             for j in sorted(entries):
                 body = entries[j]
                 section = f"bath {i} {j}"
-                for key in body:
-                    if key not in _BATH_KEYS:
-                        raise InvalidConfig(f"[{section}] unknown key '{key}'")
-                for key in _BATH_KEYS:
-                    if key not in body:
-                        raise InvalidConfig(f"[{section}] {key} missing")
+                _check_keys(section, body, _BATH_KEYS, required=_BATH_KEYS)
                 try:
                     statistics = BathStatistics(body["statistics"].strip())
                 except ValueError:
                     raise InvalidConfig(
                         f"[{section}] statistics must be fermionic or bosonic"
                     ) from None
-                row.append(BathSpec(
-                    statistics=statistics,
-                    temperature=_float(section, "temperature", body["temperature"]),
-                    coupling=_float(section, "alpha", body["alpha"]),
-                    cutoff=_float(section, "gamma", body["gamma"]),
-                ))
+                row.append(BathSpec(statistics, **{
+                    name: _float(section, key, body[key])
+                    for key, name in _BATH_KEYS.items() if key != "statistics"}))
             per_osc.append(tuple(row))
         if bath_raw:
             stray = sorted(bath_raw)[0]
@@ -251,21 +253,15 @@ def build_config(sections: Sections) -> SimulationConfig:
 
     if integration_raw is None:
         raise InvalidConfig("integration section missing")
-    for key in integration_raw:
-        if key not in _INTEGRATION_KEYS:
-            raise InvalidConfig(f"[integration] unknown key '{key}'")
-    if "t_end" not in integration_raw:
-        raise InvalidConfig("[integration] t_end missing")
-    get = integration_raw.get
+    _check_keys("integration", integration_raw, _INTEGRATION_KEYS,
+                required=("t_end",))
     config = SimulationConfig(
         oscillators=tuple(oscillators),
         provider_config=tuple(providers),
         coupling=CouplingNetwork(n=n, beta=beta),
-        t_end=_float("integration", "t_end", get("t_end")),
-        output_dt=_float("integration", "output_dt", get("output_dt", "0.01")),
-        rtol=_float("integration", "rtol", get("rtol", "1e-9")),
-        atol=_float("integration", "atol", get("atol", "1e-12")),
         baths=baths,
+        **{key: _float("integration", key, integration_raw[key])
+           for key in _INTEGRATION_KEYS if key in integration_raw},
     )
     return validate_config(config)
 
@@ -291,8 +287,7 @@ def serialize_scenario(config: SimulationConfig) -> str:
         out.write("\n")
 
     for i, osc in enumerate(config.oscillators, start=1):
-        section(f"oscillator {i}",
-                [("omega", osc.omega), ("n0", osc.n0), ("v0", osc.v0)])
+        section(f"oscillator {i}", [(key, getattr(osc, key)) for key in _OSC_KEYS])
         pc = config.provider_config[i - 1]
         if pc.kind == "custom":
             raise InvalidConfig("custom providers have no scenario representation")
@@ -306,12 +301,8 @@ def serialize_scenario(config: SimulationConfig) -> str:
         section(f"coefficients {i}", items)
         if config.baths:
             for j, bath in enumerate(config.baths[i - 1], start=1):
-                section(f"bath {i} {j}", [
-                    ("statistics", bath.statistics.value),
-                    ("temperature", bath.temperature),
-                    ("alpha", bath.coupling),
-                    ("gamma", bath.cutoff),
-                ])
+                section(f"bath {i} {j}", [(key, getattr(bath, name))
+                                          for key, name in _BATH_KEYS.items()])
 
     n = config.n_oscillators
     if n > 1:
@@ -321,12 +312,8 @@ def serialize_scenario(config: SimulationConfig) -> str:
                 items.append((f"beta {i} {j}", float(config.coupling.beta[i - 1, j - 1])))
         section("coupling", items)
 
-    section("integration", [
-        ("t_end", config.t_end),
-        ("output_dt", config.output_dt),
-        ("rtol", config.rtol),
-        ("atol", config.atol),
-    ])
+    section("integration", [(key, getattr(config, key))
+                            for key in _INTEGRATION_KEYS])
     return out.getvalue()
 
 

@@ -306,6 +306,18 @@ class TestSweep:
         assert (out_dir / "sweep_000.csv").exists()
         assert not (out_dir / "sweep_001.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        scn = tmp_path / "const.scn"
+        scn.write_text(CONSTANT_SCN)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scn), str(out_dir),
+                     "--param", "integration.rtol",
+                     "--values", "1e-6", "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("oscibath: --jobs must be at least 1")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unwritable_member_is_marked_failed(self, tmp_path, capsys, jobs):
         scn = tmp_path / "const.scn"

@@ -1,0 +1,119 @@
+"""Property tests over generated configurations (needs ``hypothesis``)."""
+
+import math
+
+import numpy as np
+import pytest
+
+from oscibath.coefficients import PhenomenologicalProvider
+from oscibath.integrator import integrate_coupled
+from oscibath.model import (
+    BathSpec,
+    BathStatistics,
+    CouplingNetwork,
+    OscillatorSpec,
+    ProviderConfig,
+    SimulationConfig,
+    validate_config,
+)
+from oscibath.scenario import parse_scenario, serialize_scenario
+
+hypothesis = pytest.importorskip("hypothesis")
+given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
+
+TWO_PI = 2.0 * math.pi
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, max_value=1e6)
+positive = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+phase = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
+
+
+@st.composite
+def symmetric_beta(draw, n, high=1e6):
+    beta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            beta[i, j] = beta[j, i] = draw(st.floats(0.0, high))
+    return beta
+
+
+@st.composite
+def phenomenological(draw, omega=None):
+    mean_lambda = draw(st.floats(0.05, 0.3))
+    return PhenomenologicalProvider(
+        mean_lambda=mean_lambda,
+        amp_lambda=draw(st.floats(0.0, 0.9 * mean_lambda)),
+        mean_D=draw(st.floats(0.0, 0.1)),
+        amp_D=draw(st.floats(0.0, 0.1)),
+        osc_freq=draw(st.floats(0.5, 3.0)) if omega is None else omega,
+        phase_lambda=draw(phase), phase_D=draw(phase),
+        ramp_time=draw(st.floats(0.2, 1.0)))
+
+
+path = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_./-]{0,30}", fullmatch=True)
+provider_config = st.one_of(
+    st.builds(lambda lam, d: ProviderConfig("constant", {"lambda": lam, "D": d}),
+              finite, finite),
+    phenomenological().map(lambda p: p.describe()),
+    st.builds(lambda p: ProviderConfig("tabulated", {"path": p}), path),
+)
+bath = st.builds(BathSpec, st.sampled_from(BathStatistics), non_negative,
+                 positive, positive)
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(1, 4))
+    oscillators = tuple(OscillatorSpec(draw(positive), draw(non_negative),
+                                       draw(finite)) for _ in range(n))
+    baths = ()
+    if draw(st.booleans()):
+        baths = tuple(tuple(draw(st.lists(bath, max_size=2))) for _ in range(n))
+        # No bath section at all parses back as no baths.
+        if not any(baths):
+            baths = ()
+    t_end = draw(st.floats(1e-3, 1e6))
+    return SimulationConfig(
+        oscillators=oscillators,
+        provider_config=tuple(draw(provider_config) for _ in range(n)),
+        coupling=CouplingNetwork(n=n, beta=draw(symmetric_beta(n))),
+        t_end=t_end,
+        output_dt=t_end * draw(st.floats(1e-6, 1.0)),
+        rtol=draw(positive), atol=draw(positive),
+        baths=baths)
+
+
+@settings(max_examples=50, deadline=None)
+@given(configs())
+def test_serialize_parse_round_trip(config):
+    text = serialize_scenario(config)
+    again = parse_scenario(text)
+    assert again == validate_config(config)
+    assert serialize_scenario(again) == text
+
+
+@st.composite
+def coupled_runs(draw):
+    n = draw(st.integers(2, 6))
+    omegas = [draw(st.floats(0.5, 3.0)) for _ in range(n)]
+    providers = [draw(phenomenological(omega)) for omega in omegas]
+    config = SimulationConfig(
+        oscillators=tuple(OscillatorSpec(omega, draw(st.floats(0.0, 1.0)),
+                                         draw(st.floats(-0.5, 0.5)))
+                          for omega in omegas),
+        provider_config=tuple(p.describe() for p in providers),
+        coupling=CouplingNetwork(n=n, beta=draw(symmetric_beta(n, high=2.0))),
+        t_end=10.0, rtol=1e-9)
+    return config, providers
+
+
+@settings(max_examples=10, deadline=None)
+@given(coupled_runs())
+def test_symmetric_coupling_conserves_linear_sum(run):
+    # d/dt (v_i + 2 lam_i n_i - 2 D_i) = -(L n)_i, and the columns of the
+    # Laplacian of a symmetric beta sum to zero.
+    config, providers = run
+    ts = integrate_coupled(config, providers)
+    total = (ts.v + 2.0 * ts.friction * ts.n - 2.0 * ts.diffusion).sum(axis=0)
+    assert np.abs(total - total[0]).max() <= 1e-7

@@ -1,6 +1,6 @@
 import pytest
 
-from oscibath.model import InvalidConfig
+from oscibath.model import InvalidConfig, OscillatorSpec, SimulationConfig
 from oscibath.scenario import (
     apply_override,
     build_config,
@@ -67,9 +67,12 @@ class TestRoundTrip:
         assert again == config
 
     def test_defaults_applied(self):
-        config = parse_scenario(HANDCRAFTED)
-        assert config.oscillators[1].n0 == 0.0
-        assert config.oscillators[1].v0 == 0.0
+        config = parse_scenario(HANDCRAFTED.replace(
+            "output_dt = 0.02\nrtol = 1e-8\natol = 1e-11\n", ""))
+        assert config.oscillators[1].n0 == 0.0 == OscillatorSpec.n0
+        assert config.oscillators[1].v0 == 0.0 == OscillatorSpec.v0
+        for key in ("output_dt", "rtol", "atol"):
+            assert getattr(config, key) == getattr(SimulationConfig, key)
         assert config.coupling.beta[0][1] == 0.2
         assert config.baths[0][0].statistics.value == "fermionic"
 
