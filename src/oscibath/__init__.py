@@ -53,7 +53,6 @@ from .model import (
     ProviderConfig,
     SimulationConfig,
     TimeSeries,
-    validate_config,
 )
 from .scenario import (
     apply_override,

@@ -1,8 +1,8 @@
 """Adaptive Runge-Kutta integration of the occupation-number master equations.
 
-Two solve paths share one embedded Dormand-Prince 5(4) core with dense
-output (output samples come from the step interpolant, never from
-re-integration):
+Two formulations share one solve path: the output grid, an embedded
+Dormand-Prince 5(4) core with dense output (output samples come from the
+step interpolant, never from re-integration) and the coefficient samples:
 
 * first-order single oscillator:   dn/dt = -2 lam(t) n + 2 D(t)
 * coupled second-order system:     n_i'' + 2 lam_i n_i' + 2 lam_i' n_i
@@ -35,7 +35,6 @@ from .model import (
     ProviderConfig,
     SimulationConfig,
     TimeSeries,
-    validate_config,
 )
 
 __all__ = [
@@ -282,21 +281,26 @@ def convergence_order(f: RHS, t_span: tuple[float, float], y0: Sequence[float],
     return np.asarray(orders)
 
 
-def _output_grid(t_end: float, output_dt: float) -> np.ndarray:
-    m = int(math.floor(t_end / output_dt + 1e-9))
-    if m < 1:
-        raise IntegratorError("output_dt exceeds t_end")
-    return np.arange(m + 1) * output_dt
+def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
+           f: RHS, y0: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Integrate y' = f(t, y) from y0 over the config's output grid.
 
-
-def _sample_coefficients(providers, grid) -> tuple[np.ndarray, np.ndarray]:
+    Returns the grid, the samples (one row per output time), the providers'
+    friction and diffusion on the grid (one row per provider) and the step
+    statistics.
+    """
+    # output_dt <= t_end, so the grid has at least two times.
+    m = int(math.floor(config.t_end / config.output_dt + 1e-9))
+    grid = np.arange(m + 1) * config.output_dt
+    out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol, providers)
     lam = np.empty((len(providers), grid.size))
     dif = np.empty((len(providers), grid.size))
     for i, provider in enumerate(providers):
         s = provider(grid)
         lam[i] = s.friction
         dif[i] = s.diffusion
-    return lam, dif
+    return grid, out, lam, dif, stats
 
 
 def _negative_excursions(n: np.ndarray) -> dict:
@@ -316,22 +320,20 @@ def integrate_single_first_order(osc: OscillatorSpec,
     n0 >= 0, the exact flow preserves n >= 0 and the result is checked to
     stay above -10 * atol; PositivityViolation is raised otherwise.
     """
-    validate_config(SimulationConfig(
+    config = SimulationConfig(
         oscillators=(osc,),
         provider_config=(ProviderConfig("custom"),),
         coupling=CouplingNetwork.none(1),
         t_end=t_end, output_dt=output_dt, rtol=rtol, atol=atol,
-    ))
-    grid = _output_grid(t_end, output_dt)
+    )
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         s = provider(t)
         return np.array([-2.0 * s.friction * y[0] + 2.0 * s.diffusion])
 
-    out, stats = _rk45_solve(f, np.array([osc.n0]), grid, rtol, atol,
-                             [provider])
+    grid, out, lam, dif, stats = _solve(config, [provider], f,
+                                        np.array([osc.n0]))
     n = out[:, 0][None, :]
-    lam, dif = _sample_coefficients([provider], grid)
     v = -2.0 * lam * n + 2.0 * dif
 
     if osc.n0 >= 0 and (dif >= 0).all() and not n.min() >= -10.0 * atol:
@@ -362,11 +364,9 @@ def integrate_coupled(config: SimulationConfig,
     the single-oscillator form n'' + 2 lam n' + 2 lam' n = 2 D', and
     beta = 0 decouples every channel.
     """
-    config = validate_config(config)
     n_osc = config.n_oscillators
     if len(providers) != n_osc:
         raise ValueError("one provider per oscillator required")
-    grid = _output_grid(config.t_end, config.output_dt)
 
     laplacian = config.coupling.laplacian
     providers = list(providers)
@@ -385,11 +385,9 @@ def integrate_coupled(config: SimulationConfig,
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol,
-                             providers)
+    grid, out, lam, dif, stats = _solve(config, providers, f, y0)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
-    lam, dif = _sample_coefficients(providers, grid)
 
     diagnostics = dict(stats)
     diagnostics["formulation"] = "coupled_second_order"

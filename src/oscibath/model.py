@@ -12,7 +12,7 @@ of the reference frequency squared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
@@ -28,7 +28,6 @@ __all__ = [
     "ProviderConfig",
     "SimulationConfig",
     "TimeSeries",
-    "validate_config",
 ]
 
 #: Relative asymmetry of the coupling matrix that is silently symmetrized
@@ -164,9 +163,24 @@ class ProviderConfig:
         return dict(self.params)
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise InvalidConfig(message)
+
+
+KNOWN_PROVIDER_KINDS = ("constant", "phenomenological", "tabulated", "custom")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Full description of one run: oscillators, providers, coupling, integration."""
+    """Full description of one run: oscillators, providers, coupling, integration.
+
+    A config checks every invariant when built (``dataclasses.replace``
+    included) and raises InvalidConfig naming the first one violated.  Two
+    normalizations happen in place: a coupling matrix whose relative
+    asymmetry is at most SYMMETRY_SLACK is symmetrized by averaging (larger
+    asymmetry is an error), and baths that are all empty become ``()``.
+    """
 
     oscillators: tuple[OscillatorSpec, ...]
     provider_config: tuple[ProviderConfig, ...]
@@ -181,6 +195,61 @@ class SimulationConfig:
         object.__setattr__(self, "oscillators", tuple(self.oscillators))
         object.__setattr__(self, "provider_config", tuple(self.provider_config))
         object.__setattr__(self, "baths", tuple(tuple(b) for b in self.baths))
+
+        n = len(self.oscillators)
+        _require(n >= 1, "no oscillators")
+
+        for i, osc in enumerate(self.oscillators, start=1):
+            where = f"oscillator {i}: "
+            _require(math.isfinite(osc.omega) and osc.omega > 0, where + "omega not positive")
+            _require(math.isfinite(osc.n0) and osc.n0 >= 0, where + "n0 negative")
+            _require(math.isfinite(osc.v0), where + "v0 not finite")
+
+        _require(len(self.provider_config) == n, "provider_config count mismatch")
+        for i, pc in enumerate(self.provider_config, start=1):
+            _require(
+                pc.kind in KNOWN_PROVIDER_KINDS,
+                f"coefficients {i}: unknown kind '{pc.kind}'",
+            )
+
+        if self.baths:
+            _require(len(self.baths) == n, "baths count mismatch")
+            # A scenario file cannot say "no baths" per oscillator, so all
+            # empty is no baths.
+            if not any(self.baths):
+                object.__setattr__(self, "baths", ())
+            for i, baths in enumerate(self.baths, start=1):
+                for j, bath in enumerate(baths, start=1):
+                    where = f"bath {i} {j}: "
+                    _require(isinstance(bath.statistics, BathStatistics),
+                             where + "statistics must be fermionic or bosonic")
+                    _require(math.isfinite(bath.temperature) and bath.temperature >= 0,
+                             where + "temperature negative")
+                    _require(math.isfinite(bath.coupling) and bath.coupling > 0,
+                             where + "coupling not positive")
+                    _require(math.isfinite(bath.cutoff) and bath.cutoff > 0,
+                             where + "cutoff not positive")
+
+        beta = self.coupling.beta
+        _require(self.coupling.n == n, "coupling size does not match oscillator count")
+        _require(beta.shape == (n, n), "beta not an n-by-n matrix")
+        _require(bool(np.isfinite(beta).all()), "beta not finite")
+        _require(bool((np.diag(beta) == 0).all()), "beta diagonal not zero")
+        _require(bool((beta >= 0).all()), "beta negative")
+
+        asym = np.abs(beta - beta.T).max() if n > 1 else 0.0
+        scale = max(float(np.abs(beta).max()), 1.0e-300)
+        if asym > 0:
+            _require(asym <= SYMMETRY_SLACK * scale, "beta not symmetric")
+            object.__setattr__(self, "coupling",
+                               CouplingNetwork(n=n, beta=(beta + beta.T) / 2.0))
+
+        _require(math.isfinite(self.t_end) and self.t_end > 0, "t_end not positive")
+        _require(math.isfinite(self.output_dt) and self.output_dt > 0,
+                 "output_dt not positive")
+        _require(self.output_dt <= self.t_end, "output_dt exceeds t_end")
+        _require(math.isfinite(self.rtol) and self.rtol > 0, "rtol not positive")
+        _require(math.isfinite(self.atol) and self.atol > 0, "atol not positive")
 
     @property
     def n_oscillators(self) -> int:
@@ -238,79 +307,3 @@ class TimeSeries:
     def output_dt(self) -> float:
         """The grid's first step; for a solver grid, the config's output_dt."""
         return float(self.t[1] - self.t[0])
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidConfig(message)
-
-
-KNOWN_PROVIDER_KINDS = ("constant", "phenomenological", "tabulated", "custom")
-
-
-def validate_config(config: SimulationConfig) -> SimulationConfig:
-    """Check every invariant and return the (possibly normalized) config.
-
-    The only normalization is symmetrizing the coupling matrix by averaging
-    when its relative asymmetry is at most 1e-12; larger asymmetry is an
-    error.  Validation is idempotent: a validated config passes unchanged.
-
-    Raises
-    ------
-    InvalidConfig
-        Naming the first violated invariant.
-    """
-    n = len(config.oscillators)
-    _require(n >= 1, "no oscillators")
-
-    for i, osc in enumerate(config.oscillators, start=1):
-        where = f"oscillator {i}: "
-        _require(math.isfinite(osc.omega) and osc.omega > 0, where + "omega not positive")
-        _require(math.isfinite(osc.n0) and osc.n0 >= 0, where + "n0 negative")
-        _require(math.isfinite(osc.v0), where + "v0 not finite")
-
-    _require(len(config.provider_config) == n, "provider_config count mismatch")
-    for i, pc in enumerate(config.provider_config, start=1):
-        _require(
-            pc.kind in KNOWN_PROVIDER_KINDS,
-            f"coefficients {i}: unknown kind '{pc.kind}'",
-        )
-
-    if config.baths:
-        _require(len(config.baths) == n, "baths count mismatch")
-        for i, baths in enumerate(config.baths, start=1):
-            for j, bath in enumerate(baths, start=1):
-                where = f"bath {i} {j}: "
-                _require(isinstance(bath.statistics, BathStatistics),
-                         where + "statistics must be fermionic or bosonic")
-                _require(math.isfinite(bath.temperature) and bath.temperature >= 0,
-                         where + "temperature negative")
-                _require(math.isfinite(bath.coupling) and bath.coupling > 0,
-                         where + "coupling not positive")
-                _require(math.isfinite(bath.cutoff) and bath.cutoff > 0,
-                         where + "cutoff not positive")
-
-    coupling = config.coupling
-    beta = coupling.beta
-    _require(coupling.n == n, "coupling size does not match oscillator count")
-    _require(beta.shape == (n, n), "beta not an n-by-n matrix")
-    _require(bool(np.isfinite(beta).all()), "beta not finite")
-    _require(bool((np.diag(beta) == 0).all()), "beta diagonal not zero")
-    _require(bool((beta >= 0).all()), "beta negative")
-
-    asym = np.abs(beta - beta.T).max() if n > 1 else 0.0
-    scale = max(float(np.abs(beta).max()), 1.0e-300)
-    if asym > 0:
-        _require(asym <= SYMMETRY_SLACK * scale, "beta not symmetric")
-        coupling = CouplingNetwork(n=n, beta=(beta + beta.T) / 2.0)
-
-    _require(math.isfinite(config.t_end) and config.t_end > 0, "t_end not positive")
-    _require(math.isfinite(config.output_dt) and config.output_dt > 0,
-             "output_dt not positive")
-    _require(config.output_dt <= config.t_end, "output_dt exceeds t_end")
-    _require(math.isfinite(config.rtol) and config.rtol > 0, "rtol not positive")
-    _require(math.isfinite(config.atol) and config.atol > 0, "atol not positive")
-
-    if coupling is not config.coupling:
-        return replace(config, coupling=coupling)
-    return config

@@ -14,7 +14,7 @@ comments allowed):
 
 Oscillator and coefficients sections must be numbered 1..N.  Serialization
 is canonical (fixed section/key order, 17-significant-digit floats), so
-parse -> serialize -> parse reproduces the validated config exactly.
+parse -> serialize -> parse reproduces the config exactly.
 
 Sweep overrides address raw scenario fields with dotted keys
 (``integration.rtol``, ``oscillator.2.omega``, ``coefficients.1.mean_lambda``,
@@ -43,7 +43,6 @@ from .model import (
     OscillatorSpec,
     ProviderConfig,
     SimulationConfig,
-    validate_config,
 )
 
 __all__ = [
@@ -144,7 +143,7 @@ def _contiguous_indices(found: dict[int, dict[str, str]], what: str) -> int:
 
 
 def build_config(sections: Sections) -> SimulationConfig:
-    """Assemble and validate a SimulationConfig from raw sections."""
+    """Assemble a SimulationConfig (which checks itself) from raw sections."""
     osc_raw: dict[int, dict[str, str]] = {}
     coef_raw: dict[int, dict[str, str]] = {}
     bath_raw: dict[int, dict[int, dict[str, str]]] = {}
@@ -255,7 +254,7 @@ def build_config(sections: Sections) -> SimulationConfig:
         raise InvalidConfig("integration section missing")
     _check_keys("integration", integration_raw, _INTEGRATION_KEYS,
                 required=("t_end",))
-    config = SimulationConfig(
+    return SimulationConfig(
         oscillators=tuple(oscillators),
         provider_config=tuple(providers),
         coupling=CouplingNetwork(n=n, beta=beta),
@@ -263,11 +262,10 @@ def build_config(sections: Sections) -> SimulationConfig:
         **{key: _float("integration", key, integration_raw[key])
            for key in _INTEGRATION_KEYS if key in integration_raw},
     )
-    return validate_config(config)
 
 
 def parse_scenario(text: str) -> SimulationConfig:
-    """Parse scenario text into a validated SimulationConfig."""
+    """Parse scenario text into a SimulationConfig."""
     return build_config(read_sections(text))
 
 
@@ -276,8 +274,7 @@ def load_scenario(path: str | Path) -> SimulationConfig:
 
 
 def serialize_scenario(config: SimulationConfig) -> str:
-    """Canonical scenario text for a validated config."""
-    config = validate_config(config)
+    """Canonical scenario text for a config."""
     out = io.StringIO()
 
     def section(name: str, items: list[tuple[str, object]]) -> None:

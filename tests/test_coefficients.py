@@ -72,6 +72,21 @@ class TestPhenomenological:
         lam_b -= lam_b.mean()
         assert float(np.mean(lam_a * lam_b)) < 0.0
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(mean_lambda=-0.1), "mean_lambda negative"),
+        (dict(amp_lambda=math.nan), "amp_lambda negative"),
+        (dict(mean_D=-0.05), "mean_D negative"),
+        (dict(amp_D=math.inf), "amp_D negative"),
+        (dict(osc_freq=0.0), "osc_freq not positive"),
+        (dict(ramp_time=-0.5), "ramp_time not positive"),
+        (dict(phase_lambda=-0.1), r"phase_lambda outside \[0, 2\*pi\)"),
+        (dict(phase_D=2.0 * math.pi), r"phase_D outside \[0, 2\*pi\)"),
+    ])
+    def test_rejects_bad_parameters(self, overrides, message):
+        params = dict(STANDARD.describe().params) | overrides
+        with pytest.raises(InvalidConfig, match=message):
+            PhenomenologicalProvider(**params)
+
     def test_negative_friction_requires_flag(self):
         with pytest.raises(InvalidConfig, match="negative friction"):
             PhenomenologicalProvider(0.05, 0.1, 0.05, 0.0)
@@ -87,6 +102,11 @@ class TestConstant:
             sample = ConstantProvider(0.5, 0.25)(t)
             assert (sample.friction, sample.diffusion) == (0.5, 0.25)
             assert (sample.dfriction_dt, sample.ddiffusion_dt) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("lambda0,D0", [(math.nan, 0.1), (0.1, -math.inf)])
+    def test_rejects_non_finite(self, lambda0, D0):
+        with pytest.raises(InvalidConfig, match="constant coefficients not finite"):
+            ConstantProvider(lambda0, D0)
 
     def test_all_zero(self):
         sample = ConstantProvider(0.0, 0.0)(42.0)
@@ -132,6 +152,14 @@ class TestTabulated:
             TabulatedProvider(grid=np.array([0.0, 1.0, 2.0]),
                               lambda_values=np.zeros(3),
                               D_values=np.zeros(3))
+
+    @pytest.mark.parametrize("lam,D,message", [
+        (np.zeros(3), np.zeros(4), "column lengths differ"),
+        (np.zeros(4), np.array([0.0, 1.0, math.nan, 0.0]), "not finite"),
+    ])
+    def test_rejects_bad_columns(self, lam, D, message):
+        with pytest.raises(InvalidConfig, match=message):
+            TabulatedProvider(grid=np.arange(4.0), lambda_values=lam, D_values=D)
 
     def test_needs_increasing_grid(self):
         grid = np.array([0.0, 1.0, 1.0, 2.0])
@@ -281,6 +309,22 @@ class TestCsvIngestion:
         with pytest.raises(InvalidConfig, match="header"):
             read_coefficient_csv(path)
 
+    @pytest.mark.parametrize("rows,message", [
+        ("0,0,0\n1,1\n2,2,2\n3,3,3\n", "line 3 not 3 columns"),
+        ("0,0,0\n1,1,1\n2,x,2\n3,3,3\n", "line 4 not numeric"),
+        ("0,0,0\n1,1,1\n2,2,2\n", "needs at least 4 rows"),
+    ])
+    def test_bad_rows_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("t,lambda,D\n" + rows)
+        with pytest.raises(InvalidConfig, match=message):
+            read_coefficient_csv(path)
+
+    def test_unreadable_path_rejected(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(InvalidConfig, match=re.escape(f"coefficient csv {path}: ")):
+            read_coefficient_csv(path)
+
     def test_nonincreasing_grid_rejected(self, tmp_path):
         path = tmp_path / "coeffs.csv"
         path.write_text("t,lambda,D\n0,0,0\n1,1,1\n1,2,2\n3,3,3\n")
@@ -324,6 +368,18 @@ class TestMakeProvider:
             assert tuple(rebuilt(2.7)) == tuple(provider(2.7))
             for got, want in zip(rebuilt(ts), provider(ts)):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("constant", {"lambda": 0.5}, "constant provider missing key 'D'"),
+        ("phenomenological", {"mean_lambda": 0.1, "amp_lambda": 0.0, "mean_D": 0.0},
+         "phenomenological provider: .*amp_D"),
+        ("phenomenological", dict(STANDARD.describe().params) | {"mass": 1.0},
+         "phenomenological provider: .*mass"),
+        ("tabulated", {}, "tabulated provider missing key 'path'"),
+    ])
+    def test_bad_params_rejected(self, kind, params, message):
+        with pytest.raises(InvalidConfig, match=message):
+            make_provider(ProviderConfig(kind, params))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig, match="unknown coefficient kind"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from oscibath.model import (
     ProviderConfig,
     SimulationConfig,
     TimeSeries,
-    validate_config,
 )
 
 
@@ -37,25 +38,24 @@ def pair_config(beta: np.ndarray, **overrides) -> SimulationConfig:
 
 
 def test_accepts_minimal_single_oscillator():
-    config = single_config()
-    assert validate_config(config) is config
+    coupling = CouplingNetwork.none(1)
+    config = single_config(coupling=coupling)
+    assert config.coupling is coupling
 
 
 def test_rejects_negative_n0():
-    config = single_config(oscillators=(OscillatorSpec(omega=1.0, n0=-0.1),))
     with pytest.raises(InvalidConfig, match="n0 negative"):
-        validate_config(config)
+        single_config(oscillators=(OscillatorSpec(omega=1.0, n0=-0.1),))
 
 
 def test_rejects_nonpositive_omega():
-    config = single_config(oscillators=(OscillatorSpec(omega=-1.0),))
     with pytest.raises(InvalidConfig, match="omega not positive"):
-        validate_config(config)
+        single_config(oscillators=(OscillatorSpec(omega=-1.0),))
 
 
 def test_symmetrizes_tiny_asymmetry():
     beta = np.array([[0.0, 0.3], [0.3 + 1e-13, 0.0]])
-    validated = validate_config(pair_config(beta))
+    validated = pair_config(beta)
     expected = (0.3 + (0.3 + 1e-13)) / 2.0
     assert validated.coupling.beta[0, 1] == expected
     assert validated.coupling.beta[1, 0] == expected
@@ -64,25 +64,24 @@ def test_symmetrizes_tiny_asymmetry():
 def test_rejects_large_asymmetry():
     beta = np.array([[0.0, 0.3], [0.31, 0.0]])
     with pytest.raises(InvalidConfig, match="beta not symmetric"):
-        validate_config(pair_config(beta))
+        pair_config(beta)
 
 
 def test_rejects_nonzero_diagonal():
     beta = np.array([[0.1, 0.3], [0.3, 0.0]])
     with pytest.raises(InvalidConfig, match="beta diagonal not zero"):
-        validate_config(pair_config(beta))
+        pair_config(beta)
 
 
 def test_rejects_negative_beta():
     beta = np.array([[0.0, -0.3], [-0.3, 0.0]])
     with pytest.raises(InvalidConfig, match="beta negative"):
-        validate_config(pair_config(beta))
+        pair_config(beta)
 
 
 def test_rejects_coupling_size_mismatch():
-    config = single_config(coupling=CouplingNetwork.none(2))
     with pytest.raises(InvalidConfig, match="coupling size"):
-        validate_config(config)
+        single_config(coupling=CouplingNetwork.none(2))
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -94,7 +93,7 @@ def test_rejects_coupling_size_mismatch():
 ])
 def test_rejects_bad_integration_fields(overrides, message):
     with pytest.raises(InvalidConfig, match=message):
-        validate_config(single_config(**overrides))
+        single_config(**overrides)
 
 
 @pytest.mark.parametrize("bath,message", [
@@ -106,15 +105,34 @@ def test_rejects_bad_integration_fields(overrides, message):
      "cutoff not positive"),
 ])
 def test_rejects_bad_bath_metadata(bath, message):
-    config = single_config(baths=((bath,),))
     with pytest.raises(InvalidConfig, match=message):
-        validate_config(config)
+        single_config(baths=((bath,),))
+
+
+BATH = BathSpec(BathStatistics.BOSONIC, temperature=1.0, coupling=0.1, cutoff=10.0)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(provider_config=(ProviderConfig("constant", {"lambda": 0.1, "D": 0.05}),)),
+     "provider_config count mismatch"),
+    (dict(baths=((BATH,),)), "baths count mismatch"),
+    (dict(baths=((), (), ())), "baths count mismatch"),
+])
+def test_rejects_count_mismatch(overrides, message):
+    with pytest.raises(InvalidConfig, match=message):
+        pair_config(np.zeros((2, 2)), **overrides)
+
+
+def test_all_empty_baths_are_no_baths():
+    # A scenario file has no way to write them, so they would not round-trip.
+    assert single_config(baths=((),)).baths == ()
+    assert pair_config(np.zeros((2, 2)), baths=((), (BATH,))).baths == ((), (BATH,))
 
 
 def test_validation_is_idempotent():
     beta = np.array([[0.0, 0.3], [0.3 + 1e-13, 0.0]])
-    once = validate_config(pair_config(beta))
-    twice = validate_config(once)
+    once = pair_config(beta)
+    twice = dataclasses.replace(once)
     assert once == twice
     assert twice.coupling == once.coupling
 

@@ -1,6 +1,13 @@
+import dataclasses
+
 import pytest
 
-from oscibath.model import InvalidConfig, OscillatorSpec, SimulationConfig
+from oscibath.model import (
+    InvalidConfig,
+    OscillatorSpec,
+    ProviderConfig,
+    SimulationConfig,
+)
 from oscibath.scenario import (
     apply_override,
     build_config,
@@ -99,6 +106,17 @@ class TestParseErrors:
         (("beta 1 2 = 0.2", "beta 1 1 = 0.2"), "indices must differ"),
         (("beta 1 2 = 0.2", "beta 1 3 = 0.2"), "out of range"),
         (("n0 = 0.25", "mass = 1"), "unknown key"),
+        (("omega = 1\nn0 = 0.25", "omega = inf\nn0 = 0.25"), "omega: not finite"),
+        (("[oscillator 2]", "[oscillator 2"), "scenario syntax"),
+        ((HANDCRAFTED, "[integration]\nt_end = 40\n"), "no oscillator sections"),
+        (("[coefficients 2]", "[coefficients 3]"),
+         "coefficients sections must match oscillator sections"),
+        (("kind = tabulated\n", ""), r"\[coefficients 2\] kind missing"),
+        (("[bath 2 1]", "[bath 2 2]"), "oscillator 2 must be numbered 1..K"),
+        (("[bath 2 1]", "[bath 3 1]"), "bath section for unknown oscillator 3"),
+        (("beta 1 2 = 0.2", "alpha 1 2 = 0.2"), r"\[coupling\] unknown key 'alpha 1 2'"),
+        (("[integration]\nt_end = 40\noutput_dt = 0.02\nrtol = 1e-8\natol = 1e-11\n",
+          ""), "integration section missing"),
     ])
     def test_bad_input_names_the_problem(self, mangle, message):
         text = HANDCRAFTED.replace(*mangle)
@@ -114,6 +132,23 @@ class TestParseErrors:
         text = HANDCRAFTED.replace("[oscillator 2]", "[oscillator 3]")
         with pytest.raises(InvalidConfig, match="numbered 1..N"):
             parse_scenario(text)
+
+    def test_boolean_tokens(self):
+        text = demo_fig2_scenario().replace(
+            "ramp_time = 0.5\n", "ramp_time = 0.5\nallow_negative_friction = yes\n")
+        params = parse_scenario(text).provider_config[0].as_dict()
+        assert params["allow_negative_friction"] is True
+        with pytest.raises(InvalidConfig, match="allow_negative_friction: "
+                                                "not a boolean: 'maybe'"):
+            parse_scenario(text.replace("= yes", "= maybe"))
+
+    def test_custom_provider_has_no_text(self):
+        config = parse_scenario(HANDCRAFTED)
+        custom = dataclasses.replace(
+            config, provider_config=(ProviderConfig("custom"),) * 2)
+        with pytest.raises(InvalidConfig, match="custom providers have no "
+                                                "scenario representation"):
+            serialize_scenario(custom)
 
     def test_conflicting_beta_pair(self):
         text = HANDCRAFTED.replace("beta 1 2 = 0.2",
@@ -155,6 +190,10 @@ class TestOverrides:
         sections = read_sections(HANDCRAFTED)
         with pytest.raises(InvalidConfig, match="cannot resolve"):
             apply_override(sections, "nonsense.key", "1")
+        for key in ("coupling.beta.one.2", "coupling.gamma"):
+            with pytest.raises(InvalidConfig,
+                               match=f"cannot resolve override key '{key}'"):
+                apply_override(sections, key, "1")
 
     def test_missing_section_index(self):
         sections = read_sections(demo_fig2_scenario())
