@@ -340,7 +340,6 @@ def integrate_single_first_order(osc: OscillatorSpec,
         raise PositivityViolation(f"positivity violated: min n = {n.min():g}")
 
     diagnostics = dict(stats)
-    diagnostics["formulation"] = "first_order"
     diagnostics["negative_excursions"] = _negative_excursions(n)
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
                       diagnostics=diagnostics)
@@ -390,7 +389,6 @@ def integrate_coupled(config: SimulationConfig,
     v = out[:, n_osc:].T
 
     diagnostics = dict(stats)
-    diagnostics["formulation"] = "coupled_second_order"
     diagnostics["consistency_residuals"] = tuple(
         _consistency_residual(o, p)
         for o, p in zip(config.oscillators, providers))

@@ -74,6 +74,10 @@ _PROVIDER_KEYS = {
         f.name for f in dataclasses.fields(PhenomenologicalProvider)),
     "tabulated": ("path",),
 }
+#: Every key of a kind is required, except phenomenological keys with a default.
+_PROVIDER_REQUIRED = dict(_PROVIDER_KEYS, phenomenological=tuple(
+    f.name for f in dataclasses.fields(PhenomenologicalProvider)
+    if f.default is dataclasses.MISSING))
 #: Scenario key -> BathSpec field, in serialization order.
 _BATH_KEYS = {"statistics": "statistics", "temperature": "temperature",
               "alpha": "coupling", "gamma": "cutoff"}
@@ -186,7 +190,8 @@ def build_config(sections: Sections) -> SimulationConfig:
             raise InvalidConfig(f"[{section}] kind missing")
         if kind not in _PROVIDER_KEYS:
             raise InvalidConfig(f"[{section}] unknown kind '{kind}'")
-        _check_keys(section, body, _PROVIDER_KEYS[kind])
+        _check_keys(section, body, _PROVIDER_KEYS[kind],
+                    required=_PROVIDER_REQUIRED[kind])
         params: dict[str, object] = {}
         for key, token in body.items():
             if key == "path":

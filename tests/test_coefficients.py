@@ -313,11 +313,25 @@ class TestCsvIngestion:
         ("0,0,0\n1,1\n2,2,2\n3,3,3\n", "line 3 not 3 columns"),
         ("0,0,0\n1,1,1\n2,x,2\n3,3,3\n", "line 4 not numeric"),
         ("0,0,0\n1,1,1\n2,2,2\n", "needs at least 4 rows"),
+        # Errors name the file's own line, counting comments and blank lines.
+        ("0,0,0\n# comment\n\n1,1\n2,2,2\n3,3,3\n", "line 5 not 3 columns"),
+        ("0,0,0\n# comment\n1,1,1\n2,x,2\n3,3,3\n", "line 5 not numeric"),
     ])
     def test_bad_rows_rejected(self, tmp_path, rows, message):
         path = tmp_path / "coeffs.csv"
         path.write_text("t,lambda,D\n" + rows)
         with pytest.raises(InvalidConfig, match=message):
+            read_coefficient_csv(path)
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(b"t,lambda,D\r\n0,0,0\r\n1,0.1,0.2\r\n"
+                         b"2,0.2,0.4\r\n3,0.3,0.6\r\n")
+        table = read_coefficient_csv(path)
+        assert table.grid.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert table.D_values.tolist() == [0.0, 0.2, 0.4, 0.6]
+        path.write_bytes(b"t,lambda,D\r\n# comment\r\n0,0,0\r\n1,1\r\n")
+        with pytest.raises(InvalidConfig, match="line 4 not 3 columns"):
             read_coefficient_csv(path)
 
     def test_unreadable_path_rejected(self, tmp_path):

@@ -117,6 +117,12 @@ class TestParseErrors:
         (("beta 1 2 = 0.2", "alpha 1 2 = 0.2"), r"\[coupling\] unknown key 'alpha 1 2'"),
         (("[integration]\nt_end = 40\noutput_dt = 0.02\nrtol = 1e-8\natol = 1e-11\n",
           ""), "integration section missing"),
+        (("lambda = 0.3\n", ""), r"\[coefficients 1\] lambda missing"),
+        (("path = coeffs/table.csv\n", ""), r"\[coefficients 2\] path missing"),
+        (("kind = constant\nlambda = 0.3\nD = 0.15",
+          "kind = phenomenological\nmean_lambda = 0.3\namp_lambda = 0.1\n"
+          "mean_D = 0.15"), r"\[coefficients 1\] amp_D missing"),
+        (("lambda = 0.3", "mu = 0.3"), r"\[coefficients 1\] unknown key 'mu'"),
     ])
     def test_bad_input_names_the_problem(self, mangle, message):
         text = HANDCRAFTED.replace(*mangle)
