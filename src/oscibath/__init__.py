@@ -38,10 +38,8 @@ from .integrator import (
     IntegratorError,
     PositivityViolation,
     StepSizeUnderflow,
-    convergence_order,
     integrate_coupled,
     integrate_single_first_order,
-    rk4_fixed,
 )
 from .model import (
     BathSpec,

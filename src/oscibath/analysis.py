@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import detrend, hilbert
-from scipy.signal.windows import tukey
 
 from .model import SimulationConfig
 
@@ -127,6 +125,48 @@ def _slice_window(t: np.ndarray, x: np.ndarray,
     return t[ia:ib], x[ia:ib]
 
 
+def _tukey(m: int, alpha: float) -> np.ndarray:
+    """Symmetric Tukey (tapered cosine) window of m >= 2 points, 0 < alpha < 1.
+
+    Cosine tapers over the first and last ``alpha/2`` of the window with a
+    flat top of ones between them, in the closed form (and the operation
+    order) of scipy's ``signal.windows.tukey``.
+    """
+    n = np.arange(0, m, dtype=float)
+    width = int(math.floor(alpha * (m - 1) / 2.0))
+    n1 = n[0:width + 1]
+    n3 = n[m - width - 1:]
+    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (m - 1))))
+    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (m - 1))))
+    return np.concatenate([w1, np.ones(m - w1.size - w3.size), w3])
+
+
+def _detrend(x: np.ndarray) -> np.ndarray:
+    """x minus its least-squares straight line in the sample index."""
+    m = x.size
+    design = np.ones((m, 2))
+    design[:, 0] = np.arange(1, m + 1, dtype=float) / m
+    coef = np.linalg.lstsq(design, x, rcond=None)[0]
+    return x - design @ coef
+
+
+def _hilbert(x: np.ndarray) -> np.ndarray:
+    """Analytic signal of a real series by the FFT (Marple 1999).
+
+    The spectrum keeps the zero-frequency bin (and, for even length, the
+    Nyquist bin), doubles every other positive-frequency bin and zeroes the
+    negative ones; its inverse transform is x plus i times the Hilbert
+    transform of x.  The positive bins of a real series' transform are
+    those of ``rfft``.
+    """
+    m = x.size
+    half = np.fft.rfft(x)
+    spectrum = np.zeros(m, dtype=complex)
+    spectrum[:half.size] = half
+    spectrum[1:(m + 1) // 2] *= 2.0
+    return np.fft.ifft(spectrum)
+
+
 def _parabolic_offset(ym: float, y0: float, yp: float) -> float:
     denom = ym - 2.0 * y0 + yp
     if denom == 0.0:
@@ -159,7 +199,7 @@ def _acf_period(xc: np.ndarray, dt: float) -> float:
 def _spectral_period(xc: np.ndarray, dt: float, span: float) -> float:
     """Period of the dominant spectral peak (tapered, zero-padded, refined)."""
     m = xc.size
-    xs = xc * tukey(m, alpha=0.2)
+    xs = xc * _tukey(m, 0.2)
     nfft = 8 * (1 << int(math.ceil(math.log2(m))))
     spec = np.abs(np.fft.rfft(xs, nfft))
     freqs = np.fft.rfftfreq(nfft, dt)
@@ -263,9 +303,9 @@ def envelope(t: np.ndarray, x: np.ndarray,
 
 
 def _instantaneous_phase(xw: np.ndarray) -> np.ndarray:
-    xd = detrend(xw)
-    xd = xd * tukey(xd.size, alpha=0.2)
-    return np.angle(hilbert(xd))
+    xd = _detrend(xw)
+    xd = xd * _tukey(xd.size, 0.2)
+    return np.angle(_hilbert(xd))
 
 
 def _taper_interior(size: int) -> slice:

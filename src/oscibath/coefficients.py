@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .model import CoefficientSample, InvalidConfig, ProviderConfig
 
@@ -136,6 +135,48 @@ def _out_of_range(lo: float, hi: float, t: float) -> OutOfRange:
         f"time {float(t):g} outside coefficient table range [{lo:g}, {hi:g}]")
 
 
+def _gtsv(dl: list, d: list, du: list, b1: list, b2: list):
+    """Solve a tridiagonal system for two right-hand sides, in place.
+
+    A transcription of reference LAPACK ``dgtsv``: Gaussian elimination with
+    partial pivoting, where row i and i+1 swap when ``|dl[i]| > |d[i]|``,
+    then back substitution, every operation in LAPACK's order so the result
+    is the one LAPACK gives.  ``dl``, ``d`` and ``du`` are the sub-, main
+    and super-diagonal as float lists; the solutions overwrite ``b1`` and
+    ``b2``, which are returned.  A zero pivot, which only a singular system
+    has, raises ZeroDivisionError.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b1[i + 1] = b1[i + 1] - fact * b1[i]
+            b2[i + 1] = b2[i + 1] - fact * b2[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b1[i]
+            b1[i] = b1[i + 1]
+            b1[i + 1] = temp - fact * b1[i + 1]
+            temp = b2[i]
+            b2[i] = b2[i + 1]
+            b2[i + 1] = temp - fact * b2[i + 1]
+    for b in (b1, b2):
+        b[n - 1] = b[n - 1] / d[n - 1]
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b1, b2
+
+
 @dataclass(frozen=True, eq=False)
 class TabulatedProvider:
     """Natural cubic spline interpolation of both coefficients on a time grid.
@@ -175,21 +216,38 @@ class TabulatedProvider:
 
     @cached_property
     def _kernel(self):
-        """Per-interval coefficient table, built once from one scipy spline.
+        """Per-interval coefficient table, built once from one natural spline.
 
-        Row i of ``coefs`` holds the ascending-power coefficients of the
-        four pieces on [grid[i], grid[i+1]): lambda (4), dlambda/dt (3),
-        D (4), dD/dt (3); a derivative is c1..c3 times (1, 2, 3), as in
-        ``PPoly.derivative``.  Adding 0.0 turns -0.0 into +0.0, as scipy's
-        evaluation (which starts its sum from 0.0) does.
+        The knot slopes of both columns solve one tridiagonal system, set
+        up as scipy's ``CubicSpline(..., bc_type="natural")`` sets it up and
+        solved by :func:`_gtsv` as LAPACK solves it; the pieces are then
+        the cubic Hermite pieces of those slopes.  Row i of ``coefs`` holds
+        the ascending-power coefficients of the four pieces on
+        [grid[i], grid[i+1]): lambda (4), dlambda/dt (3), D (4), dD/dt (3);
+        a derivative is c1..c3 times (1, 2, 3).  Adding 0.0 turns -0.0 into
+        +0.0, as an evaluation whose sum starts from 0.0 does.
         """
-        both = np.column_stack([self.lambda_values, self.D_values])
-        c = CubicSpline(self.grid, both, bc_type="natural").c[::-1]
+        x = self.grid
+        y = np.column_stack([self.lambda_values, self.D_values])
+        dx = np.diff(x)
+        dxr = dx[:, None]
+        slope = np.diff(y, axis=0) / dxr
+        # Row i reads dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1];
+        # the natural end rows are 2 dx0 s0 + dx0 s1 = 3 (y1 - y0) and its mirror.
+        h = dx.tolist()
+        diag = np.concatenate([[2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]])
+        rhs = np.concatenate([[3 * (y[1] - y[0])],
+                              3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:]),
+                              [0.0 + 3 * (y[-1] - y[-2])]])
+        s = np.array(_gtsv(h[1:] + h[-1:], diag.tolist(), h[:1] + h[:-1],
+                           rhs[:, 0].tolist(), rhs[:, 1].tolist())).T
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        c = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr])
         pieces = np.concatenate([c, c[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]])
-        coefs = pieces.transpose(1, 2, 0).reshape(len(self.grid) - 1, 14) + 0.0
-        lo, hi = float(self.grid[0]), float(self.grid[-1])
+        coefs = pieces.transpose(1, 2, 0).reshape(len(x) - 1, 14) + 0.0
+        lo, hi = float(x[0]), float(x[-1])
         slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
-        return self.grid.tolist(), lo, hi, slack, coefs
+        return x.tolist(), lo, hi, slack, coefs
 
     def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         """Spline-interpolate the table at time t (no extrapolation).
@@ -197,7 +255,7 @@ class TabulatedProvider:
         Scalars and arrays are evaluated from the cached per-interval
         coefficients in scipy's summation order,
         ``c0 + c1*d + c2*d**2 + c3*(d**2*d)``, which reproduces
-        ``CubicSpline.__call__`` bit for bit.
+        scipy's ``CubicSpline.__call__`` bit for bit.
         """
         knots, lo, hi, slack, coefs = self._kernel
         if isinstance(t, np.ndarray):
@@ -308,6 +366,8 @@ def read_coefficient_csv(path: str | Path) -> TabulatedProvider:
                     raise InvalidConfig(f"{where}: line {lineno} not numeric") from exc
     except OSError as exc:
         raise InvalidConfig(f"{where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{where}: not UTF-8 ({exc.reason})") from exc
     arr = np.asarray(data, dtype=float)
     if arr.shape[0] < 4:
         raise InvalidConfig(f"{where}: needs at least 4 rows")

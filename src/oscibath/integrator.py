@@ -16,8 +16,6 @@ less smooth (a tabulated provider's knots).  A step that would reach past
 one ends exactly on the last one it reaches.  Where breakpoints are sparser
 than the steps, no step straddles a change of polynomial piece; where they
 are denser, steps cross the pieces instead of shrinking to their spacing.
-
-A fixed-step classical RK4 mode backs convergence studies.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ __all__ = [
     "PositivityViolation",
     "integrate_single_first_order",
     "integrate_coupled",
-    "rk4_fixed",
-    "convergence_order",
 ]
 
 
@@ -239,46 +235,6 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
              "rhs_evaluations": nfev, "h_min": h_min, "h_max": h_max,
              "rejection_ratio": rejected / (accepted + rejected)}
     return out, stats
-
-
-def rk4_fixed(f: RHS, t0: float, t1: float, y0: np.ndarray,
-              n_steps: int) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta with n_steps equal steps."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    h = (t1 - t0) / n_steps
-    y = np.array(y0, dtype=float)
-    for i in range(n_steps):
-        t = t0 + i * h
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
-def convergence_order(f: RHS, t_span: tuple[float, float], y0: Sequence[float],
-                      exact_final: Sequence[float],
-                      step_counts: Sequence[int]) -> np.ndarray:
-    """Observed RK4 convergence orders from a step-refinement sequence.
-
-    Runs the fixed-step solver at each step count, measures the sup-norm
-    error against the supplied exact final state, and returns the observed
-    order between consecutive refinements
-    (log(err ratio) / log(step ratio); plain log2 ratios when halving).
-    """
-    y0 = np.asarray(y0, dtype=float)
-    exact = np.asarray(exact_final, dtype=float)
-    errors = []
-    for n in step_counts:
-        y = rk4_fixed(f, t_span[0], t_span[1], y0, int(n))
-        errors.append(float(np.abs(y - exact).max()))
-    orders = []
-    for (n_a, e_a), (n_b, e_b) in zip(zip(step_counts, errors),
-                                      zip(step_counts[1:], errors[1:])):
-        orders.append(math.log(e_a / e_b) / math.log(n_b / n_a))
-    return np.asarray(orders)
 
 
 def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],

@@ -294,13 +294,11 @@ def serialize_scenario(config: SimulationConfig) -> str:
         if pc.kind == "custom":
             raise InvalidConfig("custom providers have no scenario representation")
         params = pc.as_dict()
-        items: list[tuple[str, object]] = [("kind", pc.kind)]
-        for key in _PROVIDER_KEYS[pc.kind]:
-            if key in params:
-                items.append((key, params.pop(key)))
-        for key in sorted(params):
-            items.append((key, params[key]))
-        section(f"coefficients {i}", items)
+        # Refuse what parse_scenario would refuse, with its message.
+        _check_keys(f"coefficients {i}", params, _PROVIDER_KEYS[pc.kind],
+                    required=_PROVIDER_REQUIRED[pc.kind])
+        section(f"coefficients {i}", [("kind", pc.kind)] + [
+            (key, params[key]) for key in _PROVIDER_KEYS[pc.kind] if key in params])
         if config.baths:
             for j, bath in enumerate(config.baths[i - 1], start=1):
                 section(f"bath {i} {j}", [(key, getattr(bath, name))

@@ -20,7 +20,6 @@ from oscibath.coefficients import (
 )
 from oscibath.csvio import read_timeseries_csv
 from oscibath.integrator import (
-    convergence_order,
     integrate_coupled,
     integrate_single_first_order,
 )
@@ -31,6 +30,7 @@ from oscibath.model import (
     SimulationConfig,
 )
 from oscibath.scenario import apply_override, build_config, demo_fig2_scenario, read_sections
+from rk4 import convergence_order
 
 
 @contextmanager

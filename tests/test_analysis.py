@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import detrend, hilbert
+from scipy.signal.windows import tukey
 
 from oscibath.analysis import (
     AmbiguousPeriod,
@@ -13,6 +15,9 @@ from oscibath.analysis import (
     extract_period,
     nearest_candidate,
     synchronization_metrics,
+    _detrend,
+    _hilbert,
+    _tukey,
 )
 from oscibath.coefficients import PhenomenologicalProvider
 from oscibath.integrator import integrate_coupled, integrate_single_first_order
@@ -202,3 +207,21 @@ def test_headline_property_no_asymptotic_limit():
     report = extract_period(ts.t, ts.n[0], (25.0, 50.0), atol=1e-12)
     assert not report.is_stationary
     assert report.period is not None and report.period > 0
+
+
+class TestSignalKernels:
+    """The numpy window, detrend and analytic signal against scipy's."""
+
+    @pytest.mark.parametrize("m", [64, 3773, 4000, 4001])
+    def test_tukey_equals_scipy(self, m):
+        assert np.array_equal(_tukey(m, 0.2), tukey(m, alpha=0.2))
+
+    # numpy and scipy ship their own FFT and LAPACK builds, so only a
+    # rounding-level agreement is portable.
+    @pytest.mark.parametrize("m", [64, 1999, 2000, 3773, 4000, 4001])
+    def test_detrend_and_hilbert_match_scipy(self, m):
+        rng = np.random.default_rng(m)
+        x = (np.sin(0.05 * np.arange(m)) + 0.3 * rng.normal(size=m)
+             + np.linspace(0.0, 1.0, m))
+        assert np.abs(_detrend(x) - detrend(x)).max() <= 1e-14
+        assert np.abs(_hilbert(x) - hilbert(x)).max() <= 1e-14

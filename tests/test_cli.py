@@ -108,6 +108,59 @@ def run_cli(*args):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def write_tabulated_scenario(directory: Path, table_bytes: bytes | None = None) -> Path:
+    """A one-oscillator tabulated scenario over [0, 10] and its table."""
+    table = directory / "tab_coeffs.csv"
+    if table_bytes is None:
+        rows = ["t,lambda,D"] + [
+            f"{t:g},{0.1 + 0.05 * math.sin(t):.17g},{0.05 + 0.02 * math.cos(t):.17g}"
+            for t in np.linspace(0.0, 10.0, 101)]
+        table_bytes = ("\n".join(rows) + "\n").encode()
+    table.write_bytes(table_bytes)
+    scn = directory / "tab.scn"
+    scn.write_text(f"[oscillator 1]\nomega = 1\n\n[coefficients 1]\n"
+                   f"kind = tabulated\npath = {table}\n\n[integration]\nt_end = 10\n")
+    return scn
+
+
+_NO_SCIPY_SCRIPT = """\
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from oscibath.cli import main
+
+out, scenario = sys.argv[1:]
+for argv in (["demo", "fig2", out], ["demo", "fig4", out],
+             ["simulate", scenario, out + "/tab.csv"],
+             ["analyze", out + "/fig4_beta0.05.csv", "--period", "--envelope",
+              "--sync", "1,2"]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+"""
+
+_SCIPY_MODULES_SCRIPT = """\
+import sys
+import oscibath.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"import oscibath.cli loaded {loaded}")
+"""
+
+
+def test_no_command_needs_scipy(tmp_path):
+    # Explicit exit codes, not asserts, so the child checks hold under -O.
+    src = Path(oscibath.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    scenario = write_tabulated_scenario(tmp_path)
+    for argv in (["-c", _NO_SCIPY_SCRIPT, tmp_path / "out", scenario],
+                 ["-c", _SCIPY_MODULES_SCRIPT]):
+        proc = subprocess.run([sys.executable, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0:
+            pytest.fail(f"exit {proc.returncode}: {proc.stderr}")
+
+
 class TestSimulate:
     def test_demo_scenario_produces_csv_and_summary(self, tmp_path, capsys):
         scn = tmp_path / "fig2.scn"
@@ -153,6 +206,13 @@ t_end = 30
 """)
         assert main(["simulate", str(scn), str(tmp_path / "x.csv")]) == 2
         assert "outside coefficient table range" in capsys.readouterr().err
+
+    def test_non_utf8_coefficient_table_exits_1_naming_it(self, tmp_path, capsys):
+        scn = write_tabulated_scenario(
+            tmp_path, b"t,lambda,D\n# caf\xe9\n0,0,0\n1,1,1\n2,2,2\n3,3,3\n")
+        assert main(["simulate", str(scn), str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"coefficient csv {tmp_path / 'tab_coeffs.csv'}: not UTF-8" in err
 
     def test_zero_coupling_matches_single_run(self, tmp_path):
         single = tmp_path / "single.scn"

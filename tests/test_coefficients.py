@@ -225,6 +225,53 @@ NEGATIVE_FRICTION = PhenomenologicalProvider(
     ramp_time=2.0, allow_negative_friction=True)
 
 
+def scipy_coefficients(table: TabulatedProvider) -> np.ndarray:
+    """The kernel's table from scipy: one natural spline and its derivative."""
+    both = np.column_stack([table.lambda_values, table.D_values])
+    spline = CubicSpline(table.grid, both, bc_type="natural")
+    pieces = np.concatenate([spline.c[::-1], spline.derivative().c[::-1]])
+    return pieces.transpose(1, 2, 0).reshape(len(table.grid) - 1, 14)
+
+
+def random_table(rng, n: int, grid=None) -> TabulatedProvider:
+    if grid is None:
+        # Spacings spread over two decades, so neighbours often differ by 2x.
+        grid = np.cumsum(np.exp(rng.uniform(-3.0, 1.5, size=n))) + rng.uniform(-5, 5)
+    return TabulatedProvider(grid=grid, lambda_values=rng.normal(size=n),
+                             D_values=rng.normal(size=n))
+
+
+class TestSplineFit:
+    """The numpy fit gives scipy's natural-spline coefficients bit for bit."""
+
+    def test_random_irregular_tables(self):
+        rng = np.random.default_rng(20261018)
+        sizes = [4] * 20 + rng.integers(5, 80, size=300).tolist()
+        interchanges = 0
+        for n in sizes:
+            table = random_table(rng, n)
+            dx = np.diff(table.grid)
+            # LAPACK swaps the first two rows when dx[1] > 2*dx[0].
+            interchanges += dx[1] > 2.0 * dx[0]
+            assert np.array_equal(table._kernel[4], scipy_coefficients(table))
+        assert interchanges >= 50
+
+    @pytest.mark.parametrize("grid", [
+        [0.0, 1.0, 4.0, 5.0],                 # dx[1] > 2*dx[0]: rows swap
+        [0.0, 1.0, 2.5, 2.6, 9.0, 9.05, 20.0],  # swaps further down
+        [0.0, 1.0, 2.0, 3.0],
+    ])
+    def test_small_grids(self, grid):
+        table = random_table(np.random.default_rng(7), len(grid), np.array(grid))
+        assert np.array_equal(table._kernel[4], scipy_coefficients(table))
+
+    def test_long_table(self):
+        rng = np.random.default_rng(40001)
+        table = random_table(rng, 40001,
+                             np.cumsum(rng.uniform(0.01, 0.1, size=40001)))
+        assert np.array_equal(table._kernel[4], scipy_coefficients(table))
+
+
 class TestArrayCalls:
     TIMES = np.concatenate([[0.0], np.random.default_rng(5).uniform(0.0, 20.0, 3000),
                             np.arange(0.0, 20.0 + 0.005, 0.01)])
@@ -337,6 +384,13 @@ class TestCsvIngestion:
     def test_unreadable_path_rejected(self, tmp_path):
         path = tmp_path / "missing.csv"
         with pytest.raises(InvalidConfig, match=re.escape(f"coefficient csv {path}: ")):
+            read_coefficient_csv(path)
+
+    def test_non_utf8_table_rejected(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_bytes(b"t,lambda,D\n# caf\xe9\n0,0,0\n1,1,1\n2,2,2\n3,3,3\n")
+        with pytest.raises(InvalidConfig,
+                           match=re.escape(f"coefficient csv {path}: not UTF-8")):
             read_coefficient_csv(path)
 
     def test_nonincreasing_grid_rejected(self, tmp_path):

@@ -20,10 +20,8 @@ from oscibath.integrator import (
     IntegratorError,
     PositivityViolation,
     StepSizeUnderflow,
-    convergence_order,
     integrate_coupled,
     integrate_single_first_order,
-    rk4_fixed,
 )
 from oscibath.model import (
     CoefficientSample,
@@ -32,6 +30,7 @@ from oscibath.model import (
     ProviderConfig,
     SimulationConfig,
 )
+from rk4 import convergence_order, rk4_fixed
 
 STANDARD = PhenomenologicalProvider(
     mean_lambda=0.1, amp_lambda=0.05, mean_D=0.05, amp_D=0.04,

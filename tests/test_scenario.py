@@ -148,6 +148,24 @@ class TestParseErrors:
                                                 "not a boolean: 'maybe'"):
             parse_scenario(text.replace("= yes", "= maybe"))
 
+    @pytest.mark.parametrize("index,pc,line", [
+        (0, ProviderConfig("constant", {"D": 0.15}), "lambda = 0.3\n"),
+        (1, ProviderConfig("tabulated"), "path = coeffs/table.csv\n"),
+    ])
+    def test_incomplete_provider_refused_as_the_parser_refuses_it(
+            self, index, pc, line):
+        config = parse_scenario(HANDCRAFTED)
+        providers = list(config.provider_config)
+        providers[index] = pc
+        broken = dataclasses.replace(config, provider_config=tuple(providers))
+        with pytest.raises(InvalidConfig) as parsed:
+            parse_scenario(HANDCRAFTED.replace(line, ""))
+        with pytest.raises(InvalidConfig) as serialized:
+            serialize_scenario(broken)
+        assert str(serialized.value) == str(parsed.value)
+        assert str(parsed.value) == (f"[coefficients {index + 1}] "
+                                     f"{line.split()[0]} missing")
+
     def test_custom_provider_has_no_text(self):
         config = parse_scenario(HANDCRAFTED)
         custom = dataclasses.replace(
