@@ -41,6 +41,8 @@ from .scenario import (
     build_config,
     demo_fig2_scenario,
     demo_fig4_scenario,
+    load_scenario,
+    read_scenario,
     read_sections,
 )
 
@@ -82,7 +84,11 @@ def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
         f"rhs_evaluations = {diag['rhs_evaluations']}",
         f"h_min = {diag['h_min']:.6g}",
         f"h_max = {diag['h_max']:.6g}",
+        f"periods_propagated = {diag['periods_propagated']}",
     ]
+    if "floquet_multipliers" in diag:
+        lines.append("floquet_multipliers = " + ", ".join(
+            format(mu, ".6g") for mu in diag["floquet_multipliers"]))
     for i, residual in enumerate(diag["consistency_residuals"], start=1):
         lines.append(f"consistency_residual_{i} = {residual:.6g}")
     neg = diag["negative_excursions"]
@@ -191,9 +197,7 @@ def _write_summary(path: Path, rows: list[dict[str, str]]) -> None:
 
 
 def cmd_simulate(scenario_path: str, output_path: str) -> int:
-    _, series = _run(
-        read_sections(Path(scenario_path).read_text(encoding="utf-8")),
-        output_path)
+    _, series = _run(read_scenario(scenario_path), output_path)
     for line in _simulation_summary(series, output_path):
         print(line)
     return EXIT_OK
@@ -226,8 +230,7 @@ def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
     series = read_timeseries_csv(csv_path)
     config = None
     if scenario is not None:
-        config = build_config(read_sections(
-            Path(scenario).read_text(encoding="utf-8")))
+        config = load_scenario(scenario)
         if config.n_oscillators != series.n_oscillators:
             raise InvalidConfig(f"--scenario has {config.n_oscillators} "
                                 f"oscillators, the csv has "
@@ -268,7 +271,7 @@ def cmd_sweep(scenario_path: str, output_dir: str, *, param: str,
               values: str, jobs: int) -> int:
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be at least 1, got {jobs}")
-    sections = read_sections(Path(scenario_path).read_text(encoding="utf-8"))
+    sections = read_scenario(scenario_path)
     tokens = [token.strip() for token in values.split(",") if token.strip()]
     if not tokens:
         raise InvalidConfig("--values is empty")

@@ -55,6 +55,13 @@ class CoefficientProvider(Protocol):
     times where its coefficients are not smooth (``TabulatedProvider``: its
     knots).  The integrator ends a step exactly on each one; a provider
     without the attribute declares none.
+
+    Two more optional attributes declare periodicity: ``osc_freq`` (an
+    angular frequency f, so the coefficients repeat after 2*pi/f) and
+    ``periodic_from``, the time from which they do
+    (``PhenomenologicalProvider``: once its ramp has rounded to 1).  When
+    every provider declares both, the integrator maps whole periods instead
+    of stepping through them.
     """
 
     def __call__(self, t: float | np.ndarray) -> CoefficientSample: ...
@@ -125,6 +132,12 @@ class PhenomenologicalProvider:
         return CoefficientSample(ramp * osc_l, ramp * osc_d,
                                  dramp * osc_l + ramp * dosc_l,
                                  dramp * osc_d + ramp * dosc_d)
+
+    @property
+    def periodic_from(self) -> float:
+        """The time from which ``1 - exp(-u^2)`` rounds to 1.0 (u^2 >= 54 ln 2):
+        from there on the coefficients repeat with period 2*pi/osc_freq."""
+        return self.ramp_time * math.sqrt(54.0 * math.log(2.0))
 
     def describe(self) -> ProviderConfig:
         return ProviderConfig("phenomenological", asdict(self))

@@ -48,27 +48,32 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
-    with open(path, encoding="utf-8") as fh:
-        version = fh.readline()
-        if version.strip() != CSV_VERSION_LINE:
-            found = version.strip() if version else "<empty file>"
-            raise CsvSchemaError(f"unsupported csv version line: {found!r}")
-        header = fh.readline()
-        start = fh.tell()
-        if not header or not fh.readline():
-            raise CsvSchemaError("csv has no data rows")
-        names = [c.strip() for c in header.split(",")]
-        if len(names) < 5 or (len(names) - 1) % 4 != 0:
-            raise CsvSchemaError("csv column count must be 1 + 4 per oscillator")
-        n_osc = (len(names) - 1) // 4
-        if names != _column_names(n_osc):
-            raise CsvSchemaError(f"unexpected csv columns: {names}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            version = fh.readline()
+            if version.strip() != CSV_VERSION_LINE:
+                found = version.strip() if version else "<empty file>"
+                raise CsvSchemaError(f"unsupported csv version line: {found!r}")
+            header = fh.readline()
+            start = fh.tell()
+            if not header or not fh.readline():
+                raise CsvSchemaError("csv has no data rows")
+            names = [c.strip() for c in header.split(",")]
+            if len(names) < 5 or (len(names) - 1) % 4 != 0:
+                raise CsvSchemaError("csv column count must be 1 + 4 per oscillator")
+            n_osc = (len(names) - 1) // 4
+            if names != _column_names(n_osc):
+                raise CsvSchemaError(f"unexpected csv columns: {names}")
 
-        fh.seek(start)
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise CsvSchemaError(f"malformed csv data: {exc}") from exc
+            fh.seek(start)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise CsvSchemaError(f"malformed csv data: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CsvSchemaError(f"csv {path}: not UTF-8 ({exc.reason})") from exc
     if data.shape[1] != len(names):
         raise CsvSchemaError("csv row width does not match header")
     try:

@@ -16,12 +16,20 @@ less smooth (a tabulated provider's knots).  A step that would reach past
 one ends exactly on the last one it reaches.  Where breakpoints are sparser
 than the steps, no step straddles a change of polynomial piece; where they
 are denser, steps cross the pieces instead of shrinking to their spacing.
+
+A coupled run whose providers all declare ``osc_freq`` and
+``periodic_from`` is periodic with a common period T from some time t_p on
+(Floquet): the flow over one period is then a fixed affine map
+y -> M y + c.  Such a run steps only [0, t_p] and one period of the affine
+matrix state, and maps every later sample from that period; the moduli of
+the eigenvalues of M are its Floquet multipliers.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -237,19 +245,106 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     return out, stats
 
 
+def _common_period(providers: Sequence[CoefficientProvider],
+                   grid: np.ndarray) -> tuple[float, float] | None:
+    """(t_p, T): the providers' coefficients repeat with period T from t_p on.
+
+    None unless every provider declares ``osc_freq`` and ``periodic_from``
+    and at least one whole period remains after the one the tail integrates
+    (t_end >= t_p + 2T); below that the period solve costs more than the
+    steps it replaces.  T is 2*pi over the exact gcd of the frequencies'
+    binary values: incommensurate ones give a T far beyond any t_end.  t_p
+    is at least the first output time after 0, so that [0, t_p] is a grid.
+    """
+    freqs = [getattr(p, "osc_freq", None) for p in providers]
+    starts = [getattr(p, "periodic_from", None) for p in providers]
+    if any(x is None for x in starts) or not all(
+            x is not None and math.isfinite(x) and x > 0 for x in freqs):
+        return None
+    fractions = [Fraction(float(x)) for x in freqs]
+    den = math.lcm(*(q.denominator for q in fractions))
+    gcd = Fraction(math.gcd(*(q.numerator * (den // q.denominator)
+                              for q in fractions)), den)
+    period = 2.0 * math.pi / float(gcd)
+    t_p = max(float(grid[1]), *map(float, starts))
+    if grid[-1] < t_p + 2.0 * period:
+        return None
+    return t_p, period
+
+
+def _periodic_solve(f: RHS, y0: np.ndarray, grid: np.ndarray, rtol: float,
+                    atol: float, providers: Sequence[CoefficientProvider],
+                    t_p: float, period: float) -> tuple[np.ndarray, dict]:
+    """Step [0, t_p], then map every later output sample from one period.
+
+    The affine matrix state [Phi | psi], from [I | 0] at t_p, is integrated
+    over [t_p, t_p + period] and sampled at the distinct phases tau of the
+    later output times; its end value is [M | c].  The sample k whole
+    periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
+    y_0 = y(t_p) and y_{k+1} = M y_k + c.  The period's error is compounded
+    once per period, so its solve runs at a tenth of the tolerances.  The
+    step statistics are sums over both solves.
+    """
+    dim = y0.size
+    later = int(np.searchsorted(grid, t_p))
+    head, head_stats = _rk45_solve(f, y0, np.append(grid[:later], t_p),
+                                   rtol, atol, providers)
+    whole, tau = np.divmod(grid[later:] - t_p, period)
+    phases, phase_of = np.unique(np.concatenate([[0.0], tau, [period]]),
+                                 return_inverse=True)
+    start = np.hstack([np.eye(dim), np.zeros((dim, 1))])
+    maps, tail_stats = _rk45_solve(f, start.ravel(), t_p + phases,
+                                   rtol / 10, atol / 10, providers)
+    maps = maps.reshape(-1, dim, dim + 1)
+
+    out = np.empty((grid.size, dim))
+    out[:later] = head[:-1]
+    y = np.append(head[-1], 1.0)
+    phase_of = phase_of[1:-1]
+    periods = int(whole[-1])
+    bounds = np.searchsorted(whole, np.arange(periods + 2))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        # One period's gather at a time: a copy of all of them would hold
+        # the whole sampled matrix state again.
+        out[later + a:later + b] = maps[phase_of[a:b]] @ y
+        y = np.append(maps[-1] @ y, 1.0)
+
+    stats = {key: head_stats[key] + tail_stats[key] for key in
+             ("steps_accepted", "steps_rejected", "rhs_evaluations")}
+    stats["h_min"] = min(head_stats["h_min"], tail_stats["h_min"])
+    stats["h_max"] = max(head_stats["h_max"], tail_stats["h_max"])
+    stats["rejection_ratio"] = stats["steps_rejected"] / (
+        stats["steps_accepted"] + stats["steps_rejected"])
+    stats["periods_propagated"] = periods
+    multipliers = np.abs(np.linalg.eigvals(maps[-1][:, :dim]))
+    stats["floquet_multipliers"] = tuple(sorted(multipliers.tolist(),
+                                                reverse=True))
+    return out, stats
+
+
 def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
-           f: RHS, y0: np.ndarray
+           f: RHS, y0: np.ndarray, matrix_rhs: bool = False
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """Integrate y' = f(t, y) from y0 over the config's output grid.
 
     Returns the grid, the samples (one row per output time), the providers'
     friction and diffusion on the grid (one row per provider) and the step
-    statistics.
+    statistics, with ``periods_propagated`` (0 when every sample was
+    stepped to).  When ``f`` also takes the flattened affine matrix state
+    and the providers declare a common period, the run takes the periodic
+    tail and the statistics gain its ``floquet_multipliers``.
     """
     # output_dt <= t_end, so the grid has at least two times.
     m = int(math.floor(config.t_end / config.output_dt + 1e-9))
     grid = np.arange(m + 1) * config.output_dt
-    out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol, providers)
+    tail = _common_period(providers, grid) if matrix_rhs else None
+    if tail is None:
+        out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol,
+                                 providers)
+        stats["periods_propagated"] = 0
+    else:
+        out, stats = _periodic_solve(f, y0, grid, config.rtol, config.atol,
+                                     providers, *tail)
     lam = np.empty((len(providers), grid.size))
     dif = np.empty((len(providers), grid.size))
     for i, provider in enumerate(providers):
@@ -325,22 +420,34 @@ def integrate_coupled(config: SimulationConfig,
 
     laplacian = config.coupling.laplacian
     providers = list(providers)
+    dim = 2 * n_osc
+    affine_column = np.zeros(dim + 1)
+    affine_column[-1] = 1.0
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
+        # y is the state, or the flattened affine matrix state [Phi | psi]
+        # of the periodic tail, whose last column alone is driven.
+        if y.size == dim:
+            drive = 1.0
+        else:
+            y = y.reshape(dim, dim + 1)
+            drive = affine_column
         n = y[:n_osc]
         v = y[n_osc:]
-        out = np.empty(2 * n_osc)
+        out = np.empty_like(y)
         out[:n_osc] = v
         coupling = laplacian @ n
         for i, provider in enumerate(providers):
             s = provider(t)
-            out[n_osc + i] = (2.0 * s.ddiffusion_dt - 2.0 * s.friction * v[i]
+            out[n_osc + i] = (2.0 * s.ddiffusion_dt * drive
+                              - 2.0 * s.friction * v[i]
                               - 2.0 * s.dfriction_dt * n[i] - coupling[i])
-        return out
+        return out.ravel()
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    grid, out, lam, dif, stats = _solve(config, providers, f, y0)
+    grid, out, lam, dif, stats = _solve(config, providers, f, y0,
+                                        matrix_rhs=True)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
 

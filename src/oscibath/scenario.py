@@ -48,6 +48,7 @@ from .model import (
 __all__ = [
     "Sections",
     "read_sections",
+    "read_scenario",
     "build_config",
     "parse_scenario",
     "serialize_scenario",
@@ -274,8 +275,17 @@ def parse_scenario(text: str) -> SimulationConfig:
     return build_config(read_sections(text))
 
 
+def read_scenario(path: str | Path) -> Sections:
+    """Read a scenario file's sections; every scenario file is read here."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"scenario {path}: not UTF-8 ({exc.reason})") from exc
+    return read_sections(text)
+
+
 def load_scenario(path: str | Path) -> SimulationConfig:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return build_config(read_scenario(path))
 
 
 def serialize_scenario(config: SimulationConfig) -> str:

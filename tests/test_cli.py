@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,24 @@ t_end = 30
         assert main(["simulate", str(scn), str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert f"coefficient csv {tmp_path / 'tab_coeffs.csv'}: not UTF-8" in err
+
+    def test_summary_reports_the_periodic_tail(self, tmp_path, capsys):
+        scn = tmp_path / "fig2.scn"
+        scn.write_text(demo_fig2_scenario())
+        assert main(["simulate", str(scn), str(tmp_path / "run.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "periods_propagated = 7" in lines
+        mu = next(l for l in lines if l.startswith("floquet_multipliers = "))
+        moduli = [float(x) for x in mu.split(" = ")[1].split(", ")]
+        assert len(moduli) == 2 and moduli[0] == 1.0 and 0 < moduli[1] < 1
+
+    def test_summary_of_a_stepped_run(self, tmp_path, capsys):
+        scn = tmp_path / "const.scn"
+        scn.write_text(CONSTANT_SCN)
+        assert main(["simulate", str(scn), str(tmp_path / "run.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "\nperiods_propagated = 0\n" in out
+        assert "floquet_multipliers" not in out
 
     def test_zero_coupling_matches_single_run(self, tmp_path):
         single = tmp_path / "single.scn"
@@ -494,6 +513,12 @@ class TestDemo:
             assert (fig4_demo_dir / f"fig4_beta{beta}.csv").exists()
             assert (fig4_demo_dir / f"fig4_beta{beta}_report.txt").exists()
 
+    def test_fig4_members_take_the_periodic_tail(self, tmp_path, capsys):
+        assert main(["demo", "fig4", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert len(re.findall(r"^periods_propagated = [1-9]", out, re.M)) == 3
+        assert len(re.findall(r"^floquet_multipliers = 1, ", out, re.M)) == 3
+
     def test_unknown_name_exits_1(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["demo", "fig9", str(tmp_path)])
@@ -531,3 +556,33 @@ def test_output_dir_that_is_a_file_exits_1(tmp_path, capsys, command):
                       "integration.rtol", "--values", "1e-6"]}[command]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("oscibath: ")
+
+
+NON_UTF8_SCN = CONSTANT_SCN.encode().replace(b"# slope", b"# caf\xe9: slope")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "analyze"])
+def test_non_utf8_scenario_exits_1_naming_it(tmp_path, capsys, fig2_demo_dir,
+                                             command):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(NON_UTF8_SCN)
+    args = {"simulate": ["simulate", str(scn), str(tmp_path / "x.csv")],
+            "sweep": ["sweep", str(scn), str(tmp_path / "sweep"), "--param",
+                      "integration.rtol", "--values", "1e-6"],
+            "analyze": ["analyze", str(fig2_demo_dir / "fig2.csv"),
+                        "--scenario", str(scn)]}[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"oscibath: scenario {scn}: not UTF-8 (invalid continuation byte)\n"
+
+
+@pytest.mark.parametrize("row", [0, 4000])
+def test_non_utf8_csv_exits_1_naming_it(tmp_path, capsys, fig2_demo_dir, row):
+    # Row 0 is decoded with the header, row 4000 while the data are parsed.
+    lines = (fig2_demo_dir / "fig2.csv").read_bytes().split(b"\n")
+    lines[row] += b"\xe9"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    assert main(["analyze", str(bad), "--period"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"oscibath: csv {bad}: not UTF-8 (")

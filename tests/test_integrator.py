@@ -13,6 +13,7 @@ import oscibath
 from oscibath.coefficients import (
     ConstantProvider,
     OutOfRange,
+    make_provider,
     PhenomenologicalProvider,
     TabulatedProvider,
 )
@@ -29,6 +30,11 @@ from oscibath.model import (
     OscillatorSpec,
     ProviderConfig,
     SimulationConfig,
+)
+from oscibath.scenario import (
+    demo_fig2_scenario,
+    demo_fig4_scenario,
+    parse_scenario,
 )
 from rk4 import convergence_order, rk4_fixed
 
@@ -399,8 +405,9 @@ class Recorder:
         return self.provider(t)
 
 
-def hide_breakpoints(provider):
-    """The provider's call alone: the knot-free path."""
+def declaring_nothing(provider):
+    """The provider's call alone: no breakpoints and no period, so the solve
+    steps all the way and ends no step on a knot."""
     return lambda t: provider(t)
 
 
@@ -443,7 +450,7 @@ class TestBreakpoints:
 
         knots = integrate_coupled(config, providers)
         knot_free = integrate_coupled(
-            config, [hide_breakpoints(p) for p in providers])
+            config, [declaring_nothing(p) for p in providers])
         knots_error = np.abs(knots.n - reference).max()
         assert knots_error <= 2e-9
         assert knots_error < np.abs(knot_free.n - reference).max()
@@ -478,7 +485,7 @@ class TestBreakpoints:
         reference = integrate_single_first_order(osc, table.provider, t_end=3.0,
                                                  rtol=1e-13, atol=1e-16).n
         knot_free = integrate_single_first_order(
-            osc, hide_breakpoints(table.provider), t_end=3.0)
+            osc, declaring_nothing(table.provider), t_end=3.0)
         assert (np.abs(knots.n - reference).max()
                 < np.abs(knot_free.n - reference).max())
         assert (knots.diagnostics["rhs_evaluations"]
@@ -535,3 +542,114 @@ class TestBreakpoints:
         attempted = diag["steps_accepted"] + diag["steps_rejected"]
         assert diag["rejection_ratio"] == diag["steps_rejected"] / attempted
         assert 0.0 < diag["h_min"] <= diag["h_max"] <= 5.0
+
+
+def scenario_run(text, t_end=None):
+    config = parse_scenario(text)
+    if t_end is not None:
+        config = dataclasses.replace(config, t_end=t_end)
+    return config, [make_provider(pc) for pc in config.provider_config]
+
+
+def three_coupled(seed=3):
+    """Three coupled oscillators with frequencies 1, 1.5 and 2 (period
+    4 pi), random coefficients, coupling and initial state."""
+    rng = np.random.default_rng(seed)
+    freqs = (1.0, 1.5, 2.0)
+    providers = [PhenomenologicalProvider(
+        mean_lambda=mean, amp_lambda=0.8 * mean * rng.random(),
+        mean_D=0.1 * rng.random(), amp_D=0.1 * rng.random(), osc_freq=w,
+        phase_lambda=6.0 * rng.random(), phase_D=6.0 * rng.random(),
+        ramp_time=0.2 + 0.8 * rng.random())
+        for w, mean in zip(freqs, rng.uniform(0.05, 0.3, 3))]
+    beta = np.zeros((3, 3))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        beta[i, j] = beta[j, i] = rng.uniform(0.0, 1.0)
+    config = SimulationConfig(
+        oscillators=tuple(OscillatorSpec(w, rng.random(), rng.uniform(-0.5, 0.5))
+                          for w in freqs),
+        provider_config=tuple(p.describe() for p in providers),
+        coupling=CouplingNetwork(3, beta), t_end=30.0)
+    return config, providers
+
+
+def dop853_reference(config, providers, t):
+    """The run's (n, v) on t by scipy's DOP853 at rtol 1e-13."""
+    from scipy.integrate import solve_ivp
+
+    n_osc = config.n_oscillators
+    laplacian = config.coupling.laplacian
+
+    def rhs(time, y):
+        n, v = y[:n_osc], y[n_osc:]
+        s = [p(time) for p in providers]
+        return np.concatenate([v, 2.0 * np.array([q.ddiffusion_dt for q in s])
+                               - 2.0 * np.array([q.friction for q in s]) * v
+                               - 2.0 * np.array([q.dfriction_dt for q in s]) * n
+                               - laplacian @ n])
+
+    y0 = [o.n0 for o in config.oscillators] + [o.v0 for o in config.oscillators]
+    return solve_ivp(rhs, (0.0, t[-1]), y0, method="DOP853", rtol=1e-13,
+                     atol=1e-16, t_eval=t).y
+
+
+class TestPeriodicTail:
+    @pytest.mark.parametrize("run, period", [
+        (scenario_run(demo_fig2_scenario()), 2.0 * math.pi),
+        (scenario_run(demo_fig4_scenario("0.05")), 2.0 * math.pi),
+        (scenario_run(demo_fig4_scenario("0.5")), 2.0 * math.pi),
+        (scenario_run(demo_fig4_scenario("5")), 2.0 * math.pi),
+        (three_coupled(), 4.0 * math.pi),
+    ], ids=["fig2", "fig4-0.05", "fig4-0.5", "fig4-5", "three"])
+    def test_multipliers_obey_liouville(self, run, period):
+        # det M = exp(integral of tr A over a period), and tr A = -2 sum lam_i
+        # (the v rows); the conserved sum gives the unit multiplier.
+        config, providers = run
+        diag = integrate_coupled(config, providers).diagnostics
+        mu = diag["floquet_multipliers"]
+        assert diag["periods_propagated"] > 0
+        assert len(mu) == 2 * config.n_oscillators
+        assert list(mu) == sorted(mu, reverse=True)
+        trace_integral = -2.0 * period * sum(p.mean_lambda for p in providers)
+        assert math.prod(mu) == pytest.approx(math.exp(trace_integral), rel=1e-8)
+        assert mu[0] == pytest.approx(1.0, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("text", [demo_fig2_scenario(),
+                                      demo_fig4_scenario("0.5")],
+                             ids=["fig2", "fig4-0.5"])
+    def test_at_least_as_close_to_dop853_as_stepping(self, text):
+        config, providers = scenario_run(text, t_end=40.0)
+        tail = integrate_coupled(config, providers)
+        stepped = integrate_coupled(config,
+                                    [declaring_nothing(p) for p in providers])
+        assert tail.diagnostics["periods_propagated"] == 5
+        assert stepped.diagnostics["periods_propagated"] == 0
+        reference = dop853_reference(config, providers, tail.t)
+        n_osc = config.n_oscillators
+        for name, rows in (("n", slice(None, n_osc)), ("v", slice(n_osc, None))):
+            error = np.abs(getattr(tail, name) - reference[rows]).max()
+            assert error <= np.abs(getattr(stepped, name) - reference[rows]).max()
+            assert error <= 1e-9
+
+    @pytest.mark.parametrize("second, t_end", [
+        (dataclasses.replace(STANDARD, osc_freq=math.sqrt(2.0)), 40.0),
+        (table_on(np.linspace(0.0, 40.0, 401)), 40.0),
+        (STANDARD, 12.0),
+    ], ids=["incommensurate", "tabulated", "short"])
+    def test_runs_without_a_usable_period_step_as_before(self, second, t_end):
+        config = coupled_config(OscillatorSpec(1.0),
+                                OscillatorSpec(1.5, n0=0.3), 0.4, t_end)
+        series = integrate_coupled(config, [STANDARD, second])
+        bare = integrate_coupled(config, [
+            declaring_nothing(p) if isinstance(p, PhenomenologicalProvider) else p
+            for p in (STANDARD, second)])
+        assert series.diagnostics["periods_propagated"] == 0
+        assert "floquet_multipliers" not in series.diagnostics
+        assert series.diagnostics == bare.diagnostics
+        for name in ("n", "v"):
+            assert np.array_equal(getattr(series, name), getattr(bare, name))
+
+    def test_first_order_steps_all_the_way(self):
+        series = integrate_single_first_order(OscillatorSpec(1.0), STANDARD,
+                                              t_end=50.0)
+        assert series.diagnostics["periods_propagated"] == 0

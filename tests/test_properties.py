@@ -149,3 +149,59 @@ def test_permuting_the_oscillators_permutes_the_channels(run, data):
     ts = integrate_coupled(config, providers)
     ts_p = integrate_coupled(permuted, [providers[p] for p in perm])
     assert np.abs(ts_p.n - ts.n[perm]).max() <= 1e-12
+
+
+magnitude = st.floats(0.0, 10.0, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(magnitude, magnitude, magnitude, magnitude, st.floats(0.05, 20.0),
+       phase, phase,
+       st.floats(0.01, 10.0), st.floats(0.0, 20.0))
+def test_phenomenological_repeats_from_periodic_from(
+        mean_lambda, amp_lambda, mean_D, amp_D, osc_freq, phase_lambda,
+        phase_D, ramp_time, periods):
+    # Past periodic_from the ramp is 1.0 (to an ulp), and what is left of
+    # its slope is below an ulp of mean/ramp_time.  The cosine's argument
+    # carries an ulp of omega * t.
+    provider = PhenomenologicalProvider(
+        mean_lambda, amp_lambda, mean_D, amp_D, osc_freq, phase_lambda,
+        phase_D, ramp_time, allow_negative_friction=True)
+    period = TWO_PI / osc_freq
+    t = provider.periodic_from + periods * period
+    a, b = provider(t), provider(t + period)
+    growth = 1.0 + osc_freq * (t + period)
+    ulp = 4.0 * 2.0 ** -52
+    for value, slope, size in (("friction", "dfriction_dt", mean_lambda + amp_lambda),
+                               ("diffusion", "ddiffusion_dt", mean_D + amp_D)):
+        assert abs(getattr(a, value) - getattr(b, value)) <= ulp * size * growth
+        assert (abs(getattr(a, slope) - getattr(b, slope))
+                <= ulp * size * (osc_freq * growth + 1.0 / ramp_time))
+
+
+@st.composite
+def commensurate_runs(draw):
+    n = draw(st.integers(1, 3))
+    freqs = [draw(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0))) for _ in range(n)]
+    providers = [draw(phenomenological(f)) for f in freqs]
+    config = SimulationConfig(
+        oscillators=tuple(OscillatorSpec(f, draw(st.floats(0.0, 1.0)),
+                                         draw(st.floats(-0.5, 0.5)))
+                          for f in freqs),
+        provider_config=tuple(p.describe() for p in providers),
+        coupling=CouplingNetwork(n=n, beta=draw(symmetric_beta(n, high=2.0))),
+        t_end=32.0, rtol=1e-12)
+    return config, providers
+
+
+@settings(max_examples=5, deadline=None)
+@given(commensurate_runs())
+def test_periodic_tail_agrees_with_stepping(run):
+    # Every generated run has a common period of at most 4 pi from
+    # t <= 6.2, so the tail maps at least one whole period.
+    config, providers = run
+    tail = integrate_coupled(config, providers)
+    stepped = integrate_coupled(config, [lambda t, p=p: p(t) for p in providers])
+    assert tail.diagnostics["periods_propagated"] >= 1
+    assert stepped.diagnostics["periods_propagated"] == 0
+    assert np.abs(tail.n - stepped.n).max() <= 1e-9
