@@ -20,9 +20,10 @@ are denser, steps cross the pieces instead of shrinking to their spacing.
 A coupled run whose providers all declare ``osc_freq`` and
 ``periodic_from`` is periodic with a common period T from some time t_p on
 (Floquet): the flow over one period is then a fixed affine map
-y -> M y + c.  Such a run steps only [0, t_p] and one period of the affine
-matrix state, and maps every later sample from that period; the moduli of
-the eigenvalues of M are its Floquet multipliers.
+y -> M y + c.  When enough periods follow t_p and the sampled matrix state
+stays small (see _common_period), such a run steps only [0, t_p] and one
+period of the affine matrix state, and maps every later sample from that
+period; the moduli of the eigenvalues of M are its Floquet multipliers.
 """
 
 from __future__ import annotations
@@ -101,6 +102,15 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 10_000_000
 _EPS = float(np.finfo(float).eps)
+# The periodic tail runs only when at least _TAIL_MIN_PERIODS periods
+# follow t_p: its one-period matrix solve costs as much as stepping 2.3
+# (N = 1), 3.0 (N = 2), 3.5 (N = 4, 8) and 4.3-4.7 (N = 16, 32) periods,
+# as timed on fig2, fig4 and phenomenological chains.  Its sampled matrix
+# state, which grows with the output samples after t_p times dim*(dim + 1),
+# may hold at most _TAIL_MAX_DOUBLES values (4 MB); the state of an N = 32
+# chain to t_end 80 would take 256 MB, against 4 MB for stepping's output.
+_TAIL_MIN_PERIODS = 4.0
+_TAIL_MAX_DOUBLES = 2**19
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 
@@ -245,16 +255,24 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     return out, stats
 
 
+def _output_grid(config: SimulationConfig) -> np.ndarray:
+    # output_dt <= t_end, so the grid has at least two times.
+    m = int(math.floor(config.t_end / config.output_dt + 1e-9))
+    return np.arange(m + 1) * config.output_dt
+
+
 def _common_period(providers: Sequence[CoefficientProvider],
-                   grid: np.ndarray) -> tuple[float, float] | None:
+                   config: SimulationConfig,
+                   dim: int) -> tuple[float, float] | None:
     """(t_p, T): the providers' coefficients repeat with period T from t_p on.
 
-    None unless every provider declares ``osc_freq`` and ``periodic_from``
-    and at least one whole period remains after the one the tail integrates
-    (t_end >= t_p + 2T); below that the period solve costs more than the
-    steps it replaces.  T is 2*pi over the exact gcd of the frequencies'
-    binary values: incommensurate ones give a T far beyond any t_end.  t_p
-    is at least the first output time after 0, so that [0, t_p] is a grid.
+    None unless every provider declares ``osc_freq`` and ``periodic_from``,
+    t_end >= t_p + _TAIL_MIN_PERIODS * T and the tail's sampled matrix
+    state, one dim x (dim + 1) matrix per output time after t_p, holds at
+    most _TAIL_MAX_DOUBLES values.  T is 2*pi over the exact gcd of the
+    frequencies' binary values: incommensurate ones give a T far beyond any
+    t_end.  t_p is at least the first output time after 0, so that [0, t_p]
+    is a grid.
     """
     freqs = [getattr(p, "osc_freq", None) for p in providers]
     starts = [getattr(p, "periodic_from", None) for p in providers]
@@ -266,8 +284,12 @@ def _common_period(providers: Sequence[CoefficientProvider],
     gcd = Fraction(math.gcd(*(q.numerator * (den // q.denominator)
                               for q in fractions)), den)
     period = 2.0 * math.pi / float(gcd)
+    grid = _output_grid(config)
     t_p = max(float(grid[1]), *map(float, starts))
-    if grid[-1] < t_p + 2.0 * period:
+    if grid[-1] < t_p + _TAIL_MIN_PERIODS * period:
+        return None
+    later = grid.size - int(np.searchsorted(grid, t_p))
+    if later * dim * (dim + 1) > _TAIL_MAX_DOUBLES:
         return None
     return t_p, period
 
@@ -278,8 +300,9 @@ def _periodic_solve(f: RHS, y0: np.ndarray, grid: np.ndarray, rtol: float,
     """Step [0, t_p], then map every later output sample from one period.
 
     The affine matrix state [Phi | psi], from [I | 0] at t_p, is integrated
-    over [t_p, t_p + period] and sampled at the distinct phases tau of the
-    later output times; its end value is [M | c].  The sample k whole
+    over [t_p, t_p + period] and sampled at the sorted phases tau of the
+    later output times (one sample per later output time, unless output_dt
+    divides the period); its end value is [M | c].  The sample k whole
     periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
     y_0 = y(t_p) and y_{k+1} = M y_k + c.  The period's error is compounded
     once per period, so its solve runs at a tenth of the tolerances.  The
@@ -323,21 +346,18 @@ def _periodic_solve(f: RHS, y0: np.ndarray, grid: np.ndarray, rtol: float,
 
 
 def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
-           f: RHS, y0: np.ndarray, matrix_rhs: bool = False
+           f: RHS, y0: np.ndarray, tail: tuple[float, float] | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """Integrate y' = f(t, y) from y0 over the config's output grid.
 
     Returns the grid, the samples (one row per output time), the providers'
     friction and diffusion on the grid (one row per provider) and the step
     statistics, with ``periods_propagated`` (0 when every sample was
-    stepped to).  When ``f`` also takes the flattened affine matrix state
-    and the providers declare a common period, the run takes the periodic
-    tail and the statistics gain its ``floquet_multipliers``.
+    stepped to).  Given a ``tail`` (t_p, T) from ``_common_period``, for an
+    ``f`` that also takes the flattened affine matrix state, the run takes
+    the periodic tail and the statistics gain its ``floquet_multipliers``.
     """
-    # output_dt <= t_end, so the grid has at least two times.
-    m = int(math.floor(config.t_end / config.output_dt + 1e-9))
-    grid = np.arange(m + 1) * config.output_dt
-    tail = _common_period(providers, grid) if matrix_rhs else None
+    grid = _output_grid(config)
     if tail is None:
         out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol,
                                  providers)
@@ -446,8 +466,8 @@ def integrate_coupled(config: SimulationConfig,
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    grid, out, lam, dif, stats = _solve(config, providers, f, y0,
-                                        matrix_rhs=True)
+    grid, out, lam, dif, stats = _solve(
+        config, providers, f, y0, _common_period(providers, config, y0.size))
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
 

@@ -569,7 +569,7 @@ def three_coupled(seed=3):
         oscillators=tuple(OscillatorSpec(w, rng.random(), rng.uniform(-0.5, 0.5))
                           for w in freqs),
         provider_config=tuple(p.describe() for p in providers),
-        coupling=CouplingNetwork(3, beta), t_end=30.0)
+        coupling=CouplingNetwork(3, beta), t_end=60.0)
     return config, providers
 
 
@@ -648,6 +648,35 @@ class TestPeriodicTail:
         assert series.diagnostics == bare.diagnostics
         for name in ("n", "v"):
             assert np.array_equal(getattr(series, name), getattr(bare, name))
+
+    def test_tail_needs_four_periods_after_t_p(self):
+        config, providers = scenario_run(demo_fig4_scenario("0.5"))
+        t_p = providers[0].periodic_from
+        for t_end, periods in ((t_p + 8.0 * math.pi - 0.05, 0),
+                               (t_p + 8.0 * math.pi + 0.05, 4)):
+            run = dataclasses.replace(config, t_end=t_end)
+            diag = integrate_coupled(run, providers).diagnostics
+            assert diag["periods_propagated"] == periods
+
+    def test_oversized_matrix_state_steps_as_before(self):
+        # N = 8 to t_end 40: 3,700 samples after t_p of a 16 x 17 matrix
+        # state, 1.0e6 values, over the tail's 2**19.
+        n = 8
+        beta = np.zeros((n, n))
+        for i in range(n - 1):
+            beta[i, i + 1] = beta[i + 1, i] = 0.5
+        providers = [dataclasses.replace(STANDARD, phase_lambda=0.3 * i)
+                     for i in range(n)]
+        config = SimulationConfig(
+            oscillators=tuple(OscillatorSpec(1.0) for _ in range(n)),
+            provider_config=tuple(p.describe() for p in providers),
+            coupling=CouplingNetwork(n, beta), t_end=40.0)
+        series = integrate_coupled(config, providers)
+        bare = integrate_coupled(config, [declaring_nothing(p) for p in providers])
+        assert series.diagnostics["periods_propagated"] == 0
+        assert series.diagnostics == bare.diagnostics
+        assert np.array_equal(series.n, bare.n)
+        assert np.array_equal(series.v, bare.v)
 
     def test_first_order_steps_all_the_way(self):
         series = integrate_single_first_order(OscillatorSpec(1.0), STANDARD,

@@ -190,7 +190,7 @@ def commensurate_runs(draw):
                           for f in freqs),
         provider_config=tuple(p.describe() for p in providers),
         coupling=CouplingNetwork(n=n, beta=draw(symmetric_beta(n, high=2.0))),
-        t_end=32.0, rtol=1e-12)
+        t_end=60.0, rtol=1e-12)
     return config, providers
 
 
@@ -198,7 +198,7 @@ def commensurate_runs(draw):
 @given(commensurate_runs())
 def test_periodic_tail_agrees_with_stepping(run):
     # Every generated run has a common period of at most 4 pi from
-    # t <= 6.2, so the tail maps at least one whole period.
+    # t <= 6.2, so at least four whole periods follow and the tail runs.
     config, providers = run
     tail = integrate_coupled(config, providers)
     stepped = integrate_coupled(config, [lambda t, p=p: p(t) for p in providers])
