@@ -48,22 +48,25 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
+    where = f"csv {Path(path)}"
     try:
         with open(path, encoding="utf-8") as fh:
             version = fh.readline()
             if version.strip() != CSV_VERSION_LINE:
                 found = version.strip() if version else "<empty file>"
-                raise CsvSchemaError(f"unsupported csv version line: {found!r}")
+                raise CsvSchemaError(
+                    f"{where}: unsupported csv version line: {found!r}")
             header = fh.readline()
             start = fh.tell()
             if not header or not fh.readline():
-                raise CsvSchemaError("csv has no data rows")
+                raise CsvSchemaError(f"{where}: csv has no data rows")
             names = [c.strip() for c in header.split(",")]
             if len(names) < 5 or (len(names) - 1) % 4 != 0:
-                raise CsvSchemaError("csv column count must be 1 + 4 per oscillator")
+                raise CsvSchemaError(
+                    f"{where}: csv column count must be 1 + 4 per oscillator")
             n_osc = (len(names) - 1) // 4
             if names != _column_names(n_osc):
-                raise CsvSchemaError(f"unexpected csv columns: {names}")
+                raise CsvSchemaError(f"{where}: unexpected csv columns: {names}")
 
             fh.seek(start)
             try:
@@ -71,13 +74,13 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
             except UnicodeDecodeError:
                 raise
             except ValueError as exc:
-                raise CsvSchemaError(f"malformed csv data: {exc}") from exc
+                raise CsvSchemaError(f"{where}: malformed csv data: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise CsvSchemaError(f"csv {path}: not UTF-8 ({exc.reason})") from exc
+        raise CsvSchemaError(f"{where}: not UTF-8 ({exc.reason})") from exc
     if data.shape[1] != len(names):
-        raise CsvSchemaError("csv row width does not match header")
+        raise CsvSchemaError(f"{where}: csv row width does not match header")
     try:
         return TimeSeries(t=data[:, 0], n=data[:, 1::4].T, v=data[:, 2::4].T,
                           friction=data[:, 3::4].T, diffusion=data[:, 4::4].T)
     except ValueError as exc:
-        raise CsvSchemaError(f"csv time column: {exc}") from None
+        raise CsvSchemaError(f"{where}: csv time column: {exc}") from None

@@ -17,13 +17,15 @@ one ends exactly on the last one it reaches.  Where breakpoints are sparser
 than the steps, no step straddles a change of polynomial piece; where they
 are denser, steps cross the pieces instead of shrinking to their spacing.
 
-A coupled run whose providers all declare ``osc_freq`` and
+Each formulation supplies one linear right-hand side rhs(t, y, drive) =
+A(t) y + b(t) drive.  A run whose providers all declare ``osc_freq`` and
 ``periodic_from`` is periodic with a common period T from some time t_p on
 (Floquet): the flow over one period is then a fixed affine map
 y -> M y + c.  When enough periods follow t_p and the sampled matrix state
-stays small (see _common_period), such a run steps only [0, t_p] and one
-period of the affine matrix state, and maps every later sample from that
-period; the moduli of the eigenvalues of M are its Floquet multipliers.
+stays small (see _common_period), such a run, of either formulation, steps
+only [0, t_p] and one period of the affine matrix state, and maps every
+later sample from that period; the moduli of the eigenvalues of M are its
+Floquet multipliers.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ _TAIL_MIN_PERIODS = 4.0
 _TAIL_MAX_DOUBLES = 2**19
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
+DrivenRHS = Callable[[float, np.ndarray, float | np.ndarray], np.ndarray]
 
 
 def _error_norm(e: np.ndarray, scale: np.ndarray) -> float:
@@ -294,30 +297,36 @@ def _common_period(providers: Sequence[CoefficientProvider],
     return t_p, period
 
 
-def _periodic_solve(f: RHS, y0: np.ndarray, grid: np.ndarray, rtol: float,
-                    atol: float, providers: Sequence[CoefficientProvider],
+def _periodic_solve(rhs: DrivenRHS, y0: np.ndarray, grid: np.ndarray,
+                    rtol: float, atol: float,
+                    providers: Sequence[CoefficientProvider],
                     t_p: float, period: float) -> tuple[np.ndarray, dict]:
     """Step [0, t_p], then map every later output sample from one period.
 
-    The affine matrix state [Phi | psi], from [I | 0] at t_p, is integrated
-    over [t_p, t_p + period] and sampled at the sorted phases tau of the
-    later output times (one sample per later output time, unless output_dt
-    divides the period); its end value is [M | c].  The sample k whole
-    periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
+    The only code that knows the affine matrix state [Phi | psi]: it calls
+    rhs with that state as a dim x (dim + 1) matrix and drive the unit row
+    e_{dim+1}, so that only psi is driven.  The state, from [I | 0] at t_p,
+    is integrated over [t_p, t_p + period] and sampled at the sorted phases
+    tau of the later output times (one sample per later output time, unless
+    output_dt divides the period); its end value is [M | c].  The sample k
+    whole periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
     y_0 = y(t_p) and y_{k+1} = M y_k + c.  The period's error is compounded
     once per period, so its solve runs at a tenth of the tolerances.  The
     step statistics are sums over both solves.
     """
     dim = y0.size
     later = int(np.searchsorted(grid, t_p))
-    head, head_stats = _rk45_solve(f, y0, np.append(grid[:later], t_p),
+    head, head_stats = _rk45_solve(lambda t, y: rhs(t, y, 1.0), y0,
+                                   np.append(grid[:later], t_p),
                                    rtol, atol, providers)
     whole, tau = np.divmod(grid[later:] - t_p, period)
     phases, phase_of = np.unique(np.concatenate([[0.0], tau, [period]]),
                                  return_inverse=True)
-    start = np.hstack([np.eye(dim), np.zeros((dim, 1))])
-    maps, tail_stats = _rk45_solve(f, start.ravel(), t_p + phases,
-                                   rtol / 10, atol / 10, providers)
+    drive = np.eye(dim + 1)[dim]
+    maps, tail_stats = _rk45_solve(
+        lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
+        np.eye(dim, dim + 1).ravel(), t_p + phases, rtol / 10, atol / 10,
+        providers)
     maps = maps.reshape(-1, dim, dim + 1)
 
     out = np.empty((grid.size, dim))
@@ -346,25 +355,30 @@ def _periodic_solve(f: RHS, y0: np.ndarray, grid: np.ndarray, rtol: float,
 
 
 def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
-           f: RHS, y0: np.ndarray, tail: tuple[float, float] | None = None
+           rhs: DrivenRHS, y0: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Integrate y' = f(t, y) from y0 over the config's output grid.
+    """Integrate y' = rhs(t, y, 1.0) from y0 over the config's output grid.
 
-    Returns the grid, the samples (one row per output time), the providers'
-    friction and diffusion on the grid (one row per provider) and the step
-    statistics, with ``periods_propagated`` (0 when every sample was
-    stepped to).  Given a ``tail`` (t_p, T) from ``_common_period``, for an
-    ``f`` that also takes the flattened affine matrix state, the run takes
-    the periodic tail and the statistics gain its ``floquet_multipliers``.
+    Takes the periodic tail when _common_period finds a usable period, and
+    steps all the way otherwise.  Returns the grid, the samples (one row per
+    output time), the providers' friction and diffusion on the grid (one row
+    per provider) and the diagnostics: the step statistics,
+    ``periods_propagated`` (0 when every sample was stepped to), the tail's
+    ``floquet_multipliers`` and the ``negative_excursions`` of n, the first
+    len(providers) components of the state.
     """
     grid = _output_grid(config)
+    tail = _common_period(providers, config, y0.size)
     if tail is None:
-        out, stats = _rk45_solve(f, y0, grid, config.rtol, config.atol,
-                                 providers)
+        out, stats = _rk45_solve(lambda t, y: rhs(t, y, 1.0), y0, grid,
+                                 config.rtol, config.atol, providers)
         stats["periods_propagated"] = 0
     else:
-        out, stats = _periodic_solve(f, y0, grid, config.rtol, config.atol,
+        out, stats = _periodic_solve(rhs, y0, grid, config.rtol, config.atol,
                                      providers, *tail)
+    n = out[:, :len(providers)]
+    stats["negative_excursions"] = {"count": int((n < 0).sum()),
+                                    "most_negative": float(min(0.0, n.min()))}
     lam = np.empty((len(providers), grid.size))
     dif = np.empty((len(providers), grid.size))
     for i, provider in enumerate(providers):
@@ -372,12 +386,6 @@ def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
         lam[i] = s.friction
         dif[i] = s.diffusion
     return grid, out, lam, dif, stats
-
-
-def _negative_excursions(n: np.ndarray) -> dict:
-    count = int((n < 0).sum())
-    most_negative = float(min(0.0, n.min())) if n.size else 0.0
-    return {"count": count, "most_negative": most_negative}
 
 
 def integrate_single_first_order(osc: OscillatorSpec,
@@ -398,31 +406,19 @@ def integrate_single_first_order(osc: OscillatorSpec,
         t_end=t_end, output_dt=output_dt, rtol=rtol, atol=atol,
     )
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
         s = provider(t)
-        return np.array([-2.0 * s.friction * y[0] + 2.0 * s.diffusion])
+        return -2.0 * s.friction * y + 2.0 * s.diffusion * drive
 
-    grid, out, lam, dif, stats = _solve(config, [provider], f,
-                                        np.array([osc.n0]))
-    n = out[:, 0][None, :]
+    grid, out, lam, dif, diagnostics = _solve(config, [provider], rhs,
+                                              np.array([osc.n0]))
+    n = out.T
     v = -2.0 * lam * n + 2.0 * dif
 
     if osc.n0 >= 0 and (dif >= 0).all() and not n.min() >= -10.0 * atol:
         raise PositivityViolation(f"positivity violated: min n = {n.min():g}")
-
-    diagnostics = dict(stats)
-    diagnostics["negative_excursions"] = _negative_excursions(n)
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
                       diagnostics=diagnostics)
-
-
-def _consistency_residual(osc: OscillatorSpec,
-                          provider: CoefficientProvider) -> float:
-    # The second-order form is the time derivative of the first-order one;
-    # its solution matches only when the initial slope satisfies
-    # v0 = -2 lam(0) n0 + 2 D(0).  The residual is reported, never enforced.
-    s0 = provider(0.0)
-    return abs(osc.v0 + 2.0 * s0.friction * osc.n0 - 2.0 * s0.diffusion)
 
 
 def integrate_coupled(config: SimulationConfig,
@@ -433,6 +429,12 @@ def integrate_coupled(config: SimulationConfig,
     oscillators this is exactly the two-equation system, with one it is
     the single-oscillator form n'' + 2 lam n' + 2 lam' n = 2 D', and
     beta = 0 decouples every channel.
+
+    The second-order form is the time derivative of the first-order one;
+    its solution matches that of the first-order form only when the initial
+    slope satisfies v0 = -2 lam(0) n0 + 2 D(0).  The diagnostics'
+    ``consistency_residuals`` report |v0 + 2 lam(0) n0 - 2 D(0)| per
+    oscillator; they are never enforced.
     """
     n_osc = config.n_oscillators
     if len(providers) != n_osc:
@@ -440,18 +442,8 @@ def integrate_coupled(config: SimulationConfig,
 
     laplacian = config.coupling.laplacian
     providers = list(providers)
-    dim = 2 * n_osc
-    affine_column = np.zeros(dim + 1)
-    affine_column[-1] = 1.0
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        # y is the state, or the flattened affine matrix state [Phi | psi]
-        # of the periodic tail, whose last column alone is driven.
-        if y.size == dim:
-            drive = 1.0
-        else:
-            y = y.reshape(dim, dim + 1)
-            drive = affine_column
+    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
         n = y[:n_osc]
         v = y[n_osc:]
         out = np.empty_like(y)
@@ -462,19 +454,14 @@ def integrate_coupled(config: SimulationConfig,
             out[n_osc + i] = (2.0 * s.ddiffusion_dt * drive
                               - 2.0 * s.friction * v[i]
                               - 2.0 * s.dfriction_dt * n[i] - coupling[i])
-        return out.ravel()
+        return out
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    grid, out, lam, dif, stats = _solve(
-        config, providers, f, y0, _common_period(providers, config, y0.size))
+    grid, out, lam, dif, diagnostics = _solve(config, providers, rhs, y0)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
-
-    diagnostics = dict(stats)
     diagnostics["consistency_residuals"] = tuple(
-        _consistency_residual(o, p)
-        for o, p in zip(config.oscillators, providers))
-    diagnostics["negative_excursions"] = _negative_excursions(n)
+        np.abs(v[:, 0] + 2.0 * lam[:, 0] * n[:, 0] - 2.0 * dif[:, 0]).tolist())
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
                       diagnostics=diagnostics)

@@ -286,7 +286,9 @@ class TestAnalyze:
         bad = tmp_path / "bad.csv"
         bad.write_text("# oscibath-csv v99\nt,n1,v1,lambda1,D1\n0,0,0,0,0\n")
         assert main(["analyze", str(bad)]) == 1
-        assert "version" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "version" in err
+        assert f"csv {bad}: " in err
 
     def test_swapped_rows_exit_1(self, tmp_path, capsys):
         t = 0.01 * np.arange(6001)

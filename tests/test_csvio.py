@@ -73,7 +73,7 @@ class TestReader:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(CsvSchemaError) as info:
             read_timeseries_csv(path)
-        assert str(info.value).startswith(message)
+        assert str(info.value).startswith(f"csv {path}: {message}")
 
     def test_windows_line_endings_read_the_same(self, tmp_path):
         series = awkward_series()

@@ -662,7 +662,25 @@ class TestPeriodicTail:
             diag = integrate_coupled(run, providers).diagnostics
             assert diag["periods_propagated"] == periods
 
-    def test_first_order_steps_all_the_way(self):
-        series = integrate_single_first_order(OscillatorSpec(1.0), STANDARD,
-                                              t_end=50.0)
-        assert series.diagnostics["periods_propagated"] == 0
+    def test_first_order_takes_the_tail(self):
+        # At N = 1 Liouville's formula gives the one multiplier itself:
+        # exp(-2 T mean_lambda), the integral of A = -2 lam over a period.
+        from scipy.integrate import solve_ivp
+
+        osc = OscillatorSpec(1.0)
+        tail = integrate_single_first_order(osc, STANDARD, t_end=50.0)
+        stepped = integrate_single_first_order(osc, declaring_nothing(STANDARD),
+                                               t_end=50.0)
+        assert tail.diagnostics["periods_propagated"] > 0
+        (mu,) = tail.diagnostics["floquet_multipliers"]
+        assert mu == pytest.approx(
+            math.exp(-2.0 * 2.0 * math.pi * STANDARD.mean_lambda), rel=1e-8)
+
+        def rhs(t, y):
+            s = STANDARD(t)
+            return [-2.0 * s.friction * y[0] + 2.0 * s.diffusion]
+
+        reference = solve_ivp(rhs, (0.0, tail.t[-1]), [osc.n0], method="DOP853",
+                              rtol=1e-13, atol=1e-16, t_eval=tail.t).y
+        assert (np.abs(tail.n - reference).max()
+                <= np.abs(stepped.n - reference).max())

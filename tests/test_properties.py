@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oscibath.coefficients import PhenomenologicalProvider
-from oscibath.integrator import integrate_coupled
+from oscibath.integrator import integrate_coupled, integrate_single_first_order
 from oscibath.model import (
     BathSpec,
     BathStatistics,
@@ -202,6 +202,15 @@ def test_periodic_tail_agrees_with_stepping(run):
     config, providers = run
     tail = integrate_coupled(config, providers)
     stepped = integrate_coupled(config, [lambda t, p=p: p(t) for p in providers])
+    assert tail.diagnostics["periods_propagated"] >= 1
+    assert stepped.diagnostics["periods_propagated"] == 0
+    assert np.abs(tail.n - stepped.n).max() <= 1e-9
+
+    # The first-order equation of the first oscillator takes the tail too.
+    osc, provider = config.oscillators[0], providers[0]
+    tail, stepped = (integrate_single_first_order(osc, p, config.t_end,
+                                                  rtol=config.rtol)
+                     for p in (provider, lambda t: provider(t)))
     assert tail.diagnostics["periods_propagated"] >= 1
     assert stepped.diagnostics["periods_propagated"] == 0
     assert np.abs(tail.n - stepped.n).max() <= 1e-9
