@@ -94,6 +94,7 @@ def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
     neg = diag["negative_excursions"]
     lines.append(f"negative_excursions = {neg['count']}")
     lines.append(f"most_negative_n = {neg['most_negative']:.6g}")
+    lines.append(f"invariant_drift = {diag['invariant_drift']:.6g}")
     lines.append(f"wrote = {output_path}")
     return lines
 

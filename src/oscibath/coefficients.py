@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -146,6 +146,27 @@ class PhenomenologicalProvider:
 def _out_of_range(lo: float, hi: float, t: float) -> OutOfRange:
     return OutOfRange(
         f"time {float(t):g} outside coefficient table range [{lo:g}, {hi:g}]")
+
+
+def _locate(kernel: tuple, t: float) -> tuple[int, float]:
+    """The interval i of a table's kernel that holds the scalar time t, and
+    t's offset d into it.
+
+    A time within the kernel's slack outside the grid is clamped to its
+    end; one further out raises OutOfRange.  Interval i holds
+    knots[i] <= t < knots[i+1]; the last one is closed.
+    """
+    knots, lo, hi, slack, _ = kernel
+    if t < lo:
+        if t < lo - slack:
+            raise _out_of_range(lo, hi, t)
+        t = lo
+    elif t > hi:
+        if t > hi + slack:
+            raise _out_of_range(lo, hi, t)
+        t = hi
+    i = bisect_right(knots, t, 1, len(knots) - 1) - 1
+    return i, t - knots[i]
 
 
 def _gtsv(dl: list, d: list, du: list, b1: list, b2: list):
@@ -281,17 +302,7 @@ class TabulatedProvider:
             d = t - self.grid[i]
             c = coefs[i].T
         else:
-            if t < lo:
-                if t < lo - slack:
-                    raise _out_of_range(lo, hi, t)
-                t = lo
-            elif t > hi:
-                if t > hi + slack:
-                    raise _out_of_range(lo, hi, t)
-                t = hi
-            # Interval i holds knots[i] <= t < knots[i+1]; the last one is closed.
-            i = bisect_right(knots, t, 1, len(knots) - 1) - 1
-            d = t - knots[i]
+            i, d = _locate(self._kernel, t)
             c = coefs[i].tolist()
         d2 = d * d
         d3 = d2 * d
@@ -304,6 +315,39 @@ class TabulatedProvider:
     def describe(self) -> ProviderConfig:
         params = {} if self.source is None else {"path": self.source}
         return ProviderConfig("tabulated", params)
+
+
+def _stacked_sampler(providers: Sequence[CoefficientProvider]):
+    """One sampler ``t -> (lam, dlam, dD)`` for tables on one knot grid.
+
+    None unless every provider is exactly a ``TabulatedProvider`` (a
+    subclass may override its call) and all share one grid.  The sampler
+    returns a (3, N) array whose rows are lambda, dlambda/dt and dD/dt, and
+    entry i of each row is provider i's scalar sample bit for bit: a
+    scalar ``t`` is located once, as the scalar call locates it, and the
+    scalar call's sums are taken elementwise in its order, the three
+    quadratic parts together and lambda's cubic term last.
+    """
+    if not providers or any(type(p) is not TabulatedProvider for p in providers):
+        return None
+    grid = providers[0].grid
+    if any(not np.array_equal(p.grid, grid) for p in providers[1:]):
+        return None
+    kernel = providers[0]._kernel
+    # The kernel rows, stacked to (intervals, 14, N), then reordered into
+    # the powers 0, 1, 2 of (lambda, dlambda/dt, dD/dt) and lambda's cubic.
+    rows = [0, 4, 11, 1, 5, 12, 2, 6, 13, 3]
+    coefs = np.stack([p._kernel[4] for p in providers], axis=2)[:, rows].copy()
+
+    def sample(t: float) -> np.ndarray:
+        i, d = _locate(kernel, t)
+        d2 = d * d
+        c = coefs[i]
+        x = c[0:3] + c[3:6] * d + c[6:9] * d2
+        x[0] += c[9] * (d2 * d)
+        return x
+
+    return sample
 
 
 class ConstantProvider:

@@ -175,6 +175,8 @@ class TestSimulate:
             assert f"\n{key} = " in captured.out
         assert "consistency_residual_1 = 0" in captured.out
         assert "negative_excursions = 0" in captured.out
+        assert re.search(r"^most_negative_n = .*\ninvariant_drift = \S+\n",
+                         captured.out, re.M)
         lines = out.read_text().splitlines()
         assert lines[0] == "# oscibath-csv v1"
         assert lines[1] == "t,n1,v1,lambda1,D1"

@@ -10,6 +10,7 @@ from oscibath.coefficients import (
     OutOfRange,
     PhenomenologicalProvider,
     TabulatedProvider,
+    _stacked_sampler,
     check_derivatives,
     make_provider,
     read_coefficient_csv,
@@ -310,6 +311,58 @@ class TestArrayCalls:
         ts[57] = -0.25
         with pytest.raises(OutOfRange, match=re.escape("time -0.25 outside")):
             provider(ts)
+
+
+def tables_on_one_grid(n: int = 9) -> list[TabulatedProvider]:
+    rng = np.random.default_rng(20261018)
+    grid = np.cumsum(np.exp(rng.uniform(-3.0, 1.5, size=40))) + rng.uniform(-5, 5)
+    return [random_table(rng, grid.size, grid) for _ in range(n)]
+
+
+class TestStackedSampler:
+    """Tables on one grid sampled together give each table's scalar call."""
+
+    def test_every_sample_is_the_scalar_call_bit_for_bit(self):
+        tables = tables_on_one_grid()
+        sample = _stacked_sampler(tables)
+        knots, lo, hi, slack, _ = tables[0]._kernel
+        times = (np.random.default_rng(11).uniform(lo, hi, 2000).tolist()
+                 + knots + [lo - slack / 2, hi + slack / 2])
+        assert lo in times and hi in times
+        for t in times:
+            got = sample(t)
+            scalar = [table(t) for table in tables]
+            want = np.array([[s.friction for s in scalar],
+                             [s.dfriction_dt for s in scalar],
+                             [s.ddiffusion_dt for s in scalar]])
+            assert got.shape == (3, len(tables))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_one_ulp_past_the_slack_raises_the_scalar_message(self):
+        tables = tables_on_one_grid()
+        sample = _stacked_sampler(tables)
+        _, lo, hi, slack, _ = tables[0]._kernel
+        for t in (float(np.nextafter(lo - slack, -np.inf)),
+                  float(np.nextafter(hi + slack, np.inf))):
+            with pytest.raises(OutOfRange) as scalar:
+                tables[0](t)
+            with pytest.raises(OutOfRange, match=re.escape(str(scalar.value))):
+                sample(t)
+
+    def test_providers_that_do_not_stack(self):
+        tables = tables_on_one_grid(3)
+        other_grid = random_table(np.random.default_rng(1), tables[0].grid.size,
+                                  tables[0].grid + 0.5)
+
+        class Subclass(TabulatedProvider):
+            pass
+
+        subclass = Subclass(grid=tables[0].grid,
+                            lambda_values=tables[0].lambda_values,
+                            D_values=tables[0].D_values)
+        for providers in ([], [*tables, other_grid], [*tables, STANDARD],
+                          [*tables, subclass], [lambda t: tables[0](t)]):
+            assert _stacked_sampler(providers) is None
 
 
 class TestCheckDerivatives:

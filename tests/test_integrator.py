@@ -17,7 +17,9 @@ from oscibath.coefficients import (
     PhenomenologicalProvider,
     TabulatedProvider,
 )
+from oscibath.csvio import read_timeseries_csv, write_timeseries_csv
 from oscibath.integrator import (
+    _STACK_MIN_OSCILLATORS,
     IntegratorError,
     PositivityViolation,
     StepSizeUnderflow,
@@ -591,6 +593,93 @@ def dop853_reference(config, providers, t):
     y0 = [o.n0 for o in config.oscillators] + [o.v0 for o in config.oscillators]
     return solve_ivp(rhs, (0.0, t[-1]), y0, method="DOP853", rtol=1e-13,
                      atol=1e-16, t_eval=t).y
+
+
+@pytest.fixture
+def scalar_table_calls(monkeypatch):
+    """The times of every scalar TabulatedProvider call; only the
+    per-oscillator RHS makes them."""
+    times = []
+    call = TabulatedProvider.__call__
+
+    def recording(self, t):
+        if not isinstance(t, np.ndarray):
+            times.append(t)
+        return call(self, t)
+
+    monkeypatch.setattr(TabulatedProvider, "__call__", recording)
+    return times
+
+
+def assert_same_bits(a, b):
+    for name in ("n", "v", "friction", "diffusion"):
+        assert np.array_equal(getattr(a, name).view(np.uint64),
+                              getattr(b, name).view(np.uint64))
+
+
+class SubTable(TabulatedProvider):
+    """A subclass could override the call, so it is sampled on its own."""
+
+
+class TestStackedTables:
+    def test_stacked_run_equals_the_per_oscillator_run(self, scalar_table_calls):
+        config, providers = tabulated_chain(32, knot_dt=0.1)
+        stacked = integrate_coupled(config, providers)
+        assert scalar_table_calls == []
+        # Recorder is not a TabulatedProvider: one call per oscillator.
+        looped = integrate_coupled(config, [Recorder(p) for p in providers])
+        assert len(scalar_table_calls) == 32 * looped.diagnostics["rhs_evaluations"]
+        assert_same_bits(stacked, looped)
+        assert stacked.diagnostics == looped.diagnostics
+
+    def test_tables_declare_no_period(self):
+        # The stacked RHS handles the vector state only; the periodic tail's
+        # matrix state would need every provider to declare a period.
+        _, providers = tabulated_chain(_STACK_MIN_OSCILLATORS, knot_dt=0.1)
+        for name in ("osc_freq", "periodic_from"):
+            assert not any(hasattr(p, name) for p in providers)
+
+    @pytest.mark.parametrize("case", [
+        "other-grid", "phenomenological", "subclass", "below-gate"])
+    def test_other_runs_call_each_provider(self, case, scalar_table_calls):
+        n = _STACK_MIN_OSCILLATORS - 1 if case == "below-gate" else 8
+        config, providers = tabulated_chain(n, knot_dt=0.1)
+        table = providers[3]
+        providers[3] = {
+            "other-grid": table_on(np.linspace(0.0, 1.0, 7)),
+            "phenomenological": STANDARD,
+            "subclass": SubTable(grid=table.grid, D_values=table.D_values,
+                                 lambda_values=table.lambda_values),
+            "below-gate": table,
+        }[case]
+        series = integrate_coupled(config, providers)
+        assert np.isfinite(series.n).all()
+        assert series.diagnostics["steps_accepted"] > 0
+        assert scalar_table_calls
+
+    @pytest.mark.parametrize("run", [
+        tabulated_chain(32, knot_dt=0.1),
+        scenario_run(demo_fig4_scenario("0.5")),
+    ], ids=["chain", "fig4"])
+    def test_invariant_drift_is_the_written_csvs(self, run, tmp_path):
+        series = integrate_coupled(*run)
+        write_timeseries_csv(series, tmp_path / "run.csv")
+        back = read_timeseries_csv(tmp_path / "run.csv")
+        total = np.zeros_like(back.t)
+        scale = np.zeros_like(back.t)
+        for n, v, lam, dif in zip(back.n, back.v, back.friction, back.diffusion):
+            total += v + 2.0 * lam * n - 2.0 * dif
+            scale += np.abs(v) + 2.0 * np.abs(lam * n) + 2.0 * np.abs(dif)
+        drift = np.abs(total - total[0]).max() / scale.max()
+        assert series.diagnostics["invariant_drift"] == drift
+        assert 0.0 < drift < 1e-8
+
+    def test_invariant_drift_is_the_same_on_both_paths(self):
+        config, providers = tabulated_chain(16, knot_dt=0.1)
+        stacked = integrate_coupled(config, providers)
+        looped = integrate_coupled(config, [Recorder(p) for p in providers])
+        assert (stacked.diagnostics["invariant_drift"]
+                == looped.diagnostics["invariant_drift"])
 
 
 class TestPeriodicTail:
