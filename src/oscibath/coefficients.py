@@ -291,7 +291,8 @@ class TabulatedProvider:
         ``c0 + c1*d + c2*d**2 + c3*(d**2*d)``, which reproduces
         scipy's ``CubicSpline.__call__`` bit for bit.
         """
-        knots, lo, hi, slack, coefs = self._kernel
+        kernel = self._kernel
+        _, lo, hi, slack, coefs = kernel
         if isinstance(t, np.ndarray):
             outside = (t < lo - slack) | (t > hi + slack)
             if outside.any():
@@ -302,7 +303,7 @@ class TabulatedProvider:
             d = t - self.grid[i]
             c = coefs[i].T
         else:
-            i, d = _locate(self._kernel, t)
+            i, d = _locate(kernel, t)
             c = coefs[i].tolist()
         d2 = d * d
         d3 = d2 * d
