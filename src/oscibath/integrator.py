@@ -27,10 +27,10 @@ only [0, t_p] and one period of the affine matrix state, and maps every
 later sample from that period; the moduli of the eigenvalues of M are its
 Floquet multipliers.
 
-The coupled RHS calls each provider once per evaluation, except for a run
-of at least _STACK_MIN_OSCILLATORS tabulated providers on one knot grid:
-those are sampled together in one call and the RHS works on whole vectors,
-with the same values bit for bit.
+The coupled RHS is one closure over the run's provider bank
+(coefficients._provider_bank): (rows, provider) pairs whose calls fill the
+entries ``rows`` of its vectors, one pair per oscillator, or one pair for
+all when the tables of a run share one knot grid.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientProvider, _stacked_sampler
+from .coefficients import CoefficientProvider, _provider_bank
 from .model import (
     CouplingNetwork,
     OscillatorSpec,
@@ -118,13 +118,6 @@ _EPS = float(np.finfo(float).eps)
 # chain to t_end 80 would take 256 MB, against 4 MB for stepping's output.
 _TAIL_MIN_PERIODS = 4.0
 _TAIL_MAX_DOUBLES = 2**19
-# The coupled RHS samples tables on one knot grid in one call from
-# _STACK_MIN_OSCILLATORS oscillators on; below, per-array overhead outweighs
-# the per-oscillator calls.  integrate_coupled CPU time on 1-second chains of
-# N tables 0.1 apart, loop against stacked, min of 15 interleaved runs with
-# equal RHS counts: 3.4/5.7 ms (N = 1), 5.2/6.9 (2), 6.7/7.1 (4), 7.0/6.3
-# (5), 7.9/6.6 (6), 9.8/6.7 (8), 22.9/12.5 (16), 52.9/14.0 (32).
-_STACK_MIN_OSCILLATORS = 5
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 DrivenRHS = Callable[[float, np.ndarray, float | np.ndarray], np.ndarray]
@@ -281,17 +274,17 @@ def _common_period(providers: Sequence[CoefficientProvider],
                    dim: int) -> tuple[float, float] | None:
     """(t_p, T): the providers' coefficients repeat with period T from t_p on.
 
-    None unless every provider declares ``osc_freq`` and ``periodic_from``,
-    t_end >= t_p + _TAIL_MIN_PERIODS * T and the tail's sampled matrix
-    state, one dim x (dim + 1) matrix per output time after t_p, holds at
-    most _TAIL_MAX_DOUBLES values.  T is 2*pi over the exact gcd of the
-    frequencies' binary values: incommensurate ones give a T far beyond any
-    t_end.  t_p is at least the first output time after 0, so that [0, t_p]
-    is a grid.
+    None unless every provider declares ``osc_freq`` and a finite
+    ``periodic_from``, t_end >= t_p + _TAIL_MIN_PERIODS * T and the tail's
+    sampled matrix state, one dim x (dim + 1) matrix per output time after
+    t_p, holds at most _TAIL_MAX_DOUBLES values.  T is 2*pi over the exact
+    gcd of the frequencies' binary values: incommensurate ones give a T far
+    beyond any t_end.  t_p is at least the first output time after 0, so
+    that [0, t_p] is a grid.
     """
     freqs = [getattr(p, "osc_freq", None) for p in providers]
     starts = [getattr(p, "periodic_from", None) for p in providers]
-    if any(x is None for x in starts) or not all(
+    if not all(x is not None and math.isfinite(x) for x in starts) or not all(
             x is not None and math.isfinite(x) and x > 0 for x in freqs):
         return None
     fractions = [Fraction(float(x)) for x in freqs]
@@ -400,30 +393,6 @@ def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
     return grid, out, lam, dif, stats
 
 
-def _invariant_drift(n: np.ndarray, v: np.ndarray, lam: np.ndarray,
-                     dif: np.ndarray) -> float:
-    """The ``invariant_drift`` of integrate_coupled; row i of each argument
-    is oscillator i on the output grid.
-
-    The sums run one oscillator at a time over 1024 samples at a time:
-    whole-run temporaries raised the peak RSS of a fig4 sweep by 0.4 MB.
-    """
-    worst = largest = 0.0
-    for a in range(0, n.shape[1], 1024):
-        cols = slice(a, a + 1024)
-        total = scale = 0.0
-        for n_i, v_i, lam_i, dif_i in zip(n[:, cols], v[:, cols],
-                                          lam[:, cols], dif[:, cols]):
-            total = total + (v_i + 2.0 * lam_i * n_i - 2.0 * dif_i)
-            scale = scale + (np.abs(v_i) + 2.0 * np.abs(lam_i * n_i)
-                             + 2.0 * np.abs(dif_i))
-        if a == 0:
-            first = total[0]
-        worst = max(worst, float(np.abs(total - first).max()))
-        largest = max(largest, float(scale.max()))
-    return worst / max(largest, 1e-300)
-
-
 def integrate_single_first_order(osc: OscillatorSpec,
                                  provider: CoefficientProvider, t_end: float,
                                  output_dt: float = SimulationConfig.output_dt,
@@ -477,11 +446,10 @@ def integrate_coupled(config: SimulationConfig,
     output samples, relative to the largest per-sample
     sum_i (|v_i| + 2 |lam_i n_i| + 2 |D_i|).
 
-    When every provider is exactly a ``TabulatedProvider``, all on one knot
-    grid, and there are at least _STACK_MIN_OSCILLATORS of them, the RHS
-    samples all of them in one call and works on whole vectors; otherwise
-    it calls each provider once per evaluation.  Both give the same values
-    bit for bit.
+    The RHS samples the providers through their bank: one call per
+    oscillator, or one call for all of them when they are at least five
+    tables on one knot grid (coefficients._provider_bank).  Both give the
+    same values bit for bit.
     """
     n_osc = config.n_oscillators
     if len(providers) != n_osc:
@@ -489,34 +457,23 @@ def integrate_coupled(config: SimulationConfig,
 
     laplacian = config.coupling.laplacian
     providers = list(providers)
+    # A stack's N-vectors meet only the vector state: tables declare no
+    # period, so their runs never take the periodic tail.
+    bank = _provider_bank(providers)
 
-    sample = (_stacked_sampler(providers)
-              if n_osc >= _STACK_MIN_OSCILLATORS else None)
-    if sample is None:
-        def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
-            n = y[:n_osc]
-            v = y[n_osc:]
-            out = np.empty_like(y)
-            out[:n_osc] = v
-            coupling = laplacian @ n
-            for i, provider in enumerate(providers):
-                s = provider(t)
-                out[n_osc + i] = (2.0 * s.ddiffusion_dt * drive
-                                  - 2.0 * s.friction * v[i]
-                                  - 2.0 * s.dfriction_dt * n[i] - coupling[i])
-            return out
-    else:
-        # The loop's arithmetic, element by element in the same order, on
-        # the vector state only: tabulated providers declare no period.
-        def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
-            n = y[:n_osc]
-            v = y[n_osc:]
-            lam2, dlam2, ddif2 = 2.0 * sample(t)
-            out = np.empty_like(y)
-            out[:n_osc] = v
-            out[n_osc:] = (ddif2 * drive - lam2 * v - dlam2 * n
-                           - laplacian @ n)
-            return out
+    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
+        n = y[:n_osc]
+        v = y[n_osc:]
+        out = np.empty_like(y)
+        out[:n_osc] = v
+        dv = out[n_osc:]
+        coupling = laplacian @ n
+        for rows, provider in bank:
+            s = provider(t)
+            # Doubling is exact: 2 (a - b) is 2a - 2b bit for bit.
+            dv[rows] = 2.0 * (s.ddiffusion_dt * drive - s.friction * v[rows]
+                              - s.dfriction_dt * n[rows]) - coupling[rows]
+        return out
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
@@ -525,6 +482,14 @@ def integrate_coupled(config: SimulationConfig,
     v = out[:, n_osc:].T
     diagnostics["consistency_residuals"] = tuple(
         np.abs(v[:, 0] + 2.0 * lam[:, 0] * n[:, 0] - 2.0 * dif[:, 0]).tolist())
-    diagnostics["invariant_drift"] = _invariant_drift(n, v, lam, dif)
+    # One oscillator at a time: whole (N, samples) temporaries raised the
+    # peak RSS of a fig4 sweep by 0.5 MB.
+    invariant = np.zeros(grid.size)
+    scale = np.zeros(grid.size)
+    for n_i, v_i, lam_i, dif_i in zip(n, v, lam, dif):
+        invariant += v_i + 2.0 * lam_i * n_i - 2.0 * dif_i
+        scale += np.abs(v_i) + 2.0 * np.abs(lam_i * n_i) + 2.0 * np.abs(dif_i)
+    diagnostics["invariant_drift"] = float(
+        np.abs(invariant - invariant[0]).max() / max(scale.max(), 1e-300))
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
                       diagnostics=diagnostics)

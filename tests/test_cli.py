@@ -217,6 +217,14 @@ t_end = 30
         err = capsys.readouterr().err
         assert f"coefficient csv {tmp_path / 'tab_coeffs.csv'}: not UTF-8" in err
 
+    def test_repeated_table_time_exits_1_naming_the_table(self, tmp_path, capsys):
+        scn = write_tabulated_scenario(
+            tmp_path, b"t,lambda,D\n0,0,0\n1,1,1\n1,2,2\n3,3,3\n")
+        assert main(["simulate", str(scn), str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert (f"coefficient csv {tmp_path / 'tab_coeffs.csv'}: "
+                "coefficient table grid not strictly increasing") in err
+
     def test_summary_reports_the_periodic_tail(self, tmp_path, capsys):
         scn = tmp_path / "fig2.scn"
         scn.write_text(demo_fig2_scenario())

@@ -6,16 +6,17 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from oscibath.coefficients import (
+    _STACK_MIN_TABLES,
     ConstantProvider,
     OutOfRange,
     PhenomenologicalProvider,
     TabulatedProvider,
-    _stacked_sampler,
+    _provider_bank,
     check_derivatives,
     make_provider,
     read_coefficient_csv,
 )
-from oscibath.model import InvalidConfig, ProviderConfig
+from oscibath.model import CoefficientSample, InvalidConfig, ProviderConfig
 
 STANDARD = PhenomenologicalProvider(
     mean_lambda=0.1, amp_lambda=0.05, mean_D=0.05, amp_D=0.04,
@@ -319,28 +320,34 @@ def tables_on_one_grid(n: int = 9) -> list[TabulatedProvider]:
     return [random_table(rng, grid.size, grid) for _ in range(n)]
 
 
+def stack_of(tables: list[TabulatedProvider]):
+    [(rows, stack)] = _provider_bank(tables)
+    assert rows == slice(None)
+    return stack
+
+
 class TestStackedSampler:
     """Tables on one grid sampled together give each table's scalar call."""
 
     def test_every_sample_is_the_scalar_call_bit_for_bit(self):
         tables = tables_on_one_grid()
-        sample = _stacked_sampler(tables)
+        sample = stack_of(tables)
         knots, lo, hi, slack, _ = tables[0]._kernel
         times = (np.random.default_rng(11).uniform(lo, hi, 2000).tolist()
                  + knots + [lo - slack / 2, hi + slack / 2])
         assert lo in times and hi in times
         for t in times:
             got = sample(t)
-            scalar = [table(t) for table in tables]
-            want = np.array([[s.friction for s in scalar],
-                             [s.dfriction_dt for s in scalar],
-                             [s.ddiffusion_dt for s in scalar]])
-            assert got.shape == (3, len(tables))
+            assert isinstance(got, CoefficientSample)
+            # Rows friction, diffusion, dfriction_dt, ddiffusion_dt.
+            got = np.array(got)
+            want = np.array([table(t) for table in tables]).T
+            assert got.shape == (4, len(tables))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_one_ulp_past_the_slack_raises_the_scalar_message(self):
         tables = tables_on_one_grid()
-        sample = _stacked_sampler(tables)
+        sample = stack_of(tables)
         _, lo, hi, slack, _ = tables[0]._kernel
         for t in (float(np.nextafter(lo - slack, -np.inf)),
                   float(np.nextafter(hi + slack, np.inf))):
@@ -350,7 +357,7 @@ class TestStackedSampler:
                 sample(t)
 
     def test_providers_that_do_not_stack(self):
-        tables = tables_on_one_grid(3)
+        tables = tables_on_one_grid(_STACK_MIN_TABLES)
         other_grid = random_table(np.random.default_rng(1), tables[0].grid.size,
                                   tables[0].grid + 0.5)
 
@@ -360,9 +367,10 @@ class TestStackedSampler:
         subclass = Subclass(grid=tables[0].grid,
                             lambda_values=tables[0].lambda_values,
                             D_values=tables[0].D_values)
-        for providers in ([], [*tables, other_grid], [*tables, STANDARD],
-                          [*tables, subclass], [lambda t: tables[0](t)]):
-            assert _stacked_sampler(providers) is None
+        for providers in ([], tables[1:], [*tables, other_grid],
+                          [*tables, STANDARD], [*tables, subclass],
+                          [lambda t: tables[0](t)]):
+            assert _provider_bank(providers) == list(enumerate(providers))
 
 
 class TestCheckDerivatives:
@@ -450,6 +458,18 @@ class TestCsvIngestion:
         path = tmp_path / "coeffs.csv"
         path.write_text("t,lambda,D\n0,0,0\n1,1,1\n1,2,2\n3,3,3\n")
         with pytest.raises(InvalidConfig, match="strictly increasing"):
+            read_coefficient_csv(path)
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,0,0\n1,1,1\n1,2,2\n3,3,3\n",
+         "coefficient table grid not strictly increasing"),
+        ("0,0,0\n1,1,1\n2,nan,2\n3,3,3\n", "coefficient table not finite"),
+    ], ids=["repeated-t", "nan"])
+    def test_table_errors_name_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("t,lambda,D\n" + rows)
+        with pytest.raises(InvalidConfig, match=re.escape(
+                f"coefficient csv {path}: {message}")):
             read_coefficient_csv(path)
 
 

@@ -11,6 +11,7 @@ import pytest
 import oscibath
 
 from oscibath.coefficients import (
+    _STACK_MIN_TABLES,
     ConstantProvider,
     OutOfRange,
     make_provider,
@@ -19,7 +20,6 @@ from oscibath.coefficients import (
 )
 from oscibath.csvio import read_timeseries_csv, write_timeseries_csv
 from oscibath.integrator import (
-    _STACK_MIN_OSCILLATORS,
     IntegratorError,
     PositivityViolation,
     StepSizeUnderflow,
@@ -407,6 +407,12 @@ class Recorder:
         return self.provider(t)
 
 
+class NanStart(PhenomenologicalProvider):
+    """Declares a period whose start is not a number."""
+
+    periodic_from = math.nan
+
+
 def declaring_nothing(provider):
     """The provider's call alone: no breakpoints and no period, so the solve
     steps all the way and ends no step on a knot."""
@@ -637,14 +643,14 @@ class TestStackedTables:
     def test_tables_declare_no_period(self):
         # The stacked RHS handles the vector state only; the periodic tail's
         # matrix state would need every provider to declare a period.
-        _, providers = tabulated_chain(_STACK_MIN_OSCILLATORS, knot_dt=0.1)
+        _, providers = tabulated_chain(_STACK_MIN_TABLES, knot_dt=0.1)
         for name in ("osc_freq", "periodic_from"):
             assert not any(hasattr(p, name) for p in providers)
 
     @pytest.mark.parametrize("case", [
         "other-grid", "phenomenological", "subclass", "below-gate"])
     def test_other_runs_call_each_provider(self, case, scalar_table_calls):
-        n = _STACK_MIN_OSCILLATORS - 1 if case == "below-gate" else 8
+        n = _STACK_MIN_TABLES - 1 if case == "below-gate" else 8
         config, providers = tabulated_chain(n, knot_dt=0.1)
         table = providers[3]
         providers[3] = {
@@ -721,7 +727,8 @@ class TestPeriodicTail:
         (STANDARD, 12.0, 0.01),
         # 36,941 samples after t_p of a 4 x 5 matrix state: over 2**19.
         (STANDARD, 40.0, 0.001),
-    ], ids=["incommensurate", "tabulated", "short", "oversized"])
+        (NanStart(**dataclasses.asdict(STANDARD)), 40.0, 0.01),
+    ], ids=["incommensurate", "tabulated", "short", "oversized", "nan-start"])
     def test_runs_without_a_usable_period_step_as_before(self, second, t_end,
                                                          output_dt):
         config = coupled_config(OscillatorSpec(1.0),
