@@ -204,7 +204,8 @@ def cmd_simulate(scenario_path: str, output_path: str) -> int:
     return EXIT_OK
 
 
-def _parse_window(raw: str) -> tuple[float, float]:
+def _parse_window(raw: str, t: np.ndarray) -> tuple[float, float]:
+    """The window analysed: --window t_a:t_b clipped to the times t."""
     try:
         lo, hi = raw.split(":")
         window = (float(lo), float(hi))
@@ -212,6 +213,11 @@ def _parse_window(raw: str) -> tuple[float, float]:
         raise InvalidConfig(f"--window must be t_a:t_b, got {raw!r}") from None
     if not window[0] < window[1]:
         raise InvalidConfig("--window start must precede end")
+    first, last = float(t[0]), float(t[-1])
+    window = (max(window[0], first), min(window[1], last))
+    if not window[0] < window[1]:
+        raise InvalidConfig(f"--window {raw} lies outside the data's times "
+                            f"{first:.6g}:{last:.6g}")
     return window
 
 
@@ -237,7 +243,8 @@ def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
                                 f"oscillators, the csv has "
                                 f"{series.n_oscillators}")
     pair = _parse_pair(sync, series.n_oscillators) if sync else None
-    win = _parse_window(window) if window else _default_window(series.t)
+    win = (_parse_window(window, series.t) if window
+           else _default_window(series.t))
 
     if not (do_period or do_envelope or pair):
         do_period = True

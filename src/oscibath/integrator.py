@@ -30,7 +30,11 @@ Floquet multipliers.
 The coupled RHS is one closure over the run's provider bank
 (coefficients._provider_bank): (rows, provider) pairs whose calls fill the
 entries ``rows`` of its vectors, one pair per oscillator, or one pair for
-all when the tables of a run share one knot grid.
+all when the tables of a run share one knot grid.  On the tail's matrix
+state it is one matrix product, [A(t) | b(t)] @ [Y; drive], over a
+preallocated [A | b] whose time-dependent entries each call rewrites; on
+the vector state of every stepping run it keeps its elementwise form, whose
+rounding stepped results depend on to the last bit.
 """
 
 from __future__ import annotations
@@ -181,6 +185,7 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     out = np.empty((grid.size, dim))
     out[0] = y
     next_idx = 1
+    times = grid.tolist()
 
     # Stage 1 (k[0]) is the slope at (t, y).  An attempt writes only
     # k[1:], so a rejected attempt leaves k[0] for the retry; an accepted
@@ -231,10 +236,8 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
         if err <= 1.0:
             # Fill output samples covered by this step from the quartic
             # interpolant.
-            hi = next_idx
-            limit = t_new + 4.0 * _EPS * max(abs(t_new), 1.0)
-            while hi < grid.size and grid[hi] <= limit:
-                hi += 1
+            hi = bisect.bisect_right(
+                times, t_new + 4.0 * _EPS * max(abs(t_new), 1.0), next_idx)
             if hi > next_idx:
                 theta = ((grid[next_idx:hi] - t) / h).clip(0.0, 1.0)
                 out[next_idx:hi] = y + h * ((theta[:, None] ** _POWERS)
@@ -449,7 +452,11 @@ def integrate_coupled(config: SimulationConfig,
     The RHS samples the providers through their bank: one call per
     oscillator, or one call for all of them when they are at least five
     tables on one knot grid (coefficients._provider_bank).  Both give the
-    same values bit for bit.
+    same values bit for bit.  On the periodic tail's dim x (dim + 1) matrix
+    state it is one product with [A(t) | b(t)] instead, at less than half
+    the cost per call; the vector state keeps the elementwise formula,
+    since the product rounds differently and would move stepped runs in
+    their last bits.
     """
     n_osc = config.n_oscillators
     if len(providers) != n_osc:
@@ -457,11 +464,32 @@ def integrate_coupled(config: SimulationConfig,
 
     laplacian = config.coupling.laplacian
     providers = list(providers)
-    # A stack's N-vectors meet only the vector state: tables declare no
-    # period, so their runs never take the periodic tail.
     bank = _provider_bank(providers)
 
+    # The tail's matrix state Y = [Phi | psi] with its drive row appended:
+    # Y' = [A(t) | b(t)] @ [Y; drive].  The constant blocks I and -L of A
+    # are set once; each call writes the three time-dependent entries of
+    # row n_osc + i, one provider call per oscillator i.  A stack's
+    # N-vectors meet only the vector state: tables declare no period, so
+    # their runs never take the tail.
+    dim = 2 * n_osc
+    ab = np.zeros((dim, dim + 1))
+    ab[:n_osc, n_osc:dim] = np.eye(n_osc)
+    ab[n_osc:, :n_osc] = -laplacian
+    augmented = np.empty((dim + 1, dim + 1))
+    entries = [(i, n_osc + i, -float(laplacian[i, i]), provider)
+               for i, provider in enumerate(providers)]
+
     def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
+        if y.ndim == 2:
+            for i, row, minus_lii, provider in entries:
+                s = provider(t)
+                ab[row, i] = minus_lii - 2.0 * s.dfriction_dt
+                ab[row, row] = -2.0 * s.friction
+                ab[row, dim] = 2.0 * s.ddiffusion_dt
+            augmented[:dim] = y
+            augmented[dim] = drive
+            return ab @ augmented
         n = y[:n_osc]
         v = y[n_osc:]
         out = np.empty_like(y)

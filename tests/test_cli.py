@@ -339,6 +339,22 @@ class TestAnalyze:
                      "--period", "--window", "30:50"]) == 0
         assert "window = 30:50" in capsys.readouterr().out
 
+    def test_window_past_the_data_prints_the_window_analysed(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 0.01 * np.arange(8001))
+        assert main(["analyze", str(path), "--period",
+                     "--window", "70:90"]) == 0
+        assert capsys.readouterr().out.startswith("window = 70:80\n")
+
+    def test_window_outside_the_data_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 0.01 * np.arange(8001))
+        assert main(["analyze", str(path), "--period",
+                     "--window", "80:90"]) == 1
+        assert "--window 80:90 lies outside the data's times 0:80" in (
+            capsys.readouterr().err)
+
     def test_sync_with_scenario_names_nearest_frequency(self, fig4_demo_dir,
                                                         capsys):
         stem = "fig4_beta0.05"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oscibath.csvio import (CSV_VERSION_LINE, CsvSchemaError, read_timeseries_csv,
-                            write_timeseries_csv)
+from oscibath.csvio import (_BLOCK_ROWS, CSV_VERSION_LINE, CsvSchemaError,
+                            read_timeseries_csv, write_timeseries_csv)
 from oscibath.model import TimeSeries
 
 # Signed zero, the smallest subnormal, a huge value, and two values whose
@@ -10,11 +10,12 @@ from oscibath.model import TimeSeries
 AWKWARD = np.array([-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0])
 
 
-def awkward_series(n_osc: int = 3, samples: int = 7) -> TimeSeries:
-    """Every channel cycles through AWKWARD with alternating sign."""
+def awkward_series(n_osc: int = 3, samples: int = 7,
+                   values: np.ndarray = AWKWARD) -> TimeSeries:
+    """Every channel cycles through values with alternating sign."""
     index = np.arange(4 * n_osc * samples).reshape(4, n_osc, samples)
     sign = np.where(index % 2 == 0, 1.0, -1.0)
-    channels = sign * AWKWARD[index % AWKWARD.size]
+    channels = sign * values[index % values.size]
     return TimeSeries(t=0.01 * np.arange(samples), n=channels[0], v=channels[1],
                       friction=channels[2], diffusion=channels[3])
 
@@ -34,6 +35,24 @@ class TestWriter:
                         (series.n, series.v, series.friction, series.diffusion)]
             lines.append(",".join(row))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                      _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS])
+    def test_bytes_match_savetxt_across_blocks(self, tmp_path, rows):
+        # The row counts straddle the writer's block boundaries.
+        series = awkward_series(n_osc=2, samples=rows,
+                                values=np.append(AWKWARD, 1e-300))
+        path, expected = tmp_path / "blocks.csv", tmp_path / "savetxt.csv"
+        write_timeseries_csv(series, path)
+
+        table = np.empty((rows, 9))
+        table[:, 0] = series.t
+        for j, name in enumerate(("n", "v", "friction", "diffusion"), start=1):
+            table[:, j::4] = getattr(series, name).T
+        np.savetxt(expected, table, fmt="%.17g", delimiter=",",
+                   header=CSV_VERSION_LINE + "\nt,n1,v1,lambda1,D1,n2,v2,"
+                   "lambda2,D2", comments="")
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_values_read_back_bit_for_bit(self, tmp_path):
         series = awkward_series()
