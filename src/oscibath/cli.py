@@ -228,6 +228,8 @@ def _parse_pair(raw: str, n_osc: int) -> tuple[int, int]:
         raise InvalidConfig(f"--sync must be a,b, got {raw!r}") from None
     if not (1 <= a <= n_osc and 1 <= b <= n_osc):
         raise InvalidConfig(f"--sync channel out of range 1..{n_osc}")
+    if a == b:
+        raise InvalidConfig(f"--sync {raw} pairs channel {a} with itself")
     return a, b
 
 
@@ -289,8 +291,10 @@ def cmd_sweep(scenario_path: str, output_dir: str, *, param: str,
     tasks = [(sections, param, token, str(out_dir / f"sweep_{i:03d}.csv"))
              for i, token in enumerate(tokens)]
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork pool starts all of its workers at the first submit.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(task) for task in tasks]

@@ -9,7 +9,8 @@ format: the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")`` with the
 same header, in about three quarters of its time.  The reader returns the
 ``TimeSeries`` the writer was given, without its ``diagnostics``; the time
 column must therefore pass the ``TimeSeries`` grid rule (strictly
-increasing, uniform spacing), as every estimator assumes.
+increasing, uniform spacing), as every estimator assumes, and every other
+column must be finite, as a run's output is.
 """
 
 from __future__ import annotations
@@ -92,7 +93,12 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
     if data.shape[1] != len(names):
         raise CsvSchemaError(f"{where}: csv row width does not match header")
     try:
-        return TimeSeries(t=data[:, 0], n=data[:, 1::4].T, v=data[:, 2::4].T,
-                          friction=data[:, 3::4].T, diffusion=data[:, 4::4].T)
+        series = TimeSeries(t=data[:, 0], n=data[:, 1::4].T, v=data[:, 2::4].T,
+                            friction=data[:, 3::4].T, diffusion=data[:, 4::4].T)
     except ValueError as exc:
         raise CsvSchemaError(f"{where}: csv time column: {exc}") from None
+    finite = np.isfinite(data[:, 1:]).all(axis=0)
+    if not finite.all():
+        raise CsvSchemaError(f"{where}: csv column {names[1 + finite.argmin()]}"
+                             " holds a non-finite value")
+    return series

@@ -18,14 +18,16 @@ than the steps, no step straddles a change of polynomial piece; where they
 are denser, steps cross the pieces instead of shrinking to their spacing.
 
 Each formulation supplies one linear right-hand side rhs(t, y, drive) =
-A(t) y + b(t) drive.  A run whose providers all declare ``osc_freq`` and
-``periodic_from`` is periodic with a common period T from some time t_p on
-(Floquet): the flow over one period is then a fixed affine map
-y -> M y + c.  When enough periods follow t_p and the sampled matrix state
-stays small (see _common_period), such a run, of either formulation, steps
-only [0, t_p] and one period of the affine matrix state, and maps every
-later sample from that period; the moduli of the eigenvalues of M are its
-Floquet multipliers.
+A(t) y + b(t) drive, and every run, of either formulation, takes one solve
+(_solve): it steps [0, t_p].  A run whose providers all declare
+``osc_freq`` and ``periodic_from`` is periodic with a common period T from
+some time t_p on (Floquet): the flow over one period is then a fixed affine
+map y -> M y + c.  When enough periods follow t_p and the sampled matrix
+state stays small (see _common_period), the solve then steps one period of
+the affine matrix state and maps every later sample from that period; the
+moduli of the eigenvalues of M are its Floquet multipliers.  Any other run
+has t_p = t_end, the last output time, and no tail: stepping [0, t_p] is
+the whole run.
 
 The coupled RHS is one closure over the run's provider bank
 (coefficients._provider_bank): (rows, provider) pairs whose calls fill the
@@ -33,8 +35,8 @@ entries ``rows`` of its vectors, one pair per oscillator, or one pair for
 all when the tables of a run share one knot grid.  On the tail's matrix
 state it is one matrix product, [A(t) | b(t)] @ [Y; drive], over a
 preallocated [A | b] whose time-dependent entries each call rewrites; on
-the vector state of every stepping run it keeps its elementwise form, whose
-rounding stepped results depend on to the last bit.
+the vector state, which every run steps, it keeps its elementwise form,
+whose rounding stepped results depend on to the last bit.
 """
 
 from __future__ import annotations
@@ -266,24 +268,17 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     return out, stats
 
 
-def _output_grid(config: SimulationConfig) -> np.ndarray:
-    # output_dt <= t_end, so the grid has at least two times.
-    m = int(math.floor(config.t_end / config.output_dt + 1e-9))
-    return np.arange(m + 1) * config.output_dt
-
-
-def _common_period(providers: Sequence[CoefficientProvider],
-                   config: SimulationConfig,
+def _common_period(providers: Sequence[CoefficientProvider], grid: np.ndarray,
                    dim: int) -> tuple[float, float] | None:
     """(t_p, T): the providers' coefficients repeat with period T from t_p on.
 
     None unless every provider declares ``osc_freq`` and a finite
-    ``periodic_from``, t_end >= t_p + _TAIL_MIN_PERIODS * T and the tail's
-    sampled matrix state, one dim x (dim + 1) matrix per output time after
-    t_p, holds at most _TAIL_MAX_DOUBLES values.  T is 2*pi over the exact
-    gcd of the frequencies' binary values: incommensurate ones give a T far
-    beyond any t_end.  t_p is at least the first output time after 0, so
-    that [0, t_p] is a grid.
+    ``periodic_from``, the output grid reaches t_p + _TAIL_MIN_PERIODS * T
+    and the tail's sampled matrix state, one dim x (dim + 1) matrix per
+    output time after t_p, holds at most _TAIL_MAX_DOUBLES values.  T is
+    2*pi over the exact gcd of the frequencies' binary values:
+    incommensurate ones give a T far beyond any t_end.  t_p is at least
+    grid[1], so that [0, t_p] is a grid.
     """
     freqs = [getattr(p, "osc_freq", None) for p in providers]
     starts = [getattr(p, "periodic_from", None) for p in providers]
@@ -295,7 +290,6 @@ def _common_period(providers: Sequence[CoefficientProvider],
     gcd = Fraction(math.gcd(*(q.numerator * (den // q.denominator)
                               for q in fractions)), den)
     period = 2.0 * math.pi / float(gcd)
-    grid = _output_grid(config)
     t_p = max(float(grid[1]), *map(float, starts))
     if grid[-1] < t_p + _TAIL_MIN_PERIODS * period:
         return None
@@ -305,85 +299,73 @@ def _common_period(providers: Sequence[CoefficientProvider],
     return t_p, period
 
 
-def _periodic_solve(rhs: DrivenRHS, y0: np.ndarray, grid: np.ndarray,
-                    rtol: float, atol: float,
-                    providers: Sequence[CoefficientProvider],
-                    t_p: float, period: float) -> tuple[np.ndarray, dict]:
-    """Step [0, t_p], then map every later output sample from one period.
-
-    The only code that knows the affine matrix state [Phi | psi]: it calls
-    rhs with that state as a dim x (dim + 1) matrix and drive the unit row
-    e_{dim+1}, so that only psi is driven.  The state, from [I | 0] at t_p,
-    is integrated over [t_p, t_p + period] and sampled at the sorted phases
-    tau of the later output times (one sample per later output time, unless
-    output_dt divides the period); its end value is [M | c].  The sample k
-    whole periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
-    y_0 = y(t_p) and y_{k+1} = M y_k + c.  The period's error is compounded
-    once per period, so its solve runs at a tenth of the tolerances.  The
-    step statistics are sums over both solves.
-    """
-    dim = y0.size
-    later = int(np.searchsorted(grid, t_p))
-    head, head_stats = _rk45_solve(lambda t, y: rhs(t, y, 1.0), y0,
-                                   np.append(grid[:later], t_p),
-                                   rtol, atol, providers)
-    whole, tau = np.divmod(grid[later:] - t_p, period)
-    phases, phase_of = np.unique(np.concatenate([[0.0], tau, [period]]),
-                                 return_inverse=True)
-    drive = np.eye(dim + 1)[dim]
-    maps, tail_stats = _rk45_solve(
-        lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
-        np.eye(dim, dim + 1).ravel(), t_p + phases, rtol / 10, atol / 10,
-        providers)
-    maps = maps.reshape(-1, dim, dim + 1)
-
-    out = np.empty((grid.size, dim))
-    out[:later] = head[:-1]
-    y = np.append(head[-1], 1.0)
-    phase_of = phase_of[1:-1]
-    periods = int(whole[-1])
-    bounds = np.searchsorted(whole, np.arange(periods + 2))
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        # One period's gather at a time: a copy of all of them would hold
-        # the whole sampled matrix state again.
-        out[later + a:later + b] = maps[phase_of[a:b]] @ y
-        y = np.append(maps[-1] @ y, 1.0)
-
-    stats = {key: head_stats[key] + tail_stats[key] for key in
-             ("steps_accepted", "steps_rejected", "rhs_evaluations")}
-    stats["h_min"] = min(head_stats["h_min"], tail_stats["h_min"])
-    stats["h_max"] = max(head_stats["h_max"], tail_stats["h_max"])
-    stats["rejection_ratio"] = stats["steps_rejected"] / (
-        stats["steps_accepted"] + stats["steps_rejected"])
-    stats["periods_propagated"] = periods
-    multipliers = np.abs(np.linalg.eigvals(maps[-1][:, :dim]))
-    stats["floquet_multipliers"] = tuple(sorted(multipliers.tolist(),
-                                                reverse=True))
-    return out, stats
-
-
 def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
            rhs: DrivenRHS, y0: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """Integrate y' = rhs(t, y, 1.0) from y0 over the config's output grid.
 
-    Takes the periodic tail when _common_period finds a usable period, and
-    steps all the way otherwise.  Returns the grid, the samples (one row per
-    output time), the providers' friction and diffusion on the grid (one row
-    per provider) and the diagnostics: the step statistics,
-    ``periods_propagated`` (0 when every sample was stepped to), the tail's
-    ``floquet_multipliers`` and the ``negative_excursions`` of n, the first
-    len(providers) components of the state.
+    Every run steps [0, t_p].  Without a usable period (_common_period),
+    t_p is the grid's last time and that step is the whole run.  Otherwise
+    the run maps every later output sample from one period of the affine
+    matrix state [Phi | psi], the only code that knows it: rhs is called
+    with that state as a dim x (dim + 1) matrix and drive the unit row
+    e_{dim+1}, so that only psi is driven.  The state, from [I | 0] at t_p,
+    is integrated over [t_p, t_p + T] and sampled at the sorted phases tau
+    of the later output times (one sample per later output time, unless
+    output_dt divides T); its end value is [M | c].  The sample k whole
+    periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
+    y_0 = y(t_p) and y_{k+1} = M y_k + c.  The period's error is compounded
+    once per period, so its solve runs at a tenth of the tolerances.
+
+    Returns the grid, the samples (one row per output time), the providers'
+    friction and diffusion on the grid (one row per provider) and the
+    diagnostics: the step statistics (sums over both solves of a periodic
+    run), ``periods_propagated`` (0 when every sample was stepped to), the
+    tail's ``floquet_multipliers`` (the moduli of the eigenvalues of M) and
+    the ``negative_excursions`` of n, the first len(providers) components
+    of the state.
     """
-    grid = _output_grid(config)
-    tail = _common_period(providers, config, y0.size)
-    if tail is None:
-        out, stats = _rk45_solve(lambda t, y: rhs(t, y, 1.0), y0, grid,
-                                 config.rtol, config.atol, providers)
-        stats["periods_propagated"] = 0
-    else:
-        out, stats = _periodic_solve(rhs, y0, grid, config.rtol, config.atol,
-                                     providers, *tail)
+    # output_dt <= t_end, so the grid has at least two times.
+    m = int(math.floor(config.t_end / config.output_dt + 1e-9))
+    grid = np.arange(m + 1) * config.output_dt
+    dim = y0.size
+    t_p, period = (_common_period(providers, grid, dim)
+                   or (float(grid[-1]), 0.0))
+    later = int(np.searchsorted(grid, t_p))
+    out, stats = _rk45_solve(lambda t, y: rhs(t, y, 1.0), y0,
+                             np.append(grid[:later], t_p),
+                             config.rtol, config.atol, providers)
+    stats["periods_propagated"] = 0
+    if period:
+        whole, tau = np.divmod(grid[later:] - t_p, period)
+        phases, phase_of = np.unique(np.concatenate([[0.0], tau, [period]]),
+                                     return_inverse=True)
+        drive = np.eye(dim + 1)[dim]
+        maps, tail_stats = _rk45_solve(
+            lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
+            np.eye(dim, dim + 1).ravel(), t_p + phases,
+            config.rtol / 10, config.atol / 10, providers)
+        maps = maps.reshape(-1, dim, dim + 1)
+        head, out = out, np.empty((grid.size, dim))
+        out[:later] = head[:-1]
+        y = np.append(head[-1], 1.0)
+        phase_of = phase_of[1:-1]
+        stats["periods_propagated"] = periods = int(whole[-1])
+        bounds = np.searchsorted(whole, np.arange(periods + 2))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            # One period's gather at a time: a copy of all of them would
+            # hold the whole sampled matrix state again.
+            out[later + a:later + b] = maps[phase_of[a:b]] @ y
+            y = np.append(maps[-1] @ y, 1.0)
+        for key in ("steps_accepted", "steps_rejected", "rhs_evaluations"):
+            stats[key] += tail_stats[key]
+        stats["h_min"] = min(stats["h_min"], tail_stats["h_min"])
+        stats["h_max"] = max(stats["h_max"], tail_stats["h_max"])
+        stats["rejection_ratio"] = stats["steps_rejected"] / (
+            stats["steps_accepted"] + stats["steps_rejected"])
+        stats["floquet_multipliers"] = tuple(sorted(
+            np.abs(np.linalg.eigvals(maps[-1][:, :dim])).tolist(),
+            reverse=True))
     n = out[:, :len(providers)]
     stats["negative_excursions"] = {"count": int((n < 0).sum()),
                                     "most_negative": float(min(0.0, n.min()))}
@@ -508,15 +490,19 @@ def integrate_coupled(config: SimulationConfig,
     grid, out, lam, dif, diagnostics = _solve(config, providers, rhs, y0)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
-    diagnostics["consistency_residuals"] = tuple(
-        np.abs(v[:, 0] + 2.0 * lam[:, 0] * n[:, 0] - 2.0 * dif[:, 0]).tolist())
-    # One oscillator at a time: whole (N, samples) temporaries raised the
-    # peak RSS of a fig4 sweep by 0.5 MB.
+    # w_i = v_i + 2 lam_i n_i - 2 D_i: its first sample is oscillator i's
+    # consistency residual, its sum over i the invariant.  One oscillator
+    # at a time: whole (N, samples) temporaries raised the peak RSS of a
+    # fig4 sweep by 0.5 MB.
+    residuals = []
     invariant = np.zeros(grid.size)
     scale = np.zeros(grid.size)
     for n_i, v_i, lam_i, dif_i in zip(n, v, lam, dif):
-        invariant += v_i + 2.0 * lam_i * n_i - 2.0 * dif_i
+        w = v_i + 2.0 * lam_i * n_i - 2.0 * dif_i
+        residuals.append(abs(float(w[0])))
+        invariant += w
         scale += np.abs(v_i) + 2.0 * np.abs(lam_i * n_i) + 2.0 * np.abs(dif_i)
+    diagnostics["consistency_residuals"] = tuple(residuals)
     diagnostics["invariant_drift"] = float(
         np.abs(invariant - invariant[0]).max() / max(scale.max(), 1e-300))
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,

@@ -316,6 +316,23 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--period"]) == 1
         assert "csv time column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [("n1", "nan"), ("v2", "inf"),
+                                               ("D1", "-inf")])
+    def test_non_finite_channel_value_exits_1(self, fig4_demo_dir, tmp_path,
+                                              capsys, column, value):
+        lines = (fig4_demo_dir / "fig4_beta0.5.csv").read_text().splitlines()
+        j = lines[1].split(",").index(column)
+        row = lines[3000].split(",")
+        row[j] = value
+        lines[3000] = ",".join(row)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(path), "--period", "--envelope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"oscibath: csv {path}: csv column {column} "
+                                "holds a non-finite value\n")
+
     def test_stretched_spacing_exits_1(self, tmp_path, capsys):
         t = 0.01 * np.arange(6001)
         t[4501:] += 0.001
@@ -382,6 +399,14 @@ class TestAnalyze:
                      "--sync", "1,2"]) == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_sync_pair_of_one_channel_exits_1(self, fig4_demo_dir, capsys):
+        assert main(["analyze", str(fig4_demo_dir / "fig4_beta0.05.csv"),
+                     "--sync", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("oscibath: --sync 1,1 pairs channel 1 with "
+                                "itself\n")
+
     def test_scenario_supplies_atol(self, tmp_path, capsys):
         # Residual std 7e-10 is below the stationarity threshold 100 * atol
         # of a run with atol = 1e-9, but above the one for atol = 1e-12.
@@ -438,6 +463,43 @@ class TestSweep:
             rows = list(csv.DictReader(handle))
         assert [row["status"] for row in rows[::2]] == ["ok", "ok"]
         assert rows[1]["status"].startswith("failed: ")
+
+    @pytest.mark.parametrize("jobs, values, pools", [
+        ("64", "1e-6,1e-8,1e-9", [3]),
+        ("2", "1e-6,1e-8,1e-9", [2]),
+        ("64", "1e-6", []),
+    ])
+    def test_pool_has_at_most_one_worker_per_value(self, tmp_path, capsys,
+                                                   monkeypatch, jobs, values,
+                                                   pools):
+        # A stand-in pool that records its size and maps in-process: a fork
+        # pool would start all of its workers at the first submit.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(oscibath.cli, "ProcessPoolExecutor", RecordingPool)
+        scn = tmp_path / "const.scn"
+        scn.write_text(CONSTANT_SCN)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scn), str(out_dir),
+                     "--param", "integration.rtol",
+                     "--values", values, "--jobs", jobs]) == 0
+        assert sizes == pools
+        rows = (out_dir / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(values.split(","))
+        assert all(",ok," in row for row in rows)
 
     def test_rtol_sweep_periods_agree(self, tmp_path, capsys):
         scn = tmp_path / "fig2.scn"

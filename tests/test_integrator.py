@@ -790,6 +790,29 @@ class TestPeriodicTail:
         for name in ("n", "v"):
             assert np.array_equal(getattr(series, name), getattr(bare, name))
 
+    def test_stepping_run_returns_the_solve_array(self, monkeypatch):
+        # Without a usable period the step over [0, t_p] is the whole run,
+        # and _solve returns its samples as they are, not a copy.
+        module = oscibath.integrator
+        stepped, solved = [], []
+
+        def recording(inner, into, samples):
+            def call(*args):
+                result = inner(*args)
+                into.append(result[samples])
+                return result
+            return call
+
+        monkeypatch.setattr(module, "_rk45_solve",
+                            recording(module._rk45_solve, stepped, 0))
+        monkeypatch.setattr(module, "_solve", recording(module._solve, solved, 1))
+        config = coupled_config(OscillatorSpec(1.0),
+                                OscillatorSpec(1.5, n0=0.3), 0.4, 12.0)
+        series = integrate_coupled(config, [STANDARD, STANDARD])
+        assert series.diagnostics["periods_propagated"] == 0
+        assert len(stepped) == len(solved) == 1
+        assert solved[0] is stepped[0]
+
     def test_tail_needs_four_periods_after_t_p(self):
         config, providers = scenario_run(demo_fig4_scenario("0.5"))
         t_p = providers[0].periodic_from
