@@ -167,12 +167,12 @@ def _hilbert(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum)
 
 
-def _parabolic_offset(ym: float, y0: float, yp: float) -> float:
+def _parabolic_offset(ym, y0, yp):
+    """Elementwise vertex offset of the parabola through three samples."""
     denom = ym - 2.0 * y0 + yp
-    if denom == 0.0:
-        return 0.0
-    delta = 0.5 * (ym - yp) / denom
-    return float(np.clip(delta, -0.5, 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(denom == 0.0, 0.0, 0.5 * (ym - yp) / denom)
+    return np.clip(delta, -0.5, 0.5)
 
 
 def _acf_period(xc: np.ndarray, dt: float) -> float:
@@ -193,7 +193,7 @@ def _acf_period(xc: np.ndarray, dt: float) -> float:
     k = start + int(np.argmax(acf[start:maxlag]))
     k = min(max(k, 1), m - 2)
     delta = _parabolic_offset(acf[k - 1], acf[k], acf[k + 1])
-    return (k + delta) * dt
+    return float((k + delta) * dt)
 
 
 def _spectral_period(xc: np.ndarray, dt: float, span: float) -> float:
@@ -218,14 +218,10 @@ def _spectral_period(xc: np.ndarray, dt: float, span: float) -> float:
 
 def _local_maxima(t: np.ndarray, x: np.ndarray):
     """3-point local maxima with quadratic sub-sample refinement."""
-    interior = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
-    times = np.empty(interior.size)
-    values = np.empty(interior.size)
-    for out_idx, i in enumerate(interior):
-        delta = _parabolic_offset(x[i - 1], x[i], x[i + 1])
-        times[out_idx] = t[i] + delta * (t[i + 1] - t[i])
-        values[out_idx] = x[i] - 0.25 * (x[i - 1] - x[i + 1]) * delta
-    return times, values
+    i = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
+    delta = _parabolic_offset(x[i - 1], x[i], x[i + 1])
+    return (t[i] + delta * (t[i + 1] - t[i]),
+            x[i] - 0.25 * (x[i - 1] - x[i + 1]) * delta)
 
 
 def extract_period(t: np.ndarray, x: np.ndarray,

@@ -99,24 +99,29 @@ def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
     return lines
 
 
-def _default_window(t: np.ndarray) -> tuple[float, float]:
-    # Late half of the run: past the coefficient transient for every bundled
-    # scenario, and long enough for several oscillation periods.
-    return (float(t[0] + (t[-1] - t[0]) / 2.0), float(t[-1]))
-
-
-def _analysis_lines(t: np.ndarray, channels: np.ndarray, *,
+def _analysis_lines(t: np.ndarray, channels: np.ndarray,
+                    config: SimulationConfig | None, *,
                     do_period: bool, do_envelope: bool,
                     sync_pair: tuple[int, int] | None,
-                    window: tuple[float, float], atol: float,
-                    config: SimulationConfig | None = None
+                    window: tuple[float, float] | None = None
                     ) -> tuple[list[str], dict[str, str], list[str]]:
     """Analyze the requested metrics once.
+
+    ``config`` is the run's, or None for a CSV analysed without --scenario;
+    it supplies atol and, for a sync pair, the candidate frequencies of the
+    ``nearest_frequency_i`` lines.  ``window`` None means the late half.
 
     Returns the key = value report lines, the summary-row values (``.17g``,
     keyed ``period_i``, ``modulation_depth_i`` and ``phase_lock_score``) and
     one error message per metric that could not be estimated.
     """
+    # A v1 CSV does not record the run's atol; without a config assume the
+    # scenario default.
+    atol = config.atol if config is not None else SimulationConfig.atol
+    if window is None:
+        # Late half of the run: past the coefficient transient for every
+        # bundled scenario, and long enough for several oscillation periods.
+        window = (float(t[0] + (t[-1] - t[0]) / 2.0), float(t[-1]))
     lines: list[str] = [f"window = {window[0]:.6g}:{window[1]:.6g}"]
     values: dict[str, str] = {}
     errors: list[str] = []
@@ -245,18 +250,14 @@ def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
                                 f"oscillators, the csv has "
                                 f"{series.n_oscillators}")
     pair = _parse_pair(sync, series.n_oscillators) if sync else None
-    win = (_parse_window(window, series.t) if window
-           else _default_window(series.t))
+    win = _parse_window(window, series.t) if window else None
 
     if not (do_period or do_envelope or pair):
         do_period = True
 
-    # A v1 CSV does not record the run's atol; without --scenario assume
-    # the scenario default.
-    atol = config.atol if config is not None else SimulationConfig.atol
     lines, _, errors = _analysis_lines(
-        series.t, series.n, do_period=do_period, do_envelope=do_envelope,
-        sync_pair=pair, window=win, atol=atol, config=config)
+        series.t, series.n, config, do_period=do_period,
+        do_envelope=do_envelope, sync_pair=pair, window=win)
     return _print_analysis(lines, errors)
 
 
@@ -271,9 +272,8 @@ def _sweep_worker(task) -> dict[str, str]:
 
     # The summary row has columns for the first two channels only.
     _, values, _ = _analysis_lines(
-        series.t, series.n[:2], do_period=True, do_envelope=True,
-        sync_pair=(1, 2) if series.n_oscillators >= 2 else None,
-        window=_default_window(series.t), atol=config.atol)
+        series.t, series.n[:2], config, do_period=True, do_envelope=True,
+        sync_pair=(1, 2) if series.n_oscillators >= 2 else None)
     return dict(row, **values, status="ok", file=Path(csv_path).name)
 
 
@@ -306,7 +306,7 @@ def cmd_sweep(scenario_path: str, output_dir: str, *, param: str,
 
 
 def _demo_run(scenario_text: str, stem: str, out_dir: Path, *,
-              do_envelope: bool, do_sync: bool) -> tuple[int, dict[str, str]]:
+              do_envelope: bool) -> tuple[int, dict[str, str]]:
     """Write scenario + CSV + report for one demo run; return (code, summary row)."""
     (out_dir / f"{stem}.scn").write_text(scenario_text, encoding="utf-8")
     csv_path = out_dir / f"{stem}.csv"
@@ -314,11 +314,9 @@ def _demo_run(scenario_text: str, stem: str, out_dir: Path, *,
     for line in _simulation_summary(series, str(csv_path)):
         print(line)
 
-    pair = (1, 2) if (do_sync and series.n_oscillators >= 2) else None
     lines, values, errors = _analysis_lines(
-        series.t, series.n, do_period=True, do_envelope=do_envelope,
-        sync_pair=pair, window=_default_window(series.t),
-        atol=config.atol, config=config)
+        series.t, series.n, config, do_period=True, do_envelope=do_envelope,
+        sync_pair=(1, 2) if series.n_oscillators >= 2 else None)
     report_path = out_dir / f"{stem}_report.txt"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     row = dict(values, status="ok", file=csv_path.name)
@@ -329,9 +327,8 @@ def cmd_demo(name: str, output_dir: str) -> int:
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if name == "fig2":
-        code, _ = _demo_run(demo_fig2_scenario(), "fig2", out_dir,
-                            do_envelope=False, do_sync=False)
-        return code
+        return _demo_run(demo_fig2_scenario(), "fig2", out_dir,
+                         do_envelope=False)[0]
     if name != "fig4":
         raise InvalidConfig(f"unknown demo '{name}' (available: fig2, fig4)")
     worst = EXIT_OK
@@ -339,7 +336,7 @@ def cmd_demo(name: str, output_dir: str) -> int:
     for beta in DEMO_FIG4_BETAS:
         stem = f"fig4_beta{beta}"
         code, row = _demo_run(demo_fig4_scenario(beta), stem, out_dir,
-                              do_envelope=True, do_sync=True)
+                              do_envelope=True)
         worst = max(worst, code)
         rows.append(dict(row, value=beta))
     _write_summary(out_dir / "fig4_summary.csv", rows)
@@ -366,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--window", metavar="TA:TB")
     p_ana.add_argument("--scenario", metavar="PATH",
                        help="scenario of the run (same oscillator count "
-                            "as the CSV); supplies its atol and "
-                            "enables eigenfrequency candidate reporting "
-                            "for --sync")
+                            "as the CSV); supplies its atol (default "
+                            "1e-12) and, for --sync, the candidate "
+                            "frequencies")
 
     p_sw = sub.add_parser("sweep", help="run a scenario over several values "
                                         "of one field")

@@ -425,13 +425,13 @@ def check_derivatives(provider: CoefficientProvider,
 def read_coefficient_csv(path: str | Path) -> TabulatedProvider:
     """Load a ``t,lambda,D`` CSV (header required, strictly increasing t).
 
-    Blank and ``#`` lines are skipped.  Every error names the file, and a
-    row's error its line number.
+    Blank and ``#`` lines and a leading UTF-8 byte-order mark are skipped.
+    Every error names the file, and a row's error its line number.
     The provider's ``source`` is ``str(path)`` as given, not normalised.
     """
     where = f"coefficient csv {Path(path)}"
     try:
-        with Path(path).open(encoding="utf-8", newline="") as f:
+        with Path(path).open(encoding="utf-8-sig", newline="") as f:
             reader = csv.reader(f)
             rows = ((reader.line_num, row) for row in reader
                     if row and not row[0].lstrip().startswith("#"))

@@ -262,7 +262,8 @@ class TimeSeries:
 
     The one record of a run's samples: the integrators return it and
     :func:`oscibath.csvio.read_timeseries_csv` reads it back.  Channel
-    arrays are shaped (n_oscillators, n_samples).  ``diagnostics`` carries
+    arrays are shaped (n_oscillators, n_samples) like ``n``; all five arrays
+    are read-only copies of the caller's.  ``diagnostics`` carries
     integrator bookkeeping (step counts, consistency residuals,
     negative-excursion report); it is empty for a series read from a CSV.
 
@@ -282,7 +283,7 @@ class TimeSeries:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.t = np.asarray(self.t, dtype=float)
+        self.t = np.array(self.t, dtype=float)
         self.t.setflags(write=False)
         for name in ("n", "v", "friction", "diffusion"):
             arr = np.atleast_2d(np.array(getattr(self, name), dtype=float))
@@ -290,6 +291,9 @@ class TimeSeries:
             setattr(self, name, arr)
             if arr.shape[1] != self.t.size:
                 raise ValueError(f"channel {name} length does not match grid")
+            if arr.shape[0] != self.n.shape[0]:
+                raise ValueError(f"channel {name} has {arr.shape[0]} "
+                                 f"oscillators, n has {self.n.shape[0]}")
         if self.t.size < 2:
             return
         steps = np.diff(self.t)

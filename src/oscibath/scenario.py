@@ -278,7 +278,7 @@ def parse_scenario(text: str) -> SimulationConfig:
 def read_scenario(path: str | Path) -> Sections:
     """Read a scenario file's sections; every scenario file is read here."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"scenario {path}: not UTF-8 ({exc.reason})") from exc
     return read_sections(text)

@@ -516,6 +516,22 @@ class TestSweep:
         assert gap <= (reports[0].period_uncertainty
                        + reports[1].period_uncertainty)
 
+    def test_each_member_uses_its_own_atol(self, tmp_path, capsys):
+        # The stationarity threshold is 100 atol: at atol = 1e-3 the fig2
+        # oscillation counts as stationary and the period is left empty.
+        scn = tmp_path / "fig2.scn"
+        scn.write_text(demo_fig2_scenario())
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scn), str(out_dir),
+                     "--param", "integration.atol",
+                     "--values", "1e-12,1e-3"]) == 0
+        with (out_dir / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows] == ["ok", "ok"]
+        assert float(rows[0]["period_1"]) == pytest.approx(2.0 * math.pi,
+                                                           rel=0.01)
+        assert rows[1]["period_1"] == ""
+
     def test_coupled_scenario_full_summary_row(self, tmp_path, capsys):
         scn = tmp_path / "fig4.scn"
         scn.write_text(demo_fig4_scenario("0.05"))
@@ -646,6 +662,17 @@ def test_output_dir_that_is_a_file_exits_1(tmp_path, capsys, command):
                       "integration.rtol", "--values", "1e-6"]}[command]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("oscibath: ")
+
+
+def test_byte_order_mark_scenario_simulates_like_plain(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.scn", tmp_path / "marked.scn"
+    plain.write_text(demo_fig2_scenario(), encoding="utf-8")
+    marked.write_text(demo_fig2_scenario(), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for scn in (plain, marked):
+        assert main(["simulate", str(scn), str(scn.with_suffix(".csv"))]) == 0
+    assert ((tmp_path / "marked.csv").read_bytes()
+            == (tmp_path / "plain.csv").read_bytes())
 
 
 NON_UTF8_SCN = CONSTANT_SCN.encode().replace(b"# slope", b"# caf\xe9: slope")

@@ -442,6 +442,16 @@ class TestCsvIngestion:
         with pytest.raises(InvalidConfig, match="line 4 not 3 columns"):
             read_coefficient_csv(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        text = "t,lambda,D\n0,0,0\n1,0.1,0.2\n2,0.2,0.4\n3,0.3,0.6\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        a, b = read_coefficient_csv(plain), read_coefficient_csv(marked)
+        assert np.array_equal(a.grid, b.grid)
+        assert np.array_equal(a.lambda_values, b.lambda_values)
+        assert np.array_equal(a.D_values, b.D_values)
+
     def test_unreadable_path_rejected(self, tmp_path):
         path = tmp_path / "missing.csv"
         with pytest.raises(InvalidConfig, match=re.escape(f"coefficient csv {path}: ")):

@@ -163,3 +163,26 @@ def test_timeseries_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         TimeSeries(t=t, n=np.zeros((1, 4)), v=np.zeros((1, 5)),
                    friction=np.zeros((1, 5)), diffusion=np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("channel", ["v", "friction", "diffusion"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_timeseries_rejects_oscillator_count_mismatch(channel, rows):
+    t = np.arange(5) * 0.01
+    arrays = {name: np.zeros((2, 5)) for name in ("n", "v", "friction",
+                                                  "diffusion")}
+    arrays[channel] = np.zeros((rows, 5))
+    with pytest.raises(ValueError, match=f"channel {channel} has {rows} "
+                                         "oscillators, n has 2"):
+        TimeSeries(t=t, **arrays)
+
+
+def test_timeseries_copies_every_array():
+    t = np.arange(5) * 0.01
+    n = np.zeros((1, 5))
+    series = TimeSeries(t=t, n=n, v=n, friction=n, diffusion=n)
+    assert t.flags.writeable and n.flags.writeable
+    t[0] = -1.0
+    n[0, 0] = 7.0
+    assert series.t[0] == 0.0 and series.n[0, 0] == 0.0
+    assert not series.t.flags.writeable
