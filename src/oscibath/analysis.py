@@ -321,9 +321,17 @@ def synchronization_metrics(t: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
     interior): 1 for perfect locking, near 0 for unrelated phases.
     Stationary channels propagate NoOscillation.
     """
-    report_a = extract_period(t, x_a, window, atol)
-    report_b = extract_period(t, x_b, window, atol)
+    return _sync_report(t, x_a, x_b, window,
+                        extract_period(t, x_a, window, atol),
+                        extract_period(t, x_b, window, atol))
 
+
+def _sync_report(t: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
+                 window: tuple[float, float] | None,
+                 report_a: OscillationReport,
+                 report_b: OscillationReport) -> SyncReport:
+    """synchronization_metrics from the channels' extract_period reports
+    over the same window."""
     _, xa = _slice_window(t, x_a, window)
     _, xb = _slice_window(t, x_b, window)
     phase_diff = _instantaneous_phase(xa) - _instantaneous_phase(xb)

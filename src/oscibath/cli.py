@@ -24,11 +24,12 @@ import numpy as np
 from .analysis import (
     AnalysisError,
     NoOscillation,
+    OscillationReport,
+    _sync_report,
     eigenfrequency_candidates,
     envelope,
     extract_period,
     nearest_candidate,
-    synchronization_metrics,
 )
 from .coefficients import OutOfRange, make_provider
 from .csvio import read_timeseries_csv, write_timeseries_csv
@@ -130,18 +131,29 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray,
     def sfx(i: int) -> str:
         return "" if n_osc == 1 else f"_{i}"
 
+    # Channel i's extract_period report, or the AnalysisError it raised,
+    # without its traceback (which would keep the estimator's arrays
+    # alive): --period and the sync pair share one estimate per channel.
+    reports: dict[int, OscillationReport | AnalysisError] = {}
+
+    def period_of(i: int) -> OscillationReport | AnalysisError:
+        if i not in reports:
+            try:
+                reports[i] = extract_period(t, channels[i - 1], window, atol=atol)
+            except AnalysisError as exc:
+                reports[i] = exc.with_traceback(None)
+        return reports[i]
+
     if do_period:
         for i in range(1, n_osc + 1):
-            try:
-                report = extract_period(t, channels[i - 1], window, atol=atol)
-            except NoOscillation as exc:
-                lines.append(f"is_stationary{sfx(i)} = true")
-                lines.append(f"mean_level{sfx(i)} = "
-                             f"{exc.report.mean_level:.6g} ± {exc.report.std:.2g}")
-                errors.append(f"channel {i}: {exc}")
-                continue
-            except AnalysisError as exc:
-                errors.append(f"channel {i}: {exc}")
+            report = period_of(i)
+            if isinstance(report, AnalysisError):
+                if isinstance(report, NoOscillation):
+                    lines.append(f"is_stationary{sfx(i)} = true")
+                    lines.append(f"mean_level{sfx(i)} = "
+                                 f"{report.report.mean_level:.6g} "
+                                 f"± {report.report.std:.2g}")
+                errors.append(f"channel {i}: {report}")
                 continue
             values[f"period_{i}"] = format(report.period, ".17g")
             lines.append(f"period{sfx(i)} = {report.period:.6g} "
@@ -165,12 +177,15 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray,
 
     if sync_pair is not None:
         a, b = sync_pair
-        try:
-            sync = synchronization_metrics(t, channels[a - 1], channels[b - 1],
-                                           window, atol=atol)
-        except AnalysisError as exc:
-            errors.append(f"sync {a},{b}: {exc}")
+        report_a, report_b = period_of(a), period_of(b)
+        failed = [r for r in (report_a, report_b)
+                  if isinstance(r, AnalysisError)]
+        if failed:
+            # Channel a's error first, as synchronization_metrics raises it.
+            errors.append(f"sync {a},{b}: {failed[0]}")
         else:
+            sync = _sync_report(t, channels[a - 1], channels[b - 1], window,
+                                report_a, report_b)
             values["phase_lock_score"] = format(sync.phase_lock_score, ".17g")
             lines.append(f"period_ratio = {sync.period_ratio:.6g} "
                          f"± {sync.ratio_uncertainty:.2g}")

@@ -169,24 +169,40 @@ def _locate(kernel: tuple, t: float) -> tuple[int, float]:
     return i, t - knots[i]
 
 
-def _gtsv(dl: list, d: list, du: list, b1: list, b2: list):
-    """Solve a tridiagonal system for two right-hand sides, in place.
+def _locate_all(grid: np.ndarray, kernel: tuple,
+                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_locate` for every time of the array t, on the kernel's knots
+    ``grid`` as an array: the intervals and the offsets into them.  The
+    first time beyond the slack raises OutOfRange."""
+    _, lo, hi, slack, _ = kernel
+    outside = (t < lo - slack) | (t > hi + slack)
+    if outside.any():
+        raise _out_of_range(lo, hi, t[outside][0])
+    t = np.clip(t, lo, hi)
+    # The interval the scalar bisect picks, for every time.
+    i = np.searchsorted(grid[1:-1], t, side="right")
+    return i, t - grid[i]
+
+
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """Solve a tridiagonal system for a list of right-hand sides, in place.
 
     A transcription of reference LAPACK ``dgtsv``: Gaussian elimination with
     partial pivoting, where row i and i+1 swap when ``|dl[i]| > |d[i]|``,
     then back substitution, every operation in LAPACK's order so the result
     is the one LAPACK gives.  ``dl``, ``d`` and ``du`` are the sub-, main
-    and super-diagonal as float lists; the solutions overwrite ``b1`` and
-    ``b2``, which are returned.  A zero pivot, which only a singular system
-    has, raises ZeroDivisionError.
+    and super-diagonal as float lists; ``b`` is a list of right-hand-side
+    columns, each a float list, which the solutions overwrite; it is
+    returned.  A zero pivot, which only a singular system has, raises
+    ZeroDivisionError.
     """
     n = len(d)
     for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):
             fact = dl[i] / d[i]
             d[i + 1] = d[i + 1] - fact * du[i]
-            b1[i + 1] = b1[i + 1] - fact * b1[i]
-            b2[i + 1] = b2[i + 1] - fact * b2[i]
+            for col in b:
+                col[i + 1] = col[i + 1] - fact * col[i]
             dl[i] = 0.0
         else:
             fact = d[i] / dl[i]
@@ -197,18 +213,60 @@ def _gtsv(dl: list, d: list, du: list, b1: list, b2: list):
                 dl[i] = du[i + 1]
                 du[i + 1] = -fact * dl[i]
             du[i] = temp
-            temp = b1[i]
-            b1[i] = b1[i + 1]
-            b1[i + 1] = temp - fact * b1[i + 1]
-            temp = b2[i]
-            b2[i] = b2[i + 1]
-            b2[i + 1] = temp - fact * b2[i + 1]
-    for b in (b1, b2):
-        b[n - 1] = b[n - 1] / d[n - 1]
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+            for col in b:
+                temp = col[i]
+                col[i] = col[i + 1]
+                col[i + 1] = temp - fact * col[i + 1]
+    for col in b:
+        col[n - 1] = col[n - 1] / d[n - 1]
+        col[n - 2] = (col[n - 2] - du[n - 2] * col[n - 1]) / d[n - 2]
         for i in range(n - 3, -1, -1):
-            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b1, b2
+            col[i] = (col[i] - du[i] * col[i + 1] - dl[i] * col[i + 2]) / d[i]
+    return b
+
+
+def _spline_kernel(tables: Sequence[TabulatedProvider]) -> tuple:
+    """The kernel of natural cubic splines through K tables on one grid.
+
+    The knot slopes of the 2K columns, the tables' lambda values, then
+    their D values, solve one tridiagonal system, set up as scipy's
+    ``CubicSpline(..., bc_type="natural")`` sets it up and solved by
+    :func:`_gtsv` as LAPACK solves it; the pieces are then the cubic Hermite
+    pieces of those slopes.  Each column's arithmetic is the one-column
+    fit's, so a column's coefficients do not depend on its neighbours.
+
+    Returns the knots as a list, the grid ends lo and hi, the slack within
+    which a time outside them is clamped, and ``coefs``, shaped
+    (intervals, 14, K): ``coefs[i, :, k]`` holds the ascending-power
+    coefficients of table k's four pieces on [grid[i], grid[i+1]):
+    lambda (4), dlambda/dt (3), D (4), dD/dt (3); a derivative is c1..c3
+    times (1, 2, 3).  Adding 0.0 turns -0.0 into +0.0, as an evaluation
+    whose sum starts from 0.0 does.
+    """
+    x = tables[0].grid
+    y = np.column_stack([p.lambda_values for p in tables]
+                        + [p.D_values for p in tables])
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # Row i reads dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1];
+    # the natural end rows are 2 dx0 s0 + dx0 s1 = 3 (y1 - y0) and its mirror.
+    h = dx.tolist()
+    diag = np.concatenate([[2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]])
+    rhs = np.concatenate([[3 * (y[1] - y[0])],
+                          3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:]),
+                          [0.0 + 3 * (y[-1] - y[-2])]])
+    s = np.array(_gtsv(h[1:] + h[-1:], diag.tolist(), h[:1] + h[:-1],
+                       rhs.T.tolist())).T
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr])
+    pieces = np.concatenate([c, c[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]])
+    intervals = len(x) - 1
+    coefs = pieces.reshape(7, intervals, 2, -1).transpose(1, 2, 0, 3).reshape(
+        intervals, 14, -1) + 0.0
+    lo, hi = float(x[0]), float(x[-1])
+    slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
+    return x.tolist(), lo, hi, slack, coefs
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,38 +308,10 @@ class TabulatedProvider:
 
     @cached_property
     def _kernel(self):
-        """Per-interval coefficient table, built once from one natural spline.
-
-        The knot slopes of both columns solve one tridiagonal system, set
-        up as scipy's ``CubicSpline(..., bc_type="natural")`` sets it up and
-        solved by :func:`_gtsv` as LAPACK solves it; the pieces are then
-        the cubic Hermite pieces of those slopes.  Row i of ``coefs`` holds
-        the ascending-power coefficients of the four pieces on
-        [grid[i], grid[i+1]): lambda (4), dlambda/dt (3), D (4), dD/dt (3);
-        a derivative is c1..c3 times (1, 2, 3).  Adding 0.0 turns -0.0 into
-        +0.0, as an evaluation whose sum starts from 0.0 does.
-        """
-        x = self.grid
-        y = np.column_stack([self.lambda_values, self.D_values])
-        dx = np.diff(x)
-        dxr = dx[:, None]
-        slope = np.diff(y, axis=0) / dxr
-        # Row i reads dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1];
-        # the natural end rows are 2 dx0 s0 + dx0 s1 = 3 (y1 - y0) and its mirror.
-        h = dx.tolist()
-        diag = np.concatenate([[2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]])
-        rhs = np.concatenate([[3 * (y[1] - y[0])],
-                              3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:]),
-                              [0.0 + 3 * (y[-1] - y[-2])]])
-        s = np.array(_gtsv(h[1:] + h[-1:], diag.tolist(), h[:1] + h[:-1],
-                           rhs[:, 0].tolist(), rhs[:, 1].tolist())).T
-        t = (s[:-1] + s[1:] - 2 * slope) / dxr
-        c = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr])
-        pieces = np.concatenate([c, c[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]])
-        coefs = pieces.transpose(1, 2, 0).reshape(len(x) - 1, 14) + 0.0
-        lo, hi = float(x[0]), float(x[-1])
-        slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
-        return x.tolist(), lo, hi, slack, coefs
+        """The one-table case of :func:`_spline_kernel`, built once; its
+        coefficients are one (intervals, 14) array."""
+        knots, lo, hi, slack, coefs = _spline_kernel([self])
+        return knots, lo, hi, slack, coefs[..., 0]
 
     def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         """Spline-interpolate the table at time t (no extrapolation).
@@ -292,15 +322,9 @@ class TabulatedProvider:
         scipy's ``CubicSpline.__call__`` bit for bit.
         """
         kernel = self._kernel
-        _, lo, hi, slack, coefs = kernel
+        coefs = kernel[4]
         if isinstance(t, np.ndarray):
-            outside = (t < lo - slack) | (t > hi + slack)
-            if outside.any():
-                raise _out_of_range(lo, hi, t[outside][0])
-            t = np.clip(t, lo, hi)
-            # The interval the scalar bisect below picks, for every time.
-            i = np.searchsorted(self.grid[1:-1], t, side="right")
-            d = t - self.grid[i]
+            i, d = _locate_all(self.grid, kernel, t)
             c = coefs[i].T
         else:
             i, d = _locate(kernel, t)
@@ -321,38 +345,54 @@ class TabulatedProvider:
 class _TableStack:
     """Tables on one knot grid as one provider of N-vectors.
 
-    A call takes a scalar ``t`` and returns a ``CoefficientSample`` whose
-    fields hold table i's scalar sample at entry i, bit for bit: ``t`` is
-    located once, as the scalar call locates it, and the scalar call's sums
-    are taken elementwise in its order, the four quadratic parts together
-    and the cubic terms of lambda and D last.
+    A scalar call returns a ``CoefficientSample`` whose fields hold table
+    i's scalar sample at entry i, an array call one whose fields are
+    (N, times) arrays holding table i's array call in row i, bit for bit:
+    the times are located once, as a table locates them, and a table's
+    sums are taken elementwise in its order, the four quadratic parts
+    together and the cubic terms of lambda and D last.  The coefficients
+    come from one :func:`_spline_kernel` fit over all the tables' columns;
+    the shared knots are the ``breakpoints``.
     """
 
     def __init__(self, tables: Sequence[TabulatedProvider]):
-        knots, lo, hi, slack, _ = tables[0]._kernel
-        # The kernel rows, stacked to (intervals, 14, N), then reordered
-        # into powers 0, 1, 2 of (lambda, D, dlambda/dt, dD/dt) and the
-        # cubic terms of lambda and D.
+        self.breakpoints = tables[0].grid
+        knots, lo, hi, slack, coefs = _spline_kernel(tables)
+        # The kernel rows reordered into powers 0, 1, 2 of (lambda, D,
+        # dlambda/dt, dD/dt) and the cubic terms of lambda and D, one
+        # contiguous (intervals, rows, N) block per power: at N = 32 a call
+        # reading strided rows took 18.0 us against 12.2 us.
         rows = [0, 7, 4, 11, 1, 8, 5, 12, 2, 9, 6, 13, 3, 10]
-        coefs = np.stack([p._kernel[4] for p in tables], axis=2)[:, rows]
-        self._kernel = (knots, lo, hi, slack, coefs)
+        blocks = tuple(np.ascontiguousarray(coefs[:, rows[a:a + 4]])
+                       for a in (0, 4, 8, 12))
+        self._kernel = (knots, lo, hi, slack, blocks)
 
-    def __call__(self, t: float) -> CoefficientSample:
+    def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         kernel = self._kernel
-        i, d = _locate(kernel, t)
-        c = kernel[4][i]
+        if isinstance(t, np.ndarray):
+            i, d = _locate_all(self.breakpoints, kernel, t)
+            c0, c1, c2, c3 = (np.moveaxis(p[i], 0, -1) for p in kernel[4])
+        else:
+            i, d = _locate(kernel, t)
+            p0, p1, p2, p3 = kernel[4]
+            c0, c1, c2, c3 = p0[i], p1[i], p2[i], p3[i]
         d2 = d * d
-        x = c[0:4] + c[4:8] * d + c[8:12] * d2
-        x[0:2] += c[12:14] * (d2 * d)
-        return CoefficientSample(*x)
+        # c0 + c1 d + c2 d^2, summed in place: IEEE addition commutes.
+        x = c1 * d
+        x += c0
+        x += c2 * d2
+        head = x[:2]
+        head += c3 * (d2 * d)
+        return CoefficientSample(x[0], x[1], x[2], x[3])
 
 
 # A coupled run samples its tables as one _TableStack from _STACK_MIN_TABLES
 # tables on; below, per-array overhead outweighs the per-table calls.
-# integrate_coupled CPU time on 1-second chains of N tables 0.1 apart, loop
-# against stacked, min of 15 interleaved runs with equal RHS counts: 3.4/5.7
-# ms (N = 1), 5.2/6.9 (2), 6.7/7.1 (4), 7.0/6.3 (5), 7.9/6.6 (6), 9.8/6.7
-# (8), 22.9/12.5 (16), 52.9/14.0 (32).
+# integrate_coupled CPU time on 1-second chains of N tables 0.1 apart, fresh
+# tables each run (so each side pays its spline fits), loop against stacked,
+# min of 30 interleaved runs with equal RHS counts: 3.4/5.7 ms (N = 1),
+# 5.2/7.0 (2), 5.7/6.5 (3), 7.2/7.1 (4), 7.8/6.9 (5), 8.8/7.4 (6), 10.6/6.9
+# (8), 17.3/7.3 (16), 32.0/8.4 (32).  N = 4 is a tie.
 _STACK_MIN_TABLES = 5
 
 

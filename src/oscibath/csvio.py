@@ -4,9 +4,10 @@ Layout: one version comment line, one column-name line, then data rows.
 Columns are ``t`` followed by ``n{i},v{i},lambda{i},D{i}`` per oscillator.
 Floats are written with 17 significant digits so repeated runs are
 byte-comparable and values round-trip exactly.  The writer formats the
-table in blocks of rows, each with one ``%`` over a repeated ``%.17g`` row
-format: the bytes of ``np.savetxt(fmt="%.17g", delimiter=",")`` with the
-same header, in about three quarters of its time.  The reader returns the
+table in blocks of whole rows, each with one ``%`` over a repeated
+``%.17g`` row format: the bytes of
+``np.savetxt(fmt="%.17g", delimiter=",")`` with the same header, in about
+three quarters of its time.  The reader returns the
 ``TimeSeries`` the writer was given, without its ``diagnostics``; the time
 column must therefore pass the ``TimeSeries`` grid rule (strictly
 increasing, uniform spacing), as every estimator assumes, and every other
@@ -25,11 +26,15 @@ __all__ = ["CsvSchemaError", "write_timeseries_csv",
            "read_timeseries_csv", "CSV_VERSION_LINE"]
 
 CSV_VERSION_LINE = "# oscibath-csv v1"
-# Rows formatted per write.  Formatting a whole fig4 file (8,001 rows) at
-# once took 4% longer than blocks of 1,024 rows and raised the peak RSS of
-# a fig4 sweep by 2.4 MB (+5%) over np.savetxt; the blocks raise its
-# median by 0.07 MB.
-_BLOCK_ROWS = 1024
+# Values formatted per write, in whole rows (at least one).  A block's
+# transient memory grows with its values, not its rows: under tracemalloc,
+# writing a 32-oscillator chain (101 rows x 129 columns) peaked at 903 kB
+# as one block, 355 kB in blocks of 4,096 values, 229 kB in blocks of
+# 2,048 and 214 kB with np.savetxt.  Writing a fig4 file (8,001 rows x 9)
+# took 71.1 ms (median CPU of 60 interleaved writes) in blocks of 2,048
+# values against 72.5 ms in blocks of 1,024 rows; formatting it whole took
+# 4% longer.
+_BLOCK_VALUES = 2048
 
 
 class CsvSchemaError(ValueError):
@@ -55,8 +60,9 @@ def write_timeseries_csv(series: TimeSeries, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_VERSION_LINE + "\n"
                  + ",".join(_column_names(n_osc)) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
+        rows = max(1, _BLOCK_VALUES // table.shape[1])
+        for start in range(0, len(table), rows):
+            block = table[start:start + rows]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -124,6 +124,14 @@ _EPS = float(np.finfo(float).eps)
 # chain to t_end 80 would take 256 MB, against 4 MB for stepping's output.
 _TAIL_MIN_PERIODS = 4.0
 _TAIL_MAX_DOUBLES = 2**19
+# The output grid's friction and diffusion are sampled in chunks of at most
+# _SAMPLE_MAX_VALUES output times x oscillators.  A stacked call gathers 14
+# coefficients per table and time: over the whole grid of a 32-table chain
+# to t_end 80 (8,001 times) it raised the run's tracemalloc peak from 19.9
+# to 56.6 MB, while chunks of 2**15 values keep it at 19.9 MB (2**16: 25.0
+# MB).  Smaller runs, every bundled demo and bench chain among them, take
+# one call per bank pair.
+_SAMPLE_MAX_VALUES = 2**15
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 DrivenRHS = Callable[[float, np.ndarray, float | np.ndarray], np.ndarray]
@@ -299,10 +307,16 @@ def _common_period(providers: Sequence[CoefficientProvider], grid: np.ndarray,
     return t_p, period
 
 
-def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
+def _solve(config: SimulationConfig,
+           bank: list[tuple[int | slice, CoefficientProvider]],
            rhs: DrivenRHS, y0: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """Integrate y' = rhs(t, y, 1.0) from y0 over the config's output grid.
+
+    ``bank`` is the run's provider bank (coefficients._provider_bank): its
+    providers give the breakpoints and the period, and its calls fill the
+    friction and diffusion on the output grid, one call per pair and chunk
+    of output times (_SAMPLE_MAX_VALUES).
 
     Every run steps [0, t_p].  Without a usable period (_common_period),
     t_p is the grid's last time and that step is the whole run.  Otherwise
@@ -317,14 +331,16 @@ def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
     y_0 = y(t_p) and y_{k+1} = M y_k + c.  The period's error is compounded
     once per period, so its solve runs at a tenth of the tolerances.
 
-    Returns the grid, the samples (one row per output time), the providers'
-    friction and diffusion on the grid (one row per provider) and the
+    Returns the grid, the samples (one row per output time), the
+    friction and diffusion on the grid (one row per oscillator) and the
     diagnostics: the step statistics (sums over both solves of a periodic
     run), ``periods_propagated`` (0 when every sample was stepped to), the
     tail's ``floquet_multipliers`` (the moduli of the eigenvalues of M) and
-    the ``negative_excursions`` of n, the first len(providers) components
+    the ``negative_excursions`` of n, the first n_oscillators components
     of the state.
     """
+    providers = [provider for _, provider in bank]
+    n_osc = config.n_oscillators
     # output_dt <= t_end, so the grid has at least two times.
     m = int(math.floor(config.t_end / config.output_dt + 1e-9))
     grid = np.arange(m + 1) * config.output_dt
@@ -366,15 +382,18 @@ def _solve(config: SimulationConfig, providers: Sequence[CoefficientProvider],
         stats["floquet_multipliers"] = tuple(sorted(
             np.abs(np.linalg.eigvals(maps[-1][:, :dim])).tolist(),
             reverse=True))
-    n = out[:, :len(providers)]
+    n = out[:, :n_osc]
     stats["negative_excursions"] = {"count": int((n < 0).sum()),
                                     "most_negative": float(min(0.0, n.min()))}
-    lam = np.empty((len(providers), grid.size))
-    dif = np.empty((len(providers), grid.size))
-    for i, provider in enumerate(providers):
-        s = provider(grid)
-        lam[i] = s.friction
-        dif[i] = s.diffusion
+    lam = np.empty((n_osc, grid.size))
+    dif = np.empty((n_osc, grid.size))
+    step = max(1, _SAMPLE_MAX_VALUES // n_osc)
+    for start in range(0, grid.size, step):
+        times = grid[start:start + step]
+        for rows, provider in bank:
+            s = provider(times)
+            lam[rows, start:start + step] = s.friction
+            dif[rows, start:start + step] = s.diffusion
     return grid, out, lam, dif, stats
 
 
@@ -400,8 +419,8 @@ def integrate_single_first_order(osc: OscillatorSpec,
         s = provider(t)
         return -2.0 * s.friction * y + 2.0 * s.diffusion * drive
 
-    grid, out, lam, dif, diagnostics = _solve(config, [provider], rhs,
-                                              np.array([osc.n0]))
+    grid, out, lam, dif, diagnostics = _solve(
+        config, _provider_bank([provider]), rhs, np.array([osc.n0]))
     n = out.T
     v = -2.0 * lam * n + 2.0 * dif
 
@@ -487,7 +506,7 @@ def integrate_coupled(config: SimulationConfig,
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    grid, out, lam, dif, diagnostics = _solve(config, providers, rhs, y0)
+    grid, out, lam, dif, diagnostics = _solve(config, bank, rhs, y0)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
     # w_i = v_i + 2 lam_i n_i - 2 D_i: its first sample is oscillator i's

@@ -384,6 +384,29 @@ class TestAnalyze:
         assert "nearest_frequency_1 = bare 2" in out
         assert "nearest_frequency_2 = bare 3" in out
 
+    def test_period_and_sync_estimate_each_channel_once(self, fig4_demo_dir,
+                                                        monkeypatch, capsys):
+        from oscibath import analysis, cli
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return extract_period(*args, **kwargs)
+
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "extract_period", counting)
+        csv_path = str(fig4_demo_dir / "fig4_beta0.05.csv")
+        assert main(["analyze", csv_path, "--period", "--sync", "1,2"]) == 0
+        both = capsys.readouterr().out
+        assert len(calls) == 2
+        assert main(["analyze", csv_path, "--sync", "1,2"]) == 0
+        sync = capsys.readouterr().out
+        assert len(calls) == 4
+        assert "period_1 = " in both and "period_1 = " not in sync
+        for line in sync.splitlines():
+            assert line in both
+
     def test_scenario_of_another_oscillator_count_exits_1(self, fig4_demo_dir,
                                                           fig2_demo_dir, capsys):
         assert main(["analyze", str(fig4_demo_dir / "fig4_beta0.05.csv"),

@@ -356,6 +356,25 @@ class TestStackedSampler:
             with pytest.raises(OutOfRange, match=re.escape(str(scalar.value))):
                 sample(t)
 
+    def test_array_call_is_each_tables_array_call(self):
+        tables = tables_on_one_grid()
+        sample = stack_of(tables)
+        knots, lo, hi, slack, _ = tables[0]._kernel
+        times = np.concatenate([
+            np.random.default_rng(12).uniform(lo, hi, 500), knots,
+            [lo - slack / 2, hi + slack / 2]])
+        got = np.array(sample(times))
+        want = np.array([table(times) for table in tables]).transpose(1, 0, 2)
+        assert got.shape == (4, len(tables), times.size)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for t in (float(np.nextafter(lo - slack, -np.inf)),
+                  float(np.nextafter(hi + slack, np.inf))):
+            times[7] = t
+            with pytest.raises(OutOfRange) as table:
+                tables[0](times)
+            with pytest.raises(OutOfRange, match=re.escape(str(table.value))):
+                sample(times)
+
     def test_providers_that_do_not_stack(self):
         tables = tables_on_one_grid(_STACK_MIN_TABLES)
         other_grid = random_table(np.random.default_rng(1), tables[0].grid.size,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscibath.csvio import (_BLOCK_ROWS, CSV_VERSION_LINE, CsvSchemaError,
+from oscibath.csvio import (_BLOCK_VALUES, CSV_VERSION_LINE, CsvSchemaError,
                             read_timeseries_csv, write_timeseries_csv)
 from oscibath.model import TimeSeries
 
@@ -20,6 +20,19 @@ def awkward_series(n_osc: int = 3, samples: int = 7,
                       friction=channels[2], diffusion=channels[3])
 
 
+def savetxt(series: TimeSeries, path) -> None:
+    """The series written by np.savetxt under the writer's two header lines."""
+    n_osc = series.n_oscillators
+    table = np.empty((series.t.size, 1 + 4 * n_osc))
+    table[:, 0] = series.t
+    for j, name in enumerate(("n", "v", "friction", "diffusion"), start=1):
+        table[:, j::4] = getattr(series, name).T
+    names = ["t"] + [f"{c}{i}" for i in range(1, n_osc + 1)
+                     for c in ("n", "v", "lambda", "D")]
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=CSV_VERSION_LINE + "\n" + ",".join(names), comments="")
+
+
 class TestWriter:
     def test_bytes_match_per_value_format(self, tmp_path):
         series = awkward_series()
@@ -36,22 +49,26 @@ class TestWriter:
             lines.append(",".join(row))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
-    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
-                                      _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [
+        _BLOCK_VALUES // 9 - 1, _BLOCK_VALUES // 9, _BLOCK_VALUES // 9 + 1,
+        2 * (_BLOCK_VALUES // 9), 1023, 1024, 1025, 2048])
     def test_bytes_match_savetxt_across_blocks(self, tmp_path, rows):
-        # The row counts straddle the writer's block boundaries.
+        # The first four row counts straddle the writer's block boundaries
+        # for two oscillators (9 columns); the others end mid-block.
         series = awkward_series(n_osc=2, samples=rows,
                                 values=np.append(AWKWARD, 1e-300))
         path, expected = tmp_path / "blocks.csv", tmp_path / "savetxt.csv"
         write_timeseries_csv(series, path)
+        savetxt(series, expected)
+        assert path.read_bytes() == expected.read_bytes()
 
-        table = np.empty((rows, 9))
-        table[:, 0] = series.t
-        for j, name in enumerate(("n", "v", "friction", "diffusion"), start=1):
-            table[:, j::4] = getattr(series, name).T
-        np.savetxt(expected, table, fmt="%.17g", delimiter=",",
-                   header=CSV_VERSION_LINE + "\nt,n1,v1,lambda1,D1,n2,v2,"
-                   "lambda2,D2", comments="")
+    def test_rows_wider_than_a_block_are_written_one_at_a_time(self, tmp_path):
+        n_osc = _BLOCK_VALUES // 4
+        series = awkward_series(n_osc=n_osc, samples=3)
+        assert 1 + 4 * n_osc > _BLOCK_VALUES
+        path, expected = tmp_path / "wide.csv", tmp_path / "savetxt.csv"
+        write_timeseries_csv(series, path)
+        savetxt(series, expected)
         assert path.read_bytes() == expected.read_bytes()
 
     def test_values_read_back_bit_for_bit(self, tmp_path):

@@ -640,6 +640,31 @@ class TestStackedTables:
         assert "invariant_drift" in stacked.diagnostics
         assert stacked.diagnostics == looped.diagnostics
 
+    def test_stacked_run_fits_and_calls_no_table(self, monkeypatch):
+        # One fit over all the tables' columns, and the output grid sampled
+        # by one stacked call: no table builds its own kernel or is called.
+        calls = []
+        call = TabulatedProvider.__call__
+
+        def recording(self, t):
+            calls.append(t)
+            return call(self, t)
+
+        monkeypatch.setattr(TabulatedProvider, "__call__", recording)
+        config, providers = tabulated_chain(32, knot_dt=0.1)
+        series = integrate_coupled(config, providers)
+        assert series.friction.shape == (32, series.t.size)
+        assert calls == []
+        assert not any("_kernel" in vars(p) for p in providers)
+
+    @pytest.mark.parametrize("n", [_STACK_MIN_TABLES - 1, 32])
+    def test_output_grid_sampled_in_chunks(self, n, monkeypatch):
+        # Seven output times per chunk: 15 chunks, the last one partial.
+        config, providers = tabulated_chain(n, knot_dt=0.1)
+        whole = integrate_coupled(config, providers)
+        monkeypatch.setattr(oscibath.integrator, "_SAMPLE_MAX_VALUES", 7 * n)
+        assert_same_bits(integrate_coupled(config, providers), whole)
+
     def test_tables_declare_no_period(self):
         # The stacked RHS handles the vector state only; the periodic tail's
         # matrix state would need every provider to declare a period.

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from oscibath.coefficients import PhenomenologicalProvider
+from oscibath.coefficients import (
+    PhenomenologicalProvider,
+    TabulatedProvider,
+    _spline_kernel,
+)
 from oscibath.integrator import integrate_coupled, integrate_single_first_order
 from oscibath.model import (
     BathSpec,
@@ -256,3 +260,34 @@ def test_tail_and_stepping_through_one_solve_agree(run):
                      np.abs(tail.v - stepped.v).max())
     scale = max(np.abs(stepped.n).max(), np.abs(stepped.v).max())
     assert difference <= 50.0 * config.rtol * scale
+
+
+@st.composite
+def tables_on_a_ragged_grid(draw):
+    """1 to 8 tables on one grid whose spacings jump by more than 2x, so
+    that the tridiagonal solve interchanges rows (first at row 0)."""
+    n = draw(st.integers(4, 24))
+    dx = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    dx[1] = dx[0] * draw(st.floats(2.5, 40.0))
+    grid = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(dx)])
+    value = st.floats(-10.0, 10.0)
+    k = draw(st.integers(1, 8))
+    columns = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                            min_size=2 * k, max_size=2 * k))
+    return [TabulatedProvider(grid=grid, lambda_values=np.array(lam),
+                              D_values=np.array(dif))
+            for lam, dif in zip(columns[:k], columns[k:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_on_a_ragged_grid())
+def test_one_fit_over_tables_on_one_grid_is_each_tables_fit(tables):
+    from test_coefficients import scipy_coefficients
+
+    knots, lo, hi, slack, coefs = _spline_kernel(tables)
+    assert coefs.shape == (tables[0].grid.size - 1, 14, len(tables))
+    for k, table in enumerate(tables):
+        assert np.array_equal(coefs[..., k].view(np.uint64),
+                              table._kernel[4].view(np.uint64))
+        assert np.array_equal(coefs[..., k], scipy_coefficients(table))
+        assert (knots, lo, hi, slack) == table._kernel[:4]
