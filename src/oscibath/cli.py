@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +308,9 @@ def cmd_sweep(scenario_path: str, output_dir: str, *, param: str,
     # A fork pool starts all of its workers at the first submit.
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: it loads multiprocessing, which no other command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:

@@ -22,12 +22,13 @@ A(t) y + b(t) drive, and every run, of either formulation, takes one solve
 (_solve): it steps [0, t_p].  A run whose providers all declare
 ``osc_freq`` and ``periodic_from`` is periodic with a common period T from
 some time t_p on (Floquet): the flow over one period is then a fixed affine
-map y -> M y + c.  When enough periods follow t_p and the sampled matrix
-state stays small (see _common_period), the solve then steps one period of
-the affine matrix state and maps every later sample from that period; the
-moduli of the eigenvalues of M are its Floquet multipliers.  Any other run
-has t_p = t_end, the last output time, and no tail: stepping [0, t_p] is
-the whole run.
+map y -> M y + c.  When enough periods follow t_p (see _common_period), the
+solve first steps one period of the affine matrix state, keeping each
+step's interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and
+maps every later sample from that record; the moduli of the eigenvalues of
+M are its Floquet multipliers.  Any other run, and one whose record would
+pass _TAIL_MAX_DOUBLES, has t_p = t_end, the last output time, and no
+tail: stepping [0, t_p] is the whole run.
 
 The coupled RHS is one closure over the run's provider bank
 (coefficients._provider_bank): (rows, provider) pairs whose calls fill the
@@ -78,6 +79,10 @@ class PositivityViolation(IntegratorError):
     """A run whose exact flow keeps n >= 0 produced a clearly negative n."""
 
 
+class _RecordFull(Exception):
+    """A solve's step record would pass _TAIL_MAX_DOUBLES values."""
+
+
 # Dormand-Prince 5(4) tableau.  The fifth-order solution propagates; the
 # embedded fourth-order difference (E) drives step-size control; row j of PT
 # holds the stage weights of theta**(j+1) in the quartic dense output.
@@ -118,10 +123,12 @@ _EPS = float(np.finfo(float).eps)
 # The periodic tail runs only when at least _TAIL_MIN_PERIODS periods
 # follow t_p: its one-period matrix solve costs as much as stepping 2.3
 # (N = 1), 3.0 (N = 2), 3.5 (N = 4, 8) and 4.3-4.7 (N = 16, 32) periods,
-# as timed on fig2, fig4 and phenomenological chains.  Its sampled matrix
-# state, which grows with the output samples after t_p times dim*(dim + 1),
-# may hold at most _TAIL_MAX_DOUBLES values (4 MB); the state of an N = 32
-# chain to t_end 80 would take 256 MB, against 4 MB for stepping's output.
+# as timed on fig2, fig4 and phenomenological chains.  Its period solve
+# records 5 * dim * (dim + 1) values per step, whatever t_end and output_dt,
+# and may hold at most _TAIL_MAX_DOUBLES of them (4 MB): one fig4 period
+# takes 248-634 steps (0.2-0.5 MB) and one of a fig4-like chain of 8
+# oscillators 292 steps (3.2 MB).  A chain of 32 would need 258 steps
+# (43 MB); its period solve stops after 25 and the run steps all the way.
 _TAIL_MIN_PERIODS = 4.0
 _TAIL_MAX_DOUBLES = 2**19
 # The output grid's friction and diffusion are sampled in chunks of at most
@@ -178,12 +185,17 @@ def _stops(providers: Sequence[CoefficientProvider], t0: float,
 
 def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
                 rtol: float, atol: float,
-                providers: Sequence[CoefficientProvider]
-                ) -> tuple[np.ndarray, dict]:
+                providers: Sequence[CoefficientProvider],
+                record: list | None = None) -> tuple[np.ndarray, dict]:
     """Integrate from grid[0] to grid[-1]; sample the interpolant on the grid.
 
     A step that would reach past one of the providers' breakpoints (or
     t_final) is shortened to end exactly on the last one it reaches.
+
+    With a ``record`` list, each accepted step appends (t, h, y, _PT @ k):
+    its start, length, start state and quartic rows, whose interpolant at
+    theta in [0, 1] is y + h * theta**_POWERS @ rows.  Before the record
+    would pass _TAIL_MAX_DOUBLES values, the solve raises _RecordFull.
     """
     t = float(grid[0])
     t_final = float(grid[-1])
@@ -244,6 +256,11 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
             err = math.inf
 
         if err <= 1.0:
+            if record is not None:
+                if 5 * dim * (len(record) + 1) > _TAIL_MAX_DOUBLES:
+                    raise _RecordFull
+                # y is rebound, never written to, so a reference suffices.
+                record.append((t, h, y, _PT @ k))
             # Fill output samples covered by this step from the quartic
             # interpolant.
             hi = bisect.bisect_right(
@@ -276,17 +293,15 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     return out, stats
 
 
-def _common_period(providers: Sequence[CoefficientProvider], grid: np.ndarray,
-                   dim: int) -> tuple[float, float] | None:
+def _common_period(providers: Sequence[CoefficientProvider],
+                   grid: np.ndarray) -> tuple[float, float] | None:
     """(t_p, T): the providers' coefficients repeat with period T from t_p on.
 
     None unless every provider declares ``osc_freq`` and a finite
-    ``periodic_from``, the output grid reaches t_p + _TAIL_MIN_PERIODS * T
-    and the tail's sampled matrix state, one dim x (dim + 1) matrix per
-    output time after t_p, holds at most _TAIL_MAX_DOUBLES values.  T is
-    2*pi over the exact gcd of the frequencies' binary values:
-    incommensurate ones give a T far beyond any t_end.  t_p is at least
-    grid[1], so that [0, t_p] is a grid.
+    ``periodic_from`` and the output grid reaches
+    t_p + _TAIL_MIN_PERIODS * T.  T is 2*pi over the exact gcd of the
+    frequencies' binary values: incommensurate ones give a T far beyond any
+    t_end.  t_p is at least grid[1], so that [0, t_p] is a grid.
     """
     freqs = [getattr(p, "osc_freq", None) for p in providers]
     starts = [getattr(p, "periodic_from", None) for p in providers]
@@ -300,9 +315,6 @@ def _common_period(providers: Sequence[CoefficientProvider], grid: np.ndarray,
     period = 2.0 * math.pi / float(gcd)
     t_p = max(float(grid[1]), *map(float, starts))
     if grid[-1] < t_p + _TAIL_MIN_PERIODS * period:
-        return None
-    later = grid.size - int(np.searchsorted(grid, t_p))
-    if later * dim * (dim + 1) > _TAIL_MAX_DOUBLES:
         return None
     return t_p, period
 
@@ -320,16 +332,18 @@ def _solve(config: SimulationConfig,
 
     Every run steps [0, t_p].  Without a usable period (_common_period),
     t_p is the grid's last time and that step is the whole run.  Otherwise
-    the run maps every later output sample from one period of the affine
-    matrix state [Phi | psi], the only code that knows it: rhs is called
-    with that state as a dim x (dim + 1) matrix and drive the unit row
-    e_{dim+1}, so that only psi is driven.  The state, from [I | 0] at t_p,
-    is integrated over [t_p, t_p + T] and sampled at the sorted phases tau
-    of the later output times (one sample per later output time, unless
-    output_dt divides T); its end value is [M | c].  The sample k whole
+    the run first solves one period of the affine matrix state
+    [Phi | psi], the only code that knows it: rhs is called with that
+    state as a dim x (dim + 1) matrix and drive the unit row e_{dim+1}, so
+    that only psi is driven.  The state is integrated from [I | 0] over
+    [t_p, t_p + T], at a tenth of the tolerances since its error is
+    compounded once per period; its end value is [M | c], and the solve
+    keeps a record of its steps' interpolants instead of sampling them.
+    A record that would pass _TAIL_MAX_DOUBLES values stops that solve, and
+    the run steps all the way as if it had no period.  The sample k whole
     periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
-    y_0 = y(t_p) and y_{k+1} = M y_k + c.  The period's error is compounded
-    once per period, so its solve runs at a tenth of the tolerances.
+    y_0 = y(t_p) and y_{k+1} = M y_k + c, evaluated from the record one
+    period at a time.
 
     Returns the grid, the samples (one row per output time), the
     friction and diffusion on the grid (one row per oscillator) and the
@@ -345,34 +359,47 @@ def _solve(config: SimulationConfig,
     m = int(math.floor(config.t_end / config.output_dt + 1e-9))
     grid = np.arange(m + 1) * config.output_dt
     dim = y0.size
-    t_p, period = (_common_period(providers, grid, dim)
-                   or (float(grid[-1]), 0.0))
+    t_p, period = _common_period(providers, grid) or (float(grid[-1]), 0.0)
+    record: list = []
+    if period:
+        drive = np.eye(dim + 1)[dim]
+        try:
+            ends, tail_stats = _rk45_solve(
+                lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
+                np.eye(dim, dim + 1).ravel(), np.array([t_p, t_p + period]),
+                config.rtol / 10, config.atol / 10, providers, record)
+        except _RecordFull:
+            t_p, period = float(grid[-1]), 0.0
     later = int(np.searchsorted(grid, t_p))
     out, stats = _rk45_solve(lambda t, y: rhs(t, y, 1.0), y0,
                              np.append(grid[:later], t_p),
                              config.rtol, config.atol, providers)
     stats["periods_propagated"] = 0
     if period:
-        whole, tau = np.divmod(grid[later:] - t_p, period)
-        phases, phase_of = np.unique(np.concatenate([[0.0], tau, [period]]),
-                                     return_inverse=True)
-        drive = np.eye(dim + 1)[dim]
-        maps, tail_stats = _rk45_solve(
-            lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
-            np.eye(dim, dim + 1).ravel(), t_p + phases,
-            config.rtol / 10, config.atol / 10, providers)
-        maps = maps.reshape(-1, dim, dim + 1)
+        flow = ends[-1].reshape(dim, dim + 1)
+        starts, lengths = np.array([step[:2] for step in record]).T
+        # Row s holds step s's start state, then its four quartic rows.
+        steps = np.empty((len(record), 5, dim * (dim + 1)))
+        for into, (_, _, *rows) in zip(steps, record):
+            into[0], into[1:] = rows
+        record.clear()
+        steps = steps.reshape(-1, dim + 1)
         head, out = out, np.empty((grid.size, dim))
         out[:later] = head[:-1]
         y = np.append(head[-1], 1.0)
-        phase_of = phase_of[1:-1]
+        whole, tau = np.divmod(grid[later:] - t_p, period)
         stats["periods_propagated"] = periods = int(whole[-1])
         bounds = np.searchsorted(whole, np.arange(periods + 2))
         for a, b in zip(bounds[:-1], bounds[1:]):
-            # One period's gather at a time: a copy of all of them would
-            # hold the whole sampled matrix state again.
-            out[later + a:later + b] = maps[phase_of[a:b]] @ y
-            y = np.append(maps[-1] @ y, 1.0)
+            # Every step's start state and quartic rows applied to
+            # (y_k, 1); each sample then takes its own step's.
+            at = (steps @ y).reshape(-1, 5, dim)
+            t = t_p + tau[a:b]
+            s = np.searchsorted(starts, t, "right") - 1
+            theta = ((t - starts[s]) / lengths[s]).clip(0.0, 1.0)
+            out[later + a:later + b] = at[s, 0] + lengths[s, None] * np.einsum(
+                "mp,mpd->md", theta[:, None] ** _POWERS, at[s, 1:])
+            y = np.append(flow @ y, 1.0)
         for key in ("steps_accepted", "steps_rejected", "rhs_evaluations"):
             stats[key] += tail_stats[key]
         stats["h_min"] = min(stats["h_min"], tail_stats["h_min"])
@@ -380,8 +407,7 @@ def _solve(config: SimulationConfig,
         stats["rejection_ratio"] = stats["steps_rejected"] / (
             stats["steps_accepted"] + stats["steps_rejected"])
         stats["floquet_multipliers"] = tuple(sorted(
-            np.abs(np.linalg.eigvals(maps[-1][:, :dim])).tolist(),
-            reverse=True))
+            np.abs(np.linalg.eigvals(flow[:, :dim])).tolist(), reverse=True))
     n = out[:, :n_osc]
     stats["negative_excursions"] = {"count": int((n < 0).sum()),
                                     "most_negative": float(min(0.0, n.min()))}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import math
 import os
@@ -160,6 +161,19 @@ def test_no_command_needs_scipy(tmp_path):
                               capture_output=True, text=True, timeout=300)
         if proc.returncode != 0:
             pytest.fail(f"exit {proc.returncode}: {proc.stderr}")
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only sweep --jobs needs a pool, and it imports one when it starts it.
+    src = Path(oscibath.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    script = ("import sys, oscibath.cli; sys.exit(sorted({'multiprocessing', "
+              "'concurrent.futures.process'} & set(sys.modules)) or None)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        pytest.fail(f"exit {proc.returncode}: {proc.stderr}")
 
 
 class TestSimulate:
@@ -512,7 +526,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(oscibath.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         scn = tmp_path / "const.scn"
         scn.write_text(CONSTANT_SCN)
         out_dir = tmp_path / "sweep"

@@ -792,19 +792,29 @@ class TestPeriodicTail:
             assert error <= np.abs(getattr(stepped, name) - reference[rows]).max()
             assert error <= 1e-9
 
-    @pytest.mark.parametrize("second, t_end, output_dt", [
-        (dataclasses.replace(STANDARD, osc_freq=math.sqrt(2.0)), 40.0, 0.01),
-        (table_on(np.linspace(0.0, 40.0, 401)), 40.0, 0.01),
-        (STANDARD, 12.0, 0.01),
-        # 36,941 samples after t_p of a 4 x 5 matrix state: over 2**19.
-        (STANDARD, 40.0, 0.001),
-        (NanStart(**dataclasses.asdict(STANDARD)), 40.0, 0.01),
+    @pytest.mark.parametrize("second, t_end, bound", [
+        (dataclasses.replace(STANDARD, osc_freq=math.sqrt(2.0)), 40.0, None),
+        (table_on(np.linspace(0.0, 40.0, 401)), 40.0, None),
+        (STANDARD, 12.0, None),
+        # Room for 30 steps of the 4 x 5 matrix state; a period takes more.
+        (STANDARD, 40.0, 30 * 5 * 20),
+        (NanStart(**dataclasses.asdict(STANDARD)), 40.0, None),
     ], ids=["incommensurate", "tabulated", "short", "oversized", "nan-start"])
     def test_runs_without_a_usable_period_step_as_before(self, second, t_end,
-                                                         output_dt):
+                                                         bound, monkeypatch):
+        module = oscibath.integrator
+        records = []
+        if bound is not None:
+            solve = module._rk45_solve
+
+            def recording(*args):
+                records.extend(args[6:])
+                return solve(*args)
+
+            monkeypatch.setattr(module, "_TAIL_MAX_DOUBLES", bound)
+            monkeypatch.setattr(module, "_rk45_solve", recording)
         config = coupled_config(OscillatorSpec(1.0),
-                                OscillatorSpec(1.5, n0=0.3), 0.4, t_end,
-                                output_dt=output_dt)
+                                OscillatorSpec(1.5, n0=0.3), 0.4, t_end)
         series = integrate_coupled(config, [STANDARD, second])
         bare = integrate_coupled(config, [
             declaring_nothing(p) if isinstance(p, PhenomenologicalProvider) else p
@@ -814,6 +824,25 @@ class TestPeriodicTail:
         assert series.diagnostics == bare.diagnostics
         for name in ("n", "v"):
             assert np.array_equal(getattr(series, name), getattr(bare, name))
+        if bound is not None:
+            # The period solve stopped as soon as its record was full.
+            (record,) = records
+            assert len(record) == bound // (5 * 20)
+
+    def test_long_run_takes_the_tail(self):
+        # 29,695 samples after t_p of a 4 x 5 matrix state, over 2**19, once
+        # sent this run back to stepping; the period's record does not grow
+        # with them.
+        config, providers = scenario_run(demo_fig4_scenario("0.5"), t_end=300.0)
+        tail = integrate_coupled(config, providers)
+        stepped = integrate_coupled(config,
+                                    [declaring_nothing(p) for p in providers])
+        assert tail.diagnostics["periods_propagated"] == 47
+        assert stepped.diagnostics["periods_propagated"] == 0
+        scale = max(np.abs(stepped.n).max(), np.abs(stepped.v).max())
+        for name in ("n", "v"):
+            difference = np.abs(getattr(tail, name) - getattr(stepped, name))
+            assert difference.max() <= 50.0 * (config.rtol * scale + config.atol)
 
     def test_stepping_run_returns_the_solve_array(self, monkeypatch):
         # Without a usable period the step over [0, t_p] is the whole run,
