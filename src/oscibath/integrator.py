@@ -1,8 +1,9 @@
 """Adaptive Runge-Kutta integration of the occupation-number master equations.
 
-Two formulations share one solve path: the output grid, an embedded
-Dormand-Prince 5(4) core with dense output (output samples come from the
-step interpolant, never from re-integration) and the coefficient samples:
+Two formulations share one solve path: the output grid, one embedded
+Dormand-Prince 5(4) stepper, which hands each accepted step with its
+quartic interpolant to the solve (output samples come from the
+interpolant, never from re-integration), and the coefficient samples:
 
 * first-order single oscillator:   dn/dt = -2 lam(t) n + 2 D(t)
 * coupled second-order system:     n_i'' + 2 lam_i n_i' + 2 lam_i' n_i
@@ -45,7 +46,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,10 +78,6 @@ class StepSizeUnderflow(IntegratorError):
 
 class PositivityViolation(IntegratorError):
     """A run whose exact flow keeps n >= 0 produced a clearly negative n."""
-
-
-class _RecordFull(Exception):
-    """A solve's step record would pass _TAIL_MAX_DOUBLES values."""
 
 
 # Dormand-Prince 5(4) tableau.  The fifth-order solution propagates; the
@@ -121,9 +118,10 @@ _MAX_FACTOR = 10.0
 _MAX_STEPS = 10_000_000
 _EPS = float(np.finfo(float).eps)
 # The periodic tail runs only when at least _TAIL_MIN_PERIODS periods
-# follow t_p: its one-period matrix solve costs as much as stepping 2.3
-# (N = 1), 3.0 (N = 2), 3.5 (N = 4, 8) and 4.3-4.7 (N = 16, 32) periods,
-# as timed on fig2, fig4 and phenomenological chains.  Its period solve
+# follow t_p.  With the gate lowered, a run 1/2/3/4 periods past t_p took
+# this share of its stepping run's CPU (min of 5): fig2 1.37/1.12/0.71/0.51,
+# fig4 beta 0.5 1.28/0.89/0.54/0.52, fig4-like chains of 4 and 8
+# 1.41/0.87/0.59/0.50 and 1.42/0.90/0.66/0.52.  Its period solve
 # records 5 * dim * (dim + 1) values per step, whatever t_end and output_dt,
 # and may hold at most _TAIL_MAX_DOUBLES of them (4 MB): one fig4 period
 # takes 248-634 steps (0.2-0.5 MB) and one of a fig4-like chain of 8
@@ -183,31 +181,27 @@ def _stops(providers: Sequence[CoefficientProvider], t0: float,
                    if t0 < b and t_final - b > tiny}) + [t_final]
 
 
-def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
+def _rk45_steps(f: RHS, y0: np.ndarray, t: float, t_final: float,
                 rtol: float, atol: float,
-                providers: Sequence[CoefficientProvider],
-                record: list | None = None) -> tuple[np.ndarray, dict]:
-    """Integrate from grid[0] to grid[-1]; sample the interpolant on the grid.
+                providers: Sequence[CoefficientProvider], stats: dict
+                ) -> Iterator[tuple]:
+    """Step from t to t_final; yield each accepted step.
 
-    A step that would reach past one of the providers' breakpoints (or
-    t_final) is shortened to end exactly on the last one it reaches.
+    A step is (t, h, t_new, y, y_new, rows): its start, length and end (a
+    step that would reach past one of the providers' breakpoints, or
+    t_final, is shortened to end exactly on the last one it reaches), its
+    start and end states, and its quartic rows _PT @ k, whose interpolant
+    at theta in [0, 1] is y + h * theta**_POWERS @ rows.  The states are
+    rebound, never written to, so a caller may keep them.
 
-    With a ``record`` list, each accepted step appends (t, h, y, _PT @ k):
-    its start, length, start state and quartic rows, whose interpolant at
-    theta in [0, 1] is y + h * theta**_POWERS @ rows.  Before the record
-    would pass _TAIL_MAX_DOUBLES values, the solve raises _RecordFull.
+    When the steps run out or the caller closes the generator, the step
+    counts, the RHS evaluations and the step-size range are added to
+    ``stats``; a step the caller closed on counts its evaluations only.
     """
-    t = float(grid[0])
-    t_final = float(grid[-1])
     stops = _stops(providers, t, t_final)
     next_stop = 0
     y = np.array(y0, dtype=float)
     dim = y.size
-
-    out = np.empty((grid.size, dim))
-    out[0] = y
-    next_idx = 1
-    times = grid.tolist()
 
     # Stage 1 (k[0]) is the slope at (t, y).  An attempt writes only
     # k[1:], so a rejected attempt leaves k[0] for the retry; an accepted
@@ -220,77 +214,63 @@ def _rk45_solve(f: RHS, y0: np.ndarray, grid: np.ndarray,
     h = _initial_step(f, t, y, k[0], rtol, atol, t_final - t)
     nfev += 1
 
-    accepted = 0
-    rejected = 0
-    h_min = math.inf
-    h_max = 0.0
-    while t < t_final:
-        tiny = 10.0 * _EPS * max(abs(t), abs(t_final))
-        # Skip the stops already reached or within the underflow threshold
-        # of t (two tables whose knots differ by a few ulp); t_final stays.
-        while next_stop < len(stops) - 1 and stops[next_stop] - t <= tiny:
-            next_stop += 1
-        # Ending on the last stop reached, not the first, keeps steps
-        # longer than a dense table's knot spacing: the error control then
-        # prices the kinks they cross, instead of one step per knot.
-        clamped = h >= stops[next_stop] - t
-        if clamped:
-            stop = stops[bisect.bisect_right(stops, t + h, next_stop + 1) - 1]
-            h = stop - t
-        if h < tiny:
-            raise StepSizeUnderflow(f"step size underflow at t={t!r}")
-        if accepted + rejected > _MAX_STEPS:
-            raise IntegratorError("step budget exceeded")
+    accepted = rejected = 0
+    h_min, h_max = math.inf, 0.0
+    try:
+        while t < t_final:
+            tiny = 10.0 * _EPS * max(abs(t), abs(t_final))
+            # Skip the stops reached or within the underflow threshold of
+            # t (two tables' knots a few ulp apart); t_final stays.
+            while next_stop < len(stops) - 1 and stops[next_stop] - t <= tiny:
+                next_stop += 1
+            # Ending on the last stop reached, not the first, keeps steps
+            # longer than a dense table's knot spacing: the error control
+            # then prices the kinks they cross, instead of one step per knot.
+            clamped = h >= stops[next_stop] - t
+            if clamped:
+                stop = stops[bisect.bisect_right(stops, t + h, next_stop + 1)
+                             - 1]
+                h = stop - t
+            if h < tiny:
+                raise StepSizeUnderflow(f"step size underflow at t={t!r}")
+            if accepted + rejected > _MAX_STEPS:
+                raise IntegratorError("step budget exceeded")
 
-        for i in range(1, 6):
-            k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-        y_new = y + h * (_B @ k[:6])
-        t_new = stop if clamped else t + h
-        k[6] = f(t_new, y_new)
-        nfev += 6
+            for i in range(1, 6):
+                k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
+            y_new = y + h * (_B @ k[:6])
+            t_new = stop if clamped else t + h
+            k[6] = f(t_new, y_new)
+            nfev += 6
 
-        if np.isfinite(k).all() and np.isfinite(y_new).all():
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _error_norm(h * (_E @ k), scale)
-        else:
-            err = math.inf
+            if np.isfinite(k).all() and np.isfinite(y_new).all():
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+                err = _error_norm(h * (_E @ k), scale)
+            else:
+                err = math.inf
 
-        if err <= 1.0:
-            if record is not None:
-                if 5 * dim * (len(record) + 1) > _TAIL_MAX_DOUBLES:
-                    raise _RecordFull
-                # y is rebound, never written to, so a reference suffices.
-                record.append((t, h, y, _PT @ k))
-            # Fill output samples covered by this step from the quartic
-            # interpolant.
-            hi = bisect.bisect_right(
-                times, t_new + 4.0 * _EPS * max(abs(t_new), 1.0), next_idx)
-            if hi > next_idx:
-                theta = ((grid[next_idx:hi] - t) / h).clip(0.0, 1.0)
-                out[next_idx:hi] = y + h * ((theta[:, None] ** _POWERS)
-                                            @ (_PT @ k))
-                next_idx = hi
-            t = t_new
-            y = y_new
-            k[0] = k[6]
-            accepted += 1
-            h_min = min(h_min, h)
-            h_max = max(h_max, h)
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
-            h *= factor
-        else:
-            rejected += 1
-            factor = 0.1 if math.isinf(err) else max(
-                _MIN_FACTOR, _SAFETY * err ** -0.2)
-            h *= factor
-
-    if next_idx != grid.size:
-        raise IntegratorError("internal error: output grid not fully covered")
-    stats = {"steps_accepted": accepted, "steps_rejected": rejected,
-             "rhs_evaluations": nfev, "h_min": h_min, "h_max": h_max,
-             "rejection_ratio": rejected / (accepted + rejected)}
-    return out, stats
+            if err <= 1.0:
+                yield t, h, t_new, y, y_new, _PT @ k
+                t = t_new
+                y = y_new
+                k[0] = k[6]
+                accepted += 1
+                h_min = min(h_min, h)
+                h_max = max(h_max, h)
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+                h *= factor
+            else:
+                rejected += 1
+                factor = 0.1 if math.isinf(err) else max(
+                    _MIN_FACTOR, _SAFETY * err ** -0.2)
+                h *= factor
+    finally:
+        stats["steps_accepted"] += accepted
+        stats["steps_rejected"] += rejected
+        stats["rhs_evaluations"] += nfev
+        stats["h_min"] = min(stats["h_min"], h_min)
+        stats["h_max"] = max(stats["h_max"], h_max)
 
 
 def _common_period(providers: Sequence[CoefficientProvider],
@@ -330,28 +310,30 @@ def _solve(config: SimulationConfig,
     friction and diffusion on the output grid, one call per pair and chunk
     of output times (_SAMPLE_MAX_VALUES).
 
-    Every run steps [0, t_p].  Without a usable period (_common_period),
-    t_p is the grid's last time and that step is the whole run.  Otherwise
-    the run first solves one period of the affine matrix state
-    [Phi | psi], the only code that knows it: rhs is called with that
-    state as a dim x (dim + 1) matrix and drive the unit row e_{dim+1}, so
-    that only psi is driven.  The state is integrated from [I | 0] over
-    [t_p, t_p + T], at a tenth of the tolerances since its error is
-    compounded once per period; its end value is [M | c], and the solve
-    keeps a record of its steps' interpolants instead of sampling them.
-    A record that would pass _TAIL_MAX_DOUBLES values stops that solve, and
-    the run steps all the way as if it had no period.  The sample k whole
-    periods and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with
-    y_0 = y(t_p) and y_{k+1} = M y_k + c, evaluated from the record one
-    period at a time.
+    Every run steps [0, t_p], writing each output time before t_p from
+    the interpolant of the step that covers it as the steps arrive.
+    Without a usable period (_common_period), t_p is the grid's last time
+    and that step writes the whole grid.  Otherwise the run first solves
+    one period of the affine matrix state [Phi | psi], the only code that
+    knows it: rhs is called with that state as a dim x (dim + 1) matrix
+    and drive the unit row e_{dim+1}, so that only psi is driven.  The
+    state is integrated from [I | 0] over [t_p, t_p + T], at a tenth of
+    the tolerances since its error is compounded once per period; its last
+    step's end state is [M | c], and the solve records each step's
+    interpolant instead of sampling it.  Once the record would pass
+    _TAIL_MAX_DOUBLES values, the solve closes that stepper and the run
+    steps all the way as if it had no period.  The sample k whole periods
+    and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with y_0 = y(t_p),
+    the head's end state, and y_{k+1} = M y_k + c, evaluated from the
+    record one period at a time.
 
     Returns the grid, the samples (one row per output time), the
     friction and diffusion on the grid (one row per oscillator) and the
-    diagnostics: the step statistics (sums over both solves of a periodic
-    run), ``periods_propagated`` (0 when every sample was stepped to), the
-    tail's ``floquet_multipliers`` (the moduli of the eigenvalues of M) and
-    the ``negative_excursions`` of n, the first n_oscillators components
-    of the state.
+    diagnostics: the step statistics (sums over every solve the run
+    started, a stopped period solve included), ``periods_propagated`` (0
+    when every sample was stepped to), the tail's ``floquet_multipliers``
+    (the moduli of the eigenvalues of M) and the ``negative_excursions``
+    of n, the first n_oscillators components of the state.
     """
     providers = [provider for _, provider in bank]
     n_osc = config.n_oscillators
@@ -360,23 +342,43 @@ def _solve(config: SimulationConfig,
     grid = np.arange(m + 1) * config.output_dt
     dim = y0.size
     t_p, period = _common_period(providers, grid) or (float(grid[-1]), 0.0)
-    record: list = []
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evaluations": 0,
+             "h_min": math.inf, "h_max": 0.0}
+    record = []
     if period:
         drive = np.eye(dim + 1)[dim]
-        try:
-            ends, tail_stats = _rk45_solve(
-                lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
-                np.eye(dim, dim + 1).ravel(), np.array([t_p, t_p + period]),
-                config.rtol / 10, config.atol / 10, providers, record)
-        except _RecordFull:
-            t_p, period = float(grid[-1]), 0.0
-    later = int(np.searchsorted(grid, t_p))
-    out, stats = _rk45_solve(lambda t, y: rhs(t, y, 1.0), y0,
-                             np.append(grid[:later], t_p),
-                             config.rtol, config.atol, providers)
+        stepper = _rk45_steps(
+            lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
+            np.eye(dim, dim + 1).ravel(), t_p, t_p + period,
+            config.rtol / 10, config.atol / 10, providers, stats)
+        for t, h, _, y, flow, rows in stepper:
+            if 5 * flow.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
+                stepper.close()
+                t_p, period = float(grid[-1]), 0.0
+                break
+            record.append((t, h, y, rows))
+    # The head samples [0, t_p), or the whole grid of a stepping run.
+    later = int(np.searchsorted(grid, t_p)) if period else grid.size
+    out = np.empty((grid.size, dim))
+    out[0] = y0
+    times = grid.tolist()
+    filled = 1
+    for t, h, t_new, y, y_p, rows in _rk45_steps(
+            lambda t, y: rhs(t, y, 1.0), y0, 0.0, t_p,
+            config.rtol, config.atol, providers, stats):
+        hi = bisect.bisect_right(
+            times, t_new + 4.0 * _EPS * max(abs(t_new), 1.0), filled, later)
+        if hi > filled:
+            theta = ((grid[filled:hi] - t) / h).clip(0.0, 1.0)
+            out[filled:hi] = y + h * ((theta[:, None] ** _POWERS) @ rows)
+            filled = hi
+    if filled != later:
+        raise IntegratorError("internal error: output grid not fully covered")
+    stats["rejection_ratio"] = stats["steps_rejected"] / (
+        stats["steps_accepted"] + stats["steps_rejected"])
     stats["periods_propagated"] = 0
     if period:
-        flow = ends[-1].reshape(dim, dim + 1)
+        flow = flow.reshape(dim, dim + 1)
         starts, lengths = np.array([step[:2] for step in record]).T
         # Row s holds step s's start state, then its four quartic rows.
         steps = np.empty((len(record), 5, dim * (dim + 1)))
@@ -384,9 +386,7 @@ def _solve(config: SimulationConfig,
             into[0], into[1:] = rows
         record.clear()
         steps = steps.reshape(-1, dim + 1)
-        head, out = out, np.empty((grid.size, dim))
-        out[:later] = head[:-1]
-        y = np.append(head[-1], 1.0)
+        y = np.append(y_p, 1.0)
         whole, tau = np.divmod(grid[later:] - t_p, period)
         stats["periods_propagated"] = periods = int(whole[-1])
         bounds = np.searchsorted(whole, np.arange(periods + 2))
@@ -400,12 +400,6 @@ def _solve(config: SimulationConfig,
             out[later + a:later + b] = at[s, 0] + lengths[s, None] * np.einsum(
                 "mp,mpd->md", theta[:, None] ** _POWERS, at[s, 1:])
             y = np.append(flow @ y, 1.0)
-        for key in ("steps_accepted", "steps_rejected", "rhs_evaluations"):
-            stats[key] += tail_stats[key]
-        stats["h_min"] = min(stats["h_min"], tail_stats["h_min"])
-        stats["h_max"] = max(stats["h_max"], tail_stats["h_max"])
-        stats["rejection_ratio"] = stats["steps_rejected"] / (
-            stats["steps_accepted"] + stats["steps_rejected"])
         stats["floquet_multipliers"] = tuple(sorted(
             np.abs(np.linalg.eigvals(flow[:, :dim])).tolist(), reverse=True))
     n = out[:, :n_osc]
@@ -474,7 +468,10 @@ def integrate_coupled(config: SimulationConfig,
     With symmetric coupling the sum I = sum_i (v_i + 2 lam_i n_i - 2 D_i)
     is conserved.  ``invariant_drift`` is max_t |I(t) - I(0)| over the
     output samples, relative to the largest per-sample
-    sum_i (|v_i| + 2 |lam_i n_i| + 2 |D_i|).
+    sum_i (|v_i| + 2 |lam_i n_i| + 2 |D_i|).  The other diagnostics are
+    _solve's: the step statistics of every solve the run started, the
+    periodic tail's ``periods_propagated`` and ``floquet_multipliers``, and
+    the ``negative_excursions`` of n.
 
     The RHS samples the providers through their bank: one call per
     oscillator, or one call for all of them when they are at least five

@@ -386,6 +386,28 @@ class TestAnalyze:
         assert "--window 80:90 lies outside the data's times 0:80" in (
             capsys.readouterr().err)
 
+    def test_no_metric_flag_analyses_the_period(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 0.01 * np.arange(3001))
+        assert main(["analyze", str(path), "--period"]) == 0
+        with_flag = capsys.readouterr()
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr() == with_flag
+        assert "period = " in with_flag.out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window", "5", "--window must be t_a:t_b, got '5'"),
+        ("--window", "10:5", "--window start must precede end"),
+        ("--sync", "1-2", "--sync must be a,b, got '1-2'"),
+    ], ids=["window-without-colon", "window-reversed", "sync-without-comma"])
+    def test_malformed_flag_exits_1(self, fig4_demo_dir, capsys, flag, value,
+                                    message):
+        assert main(["analyze", str(fig4_demo_dir / "fig4_beta0.05.csv"),
+                     flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"oscibath: {message}\n"
+
     def test_sync_with_scenario_names_nearest_frequency(self, fig4_demo_dir,
                                                         capsys):
         stem = "fig4_beta0.05"
@@ -485,6 +507,15 @@ class TestSweep:
                      "--values", "1e-6", "--jobs", jobs]) == 1
         err = capsys.readouterr().err
         assert err.startswith("oscibath: --jobs must be at least 1")
+        assert not out_dir.exists()
+
+    def test_blank_values_exit_1(self, tmp_path, capsys):
+        scn = tmp_path / "const.scn"
+        scn.write_text(CONSTANT_SCN)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scn), str(out_dir),
+                     "--param", "integration.rtol", "--values", " , "]) == 1
+        assert capsys.readouterr().err == "oscibath: --values is empty\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

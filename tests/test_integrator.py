@@ -805,14 +805,23 @@ class TestPeriodicTail:
         module = oscibath.integrator
         records = []
         if bound is not None:
-            solve = module._rk45_solve
+            solve = module._rk45_steps
 
-            def recording(*args):
-                records.extend(args[6:])
-                return solve(*args)
+            def recording(f, y0, *args):
+                # The steps the 4 x 5 matrix state's solve hands out.
+                steps = solve(f, y0, *args)
+                handed = []
+                if y0.size == 4 * 5:
+                    records.append(handed)
+                try:
+                    for step in steps:
+                        handed.append(step)
+                        yield step
+                finally:
+                    steps.close()
 
             monkeypatch.setattr(module, "_TAIL_MAX_DOUBLES", bound)
-            monkeypatch.setattr(module, "_rk45_solve", recording)
+            monkeypatch.setattr(module, "_rk45_steps", recording)
         config = coupled_config(OscillatorSpec(1.0),
                                 OscillatorSpec(1.5, n0=0.3), 0.4, t_end)
         series = integrate_coupled(config, [STANDARD, second])
@@ -821,13 +830,26 @@ class TestPeriodicTail:
             for p in (STANDARD, second)])
         assert series.diagnostics["periods_propagated"] == 0
         assert "floquet_multipliers" not in series.diagnostics
-        assert series.diagnostics == bare.diagnostics
         for name in ("n", "v"):
             assert np.array_equal(getattr(series, name), getattr(bare, name))
-        if bound is not None:
-            # The period solve stopped as soon as its record was full.
-            (record,) = records
-            assert len(record) == bound // (5 * 20)
+        if bound is None:
+            assert series.diagnostics == bare.diagnostics
+            return
+        # The period solve stopped as soon as its record was full: it kept
+        # every step it handed out but the last, and the run's statistics
+        # count its work on top of the stepped run's.
+        (handed,) = records
+        kept = bound // (5 * 20)
+        assert len(handed) == kept + 1
+        stats = ("steps_accepted", "steps_rejected", "rhs_evaluations",
+                 "h_min", "h_max", "rejection_ratio")
+        extra = {key: series.diagnostics[key] - bare.diagnostics[key]
+                 for key in stats[:3]}
+        assert extra["steps_accepted"] == kept
+        assert extra["rhs_evaluations"] == 2 + 6 * (
+            len(handed) + extra["steps_rejected"])
+        assert ({k: v for k, v in series.diagnostics.items() if k not in stats}
+                == {k: v for k, v in bare.diagnostics.items() if k not in stats})
 
     def test_long_run_takes_the_tail(self):
         # 29,695 samples after t_p of a 4 x 5 matrix state, over 2**19, once
@@ -843,29 +865,6 @@ class TestPeriodicTail:
         for name in ("n", "v"):
             difference = np.abs(getattr(tail, name) - getattr(stepped, name))
             assert difference.max() <= 50.0 * (config.rtol * scale + config.atol)
-
-    def test_stepping_run_returns_the_solve_array(self, monkeypatch):
-        # Without a usable period the step over [0, t_p] is the whole run,
-        # and _solve returns its samples as they are, not a copy.
-        module = oscibath.integrator
-        stepped, solved = [], []
-
-        def recording(inner, into, samples):
-            def call(*args):
-                result = inner(*args)
-                into.append(result[samples])
-                return result
-            return call
-
-        monkeypatch.setattr(module, "_rk45_solve",
-                            recording(module._rk45_solve, stepped, 0))
-        monkeypatch.setattr(module, "_solve", recording(module._solve, solved, 1))
-        config = coupled_config(OscillatorSpec(1.0),
-                                OscillatorSpec(1.5, n0=0.3), 0.4, 12.0)
-        series = integrate_coupled(config, [STANDARD, STANDARD])
-        assert series.diagnostics["periods_propagated"] == 0
-        assert len(stepped) == len(solved) == 1
-        assert solved[0] is stepped[0]
 
     def test_tail_needs_four_periods_after_t_p(self):
         config, providers = scenario_run(demo_fig4_scenario("0.5"))
