@@ -1,8 +1,8 @@
 """Adaptive Runge-Kutta integration of the occupation-number master equations.
 
 Two formulations share one solve path: the output grid, one embedded
-Dormand-Prince 5(4) stepper, which hands each accepted step with its
-quartic interpolant to the solve (output samples come from the
+Runge-Kutta stepper over a tableau, which hands each accepted step with its
+dense-output interpolant to the solve (output samples come from the
 interpolant, never from re-integration), and the coefficient samples:
 
 * first-order single oscillator:   dn/dt = -2 lam(t) n + 2 D(t)
@@ -20,16 +20,19 @@ are denser, steps cross the pieces instead of shrinking to their spacing.
 
 Each formulation supplies one linear right-hand side rhs(t, y, drive) =
 A(t) y + b(t) drive, and every run, of either formulation, takes one solve
-(_solve): it steps [0, t_p].  A run whose providers all declare
-``osc_freq`` and ``periodic_from`` is periodic with a common period T from
-some time t_p on (Floquet): the flow over one period is then a fixed affine
-map y -> M y + c.  When enough periods follow t_p (see _common_period), the
-solve first steps one period of the affine matrix state, keeping each
-step's interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.6), and
-maps every later sample from that record; the moduli of the eigenvalues of
-M are its Floquet multipliers.  Any other run, and one whose record would
-pass _TAIL_MAX_DOUBLES, has t_p = t_end, the last output time, and no
-tail: stepping [0, t_p] is the whole run.
+(_solve): it steps [0, t_p] with Dormand-Prince 5(4) and its quartic
+interpolant.  A run whose providers all declare ``osc_freq`` and
+``periodic_from`` is periodic with a common period T from some time t_p on
+(Floquet): the flow over one period is then a fixed affine map
+y -> M y + c.  When enough periods follow t_p (see _common_period), the
+solve first steps one period of the affine matrix state with Dormand-Prince
+8(5,3), whose eighth order pays on coefficients that are trigonometric
+polynomials there, keeping each step's degree-7 interpolant (Hairer,
+Norsett & Wanner, Solving ODEs I, II.5-II.6), and maps every later sample
+from that record; the moduli of the eigenvalues of M are its Floquet
+multipliers.  Any other run, and one whose record would pass
+_TAIL_MAX_DOUBLES, has t_p = t_end, the last output time, and no tail:
+stepping [0, t_p] is the whole run.
 
 The coupled RHS is one closure over the run's provider bank
 (coefficients._provider_bank): (rows, provider) pairs whose calls fill the
@@ -46,7 +49,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,37 +83,185 @@ class PositivityViolation(IntegratorError):
     """A run whose exact flow keeps n >= 0 produced a clearly negative n."""
 
 
-# Dormand-Prince 5(4) tableau.  The fifth-order solution propagates; the
-# embedded fourth-order difference (E) drives step-size control; row j of PT
-# holds the stage weights of theta**(j+1) in the quartic dense output.
-# First-same-as-last: stage 7 of an accepted step is stage 1 of the next.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+class _Tableau(NamedTuple):
+    """An explicit embedded Runge-Kutta pair with first-same-as-last.
+
+    Stage i is the slope at t + c[i] * h and y + h * (a[i] @ k[:i]); the
+    step ends at y + h * (a[s] @ k[:s]), s = ``stages``, and stage s, the
+    slope there, is the next step's stage 0.  error(h, k[:s + 1], scale) is
+    the scaled norm of the embedded error estimate; an estimate of order q
+    sets ``exponent`` = 1 / (q + 1).  Stages after s feed only the dense
+    output and are taken on accepted steps: row j of ``dense`` holds the
+    stage weights of theta**powers[j] in the interpolant
+    y + h * theta**powers @ (dense @ k) at theta in [0, 1].
+    """
+
+    c: tuple[float, ...]
+    a: list[np.ndarray]
+    stages: int
+    error: Callable[[float, np.ndarray, np.ndarray], float]
+    exponent: float
+    dense: np.ndarray
+    powers: np.ndarray
+
+
+def _error_norm(e: np.ndarray, scale: np.ndarray) -> float:
+    """Root-mean-square of e / scale."""
+    x = e / scale
+    return math.sqrt(float(x @ x) / x.size)
+
+
+# Dormand-Prince 5(4) (DP5), which every stepped solve takes.  The
+# fifth-order solution propagates; the embedded fourth-order difference
+# (_E) drives step-size control, and the dense output is quartic.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
-_PT = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-]).T.copy()
-_POWERS = np.arange(1.0, 5.0)
+_DP5 = _Tableau(
+    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    a=[
+        np.array([]),
+        np.array([1 / 5]),
+        np.array([3 / 40, 9 / 40]),
+        np.array([44 / 45, -56 / 15, 32 / 9]),
+        np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+        np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                  -5103 / 18656]),
+        np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                  11 / 84]),
+    ],
+    stages=6,
+    error=lambda h, k, scale: _error_norm(h * (_E @ k), scale),
+    exponent=0.2,
+    dense=np.array([
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+         -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+         87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+         -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+         701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+         -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423,
+         69997945 / 29380423],
+    ]).T.copy(),
+    powers=np.arange(1.0, 5.0),
+)
+
+# Dormand-Prince 8(5,3) (DOP853; Prince & Dormand, J. Comput. Appl. Math.
+# 7, 1981; Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6, and their
+# Fortran code dop853), each published coefficient at its nearest double.
+# It steps the periodic tail's period solve.  Stages 0-11 take the step,
+# stage 12 is the slope at its end, 13-15 are the dense output's; row 12
+# of _DOP853_A is the weights b.
+_DOP853_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778)
+_DOP853_A = [np.array(row, dtype=float) for row in (
+    [],
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+     0.20136540080403034, 0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0, 0,
+     -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987],
+)]
+# The fifth- and third-order error estimates over stages 0-12: row 0, and
+# row 1, b less the third-order weights at stages 0, 8 and 11.
+_DOP853_E = np.array([
+    [0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+     0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0],
+    [*_DOP853_A[12], 0]])
+_DOP853_E[1, [0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118,
+                             0.022058823529411766)
+# The dense output's F3..F6 over all 16 stages (see _dop853_dense).
+_DOP853_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
+     -39.17726167561544, -149.72683625798564],
+])
+
+
+def _dop853_error(h: float, k: np.ndarray, scale: np.ndarray) -> float:
+    """DOP853's error norm: the fifth-order estimate damped by the third's,
+    h n5 / sqrt((n5 + 0.01 n3) dim) with nq the squared norm of the
+    order-q estimate over scale."""
+    e5, e3 = (_DOP853_E @ k) / scale
+    n5 = float(e5 @ e5)
+    n3 = float(e3 @ e3)
+    return 0.0 if n5 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * e5.size)
+
+
+def _dop853_dense() -> np.ndarray:
+    """DOP853's dense output in the power basis: the 7 x 16 rows P.
+
+    Hairer's interpolant is y + theta (F0 + (1 - theta) (F1 + theta (F2 +
+    (1 - theta) (F3 + theta (F4 + (1 - theta) (F5 + theta F6)))))), where
+    F0 = y_new - y, F1 = h k0 - F0, F2 = 2 F0 - h (k0 + k12) and F3..F6 =
+    h _DOP853_D @ k, each h G_j @ k for a fixed G_j.  Expanding the nested
+    products gives the weight of theta**p on every F_j, so that the
+    interpolant is y + h * theta**(1..7) @ (P @ k).
+    """
+    b, first, last = np.zeros(16), np.eye(16)[0], np.eye(16)[12]
+    b[:12] = _DOP853_A[12]
+    g = np.vstack([b, first - b, 2.0 * b - first - last, _DOP853_D])
+    nested = np.zeros((8, g.shape[0]))  # [p, j]: weight of theta**p F_j
+    for j in reversed(range(g.shape[0])):
+        nested[0, j] = 1.0
+        times_theta = np.zeros_like(nested)
+        times_theta[1:] = nested[:-1]
+        nested = times_theta if j % 2 == 0 else nested - times_theta
+    return nested[1:] @ g
+
+
+_DOP853 = _Tableau(c=_DOP853_C, a=_DOP853_A, stages=12, error=_dop853_error,
+                   exponent=0.125, dense=_dop853_dense(),
+                   powers=np.arange(1.0, 8.0))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -119,14 +270,15 @@ _MAX_STEPS = 10_000_000
 _EPS = float(np.finfo(float).eps)
 # The periodic tail runs only when at least _TAIL_MIN_PERIODS periods
 # follow t_p.  With the gate lowered, a run 1/2/3/4 periods past t_p took
-# this share of its stepping run's CPU (min of 5): fig2 1.37/1.12/0.71/0.51,
-# fig4 beta 0.5 1.28/0.89/0.54/0.52, fig4-like chains of 4 and 8
-# 1.41/0.87/0.59/0.50 and 1.42/0.90/0.66/0.52.  Its period solve
-# records 5 * dim * (dim + 1) values per step, whatever t_end and output_dt,
-# and may hold at most _TAIL_MAX_DOUBLES of them (4 MB): one fig4 period
-# takes 248-634 steps (0.2-0.5 MB) and one of a fig4-like chain of 8
-# oscillators 292 steps (3.2 MB).  A chain of 32 would need 258 steps
-# (43 MB); its period solve stops after 25 and the run steps all the way.
+# this share of its stepping run's CPU (min of 5): fig2 0.90/0.61/0.49/0.39,
+# fig4 beta 0.5 0.79/0.63/0.40/0.34, fig4-like chains of 4, 8 and 16
+# 0.76/0.48/0.38/0.24, 0.81/0.54/0.38/0.30 and 0.89/0.56/0.40/0.32.  Its
+# period solve records 8 * dim * (dim + 1) values per step (the start
+# state and seven dense rows), whatever t_end and output_dt, and may hold
+# at most _TAIL_MAX_DOUBLES of them (4 MB): one fig4 period takes 46-67
+# steps (0.06-0.09 MB) and one of a fig4-like chain of 16 oscillators 45
+# steps (3.0 MB).  A chain of 32 would need 43 steps (11.4 MB); its period
+# solve stops after 15 and the run steps all the way.
 _TAIL_MIN_PERIODS = 4.0
 _TAIL_MAX_DOUBLES = 2**19
 # The output grid's friction and diffusion are sampled in chunks of at most
@@ -142,15 +294,11 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 DrivenRHS = Callable[[float, np.ndarray, float | np.ndarray], np.ndarray]
 
 
-def _error_norm(e: np.ndarray, scale: np.ndarray) -> float:
-    """Root-mean-square of e / scale."""
-    x = e / scale
-    return math.sqrt(float(x @ x) / x.size)
-
-
 def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
-                  rtol: float, atol: float, span: float) -> float:
-    """Hairer-style starting step estimate."""
+                  rtol: float, atol: float, span: float,
+                  exponent: float) -> float:
+    """Hairer-style starting step estimate for a method whose error
+    estimate has order 1 / exponent - 1."""
     scale = atol + rtol * np.abs(y0)
     d0 = _error_norm(y0, scale)
     d1 = _error_norm(f0, scale)
@@ -162,7 +310,7 @@ def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** exponent
     return min(100 * h0, h1, span)
 
 
@@ -181,37 +329,41 @@ def _stops(providers: Sequence[CoefficientProvider], t0: float,
                    if t0 < b and t_final - b > tiny}) + [t_final]
 
 
-def _rk45_steps(f: RHS, y0: np.ndarray, t: float, t_final: float,
-                rtol: float, atol: float,
-                providers: Sequence[CoefficientProvider], stats: dict
-                ) -> Iterator[tuple]:
-    """Step from t to t_final; yield each accepted step.
+def _rk_steps(f: RHS, y0: np.ndarray, t: float, t_final: float,
+              rtol: float, atol: float,
+              providers: Sequence[CoefficientProvider], stats: dict,
+              tableau: _Tableau = _DP5) -> Iterator[tuple]:
+    """Step from t to t_final with the tableau's pair; yield each accepted
+    step.
 
     A step is (t, h, t_new, y, y_new, rows): its start, length and end (a
     step that would reach past one of the providers' breakpoints, or
     t_final, is shortened to end exactly on the last one it reaches), its
-    start and end states, and its quartic rows _PT @ k, whose interpolant
-    at theta in [0, 1] is y + h * theta**_POWERS @ rows.  The states are
-    rebound, never written to, so a caller may keep them.
+    start and end states, and its dense rows tableau.dense @ k, whose
+    interpolant at theta in [0, 1] is y + h * theta**tableau.powers @ rows.
+    The states are rebound, never written to, so a caller may keep them.
 
     When the steps run out or the caller closes the generator, the step
     counts, the RHS evaluations and the step-size range are added to
     ``stats``; a step the caller closed on counts its evaluations only.
     """
+    c, a, s, error, exponent, dense, _ = tableau
     stops = _stops(providers, t, t_final)
     next_stop = 0
     y = np.array(y0, dtype=float)
     dim = y.size
 
-    # Stage 1 (k[0]) is the slope at (t, y).  An attempt writes only
-    # k[1:], so a rejected attempt leaves k[0] for the retry; an accepted
-    # step copies its last stage there (first-same-as-last).
-    k = np.empty((7, dim))
+    # Stage 0 (k[0]) is the slope at (t, y).  An attempt writes only
+    # k[1:s + 1], so a rejected attempt leaves k[0] for the retry; an
+    # accepted step takes its dense stages, then copies stage s to k[0]
+    # (first-same-as-last).
+    k = np.empty((len(c), dim))
+    attempt = k[:s + 1]
     k[0] = f(t, y)
     nfev = 1
     if not np.isfinite(k[0]).all():
         raise IntegratorError(f"right-hand side not finite at t={t!r}")
-    h = _initial_step(f, t, y, k[0], rtol, atol, t_final - t)
+    h = _initial_step(f, t, y, k[0], rtol, atol, t_final - t, exponent)
     nfev += 1
 
     accepted = rejected = 0
@@ -236,34 +388,37 @@ def _rk45_steps(f: RHS, y0: np.ndarray, t: float, t_final: float,
             if accepted + rejected > _MAX_STEPS:
                 raise IntegratorError("step budget exceeded")
 
-            for i in range(1, 6):
-                k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-            y_new = y + h * (_B @ k[:6])
+            for i in range(1, s):
+                k[i] = f(t + c[i] * h, y + h * (a[i] @ k[:i]))
+            y_new = y + h * (a[s] @ k[:s])
             t_new = stop if clamped else t + h
-            k[6] = f(t_new, y_new)
-            nfev += 6
+            k[s] = f(t_new, y_new)
+            nfev += s
 
-            if np.isfinite(k).all() and np.isfinite(y_new).all():
+            if np.isfinite(attempt).all() and np.isfinite(y_new).all():
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err = _error_norm(h * (_E @ k), scale)
+                err = error(h, attempt, scale)
             else:
                 err = math.inf
 
             if err <= 1.0:
-                yield t, h, t_new, y, y_new, _PT @ k
+                for i in range(s + 1, len(c)):
+                    k[i] = f(t + c[i] * h, y + h * (a[i] @ k[:i]))
+                    nfev += 1
+                yield t, h, t_new, y, y_new, dense @ k
                 t = t_new
                 y = y_new
-                k[0] = k[6]
+                k[0] = k[s]
                 accepted += 1
                 h_min = min(h_min, h)
                 h_max = max(h_max, h)
                 factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -exponent))
                 h *= factor
             else:
                 rejected += 1
                 factor = 0.1 if math.isinf(err) else max(
-                    _MIN_FACTOR, _SAFETY * err ** -0.2)
+                    _MIN_FACTOR, _SAFETY * err ** -exponent)
                 h *= factor
     finally:
         stats["steps_accepted"] += accepted
@@ -317,15 +472,16 @@ def _solve(config: SimulationConfig,
     one period of the affine matrix state [Phi | psi], the only code that
     knows it: rhs is called with that state as a dim x (dim + 1) matrix
     and drive the unit row e_{dim+1}, so that only psi is driven.  The
-    state is integrated from [I | 0] over [t_p, t_p + T], at a tenth of
-    the tolerances since its error is compounded once per period; its last
-    step's end state is [M | c], and the solve records each step's
-    interpolant instead of sampling it.  Once the record would pass
-    _TAIL_MAX_DOUBLES values, the solve closes that stepper and the run
-    steps all the way as if it had no period.  The sample k whole periods
-    and tau past t_p is [Phi(tau) | psi(tau)] (y_k, 1), with y_0 = y(t_p),
-    the head's end state, and y_{k+1} = M y_k + c, evaluated from the
-    record one period at a time.
+    state is integrated from [I | 0] over [t_p, t_p + T] with _DOP853, at
+    a tenth of the tolerances since its error is compounded once per
+    period (every other solve takes _DP5); its last step's end state is
+    [M | c], and the solve records each step's interpolant instead of
+    sampling it.  Once the record would pass _TAIL_MAX_DOUBLES values, the
+    solve closes that stepper and the run steps all the way as if it had
+    no period.  The sample k whole periods and tau past t_p is
+    [Phi(tau) | psi(tau)] (y_k, 1), with y_0 = y(t_p), the head's end
+    state, and y_{k+1} = M y_k + c, evaluated from the record one period
+    at a time.
 
     Returns the grid, the samples (one row per output time), the
     friction and diffusion on the grid (one row per oscillator) and the
@@ -345,14 +501,16 @@ def _solve(config: SimulationConfig,
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evaluations": 0,
              "h_min": math.inf, "h_max": 0.0}
     record = []
+    # A recorded step keeps its start state and its dense rows.
+    width = 1 + _DOP853.powers.size
     if period:
         drive = np.eye(dim + 1)[dim]
-        stepper = _rk45_steps(
+        stepper = _rk_steps(
             lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
             np.eye(dim, dim + 1).ravel(), t_p, t_p + period,
-            config.rtol / 10, config.atol / 10, providers, stats)
+            config.rtol / 10, config.atol / 10, providers, stats, _DOP853)
         for t, h, _, y, flow, rows in stepper:
-            if 5 * flow.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
+            if width * flow.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
                 stepper.close()
                 t_p, period = float(grid[-1]), 0.0
                 break
@@ -363,14 +521,14 @@ def _solve(config: SimulationConfig,
     out[0] = y0
     times = grid.tolist()
     filled = 1
-    for t, h, t_new, y, y_p, rows in _rk45_steps(
+    for t, h, t_new, y, y_p, rows in _rk_steps(
             lambda t, y: rhs(t, y, 1.0), y0, 0.0, t_p,
             config.rtol, config.atol, providers, stats):
         hi = bisect.bisect_right(
             times, t_new + 4.0 * _EPS * max(abs(t_new), 1.0), filled, later)
         if hi > filled:
             theta = ((grid[filled:hi] - t) / h).clip(0.0, 1.0)
-            out[filled:hi] = y + h * ((theta[:, None] ** _POWERS) @ rows)
+            out[filled:hi] = y + h * ((theta[:, None] ** _DP5.powers) @ rows)
             filled = hi
     if filled != later:
         raise IntegratorError("internal error: output grid not fully covered")
@@ -380,8 +538,8 @@ def _solve(config: SimulationConfig,
     if period:
         flow = flow.reshape(dim, dim + 1)
         starts, lengths = np.array([step[:2] for step in record]).T
-        # Row s holds step s's start state, then its four quartic rows.
-        steps = np.empty((len(record), 5, dim * (dim + 1)))
+        # Row s holds step s's start state, then its dense rows.
+        steps = np.empty((len(record), width, dim * (dim + 1)))
         for into, (_, _, *rows) in zip(steps, record):
             into[0], into[1:] = rows
         record.clear()
@@ -391,14 +549,14 @@ def _solve(config: SimulationConfig,
         stats["periods_propagated"] = periods = int(whole[-1])
         bounds = np.searchsorted(whole, np.arange(periods + 2))
         for a, b in zip(bounds[:-1], bounds[1:]):
-            # Every step's start state and quartic rows applied to
-            # (y_k, 1); each sample then takes its own step's.
-            at = (steps @ y).reshape(-1, 5, dim)
+            # Every step's start state and dense rows applied to (y_k, 1);
+            # each sample then takes its own step's.
+            at = (steps @ y).reshape(-1, width, dim)
             t = t_p + tau[a:b]
             s = np.searchsorted(starts, t, "right") - 1
             theta = ((t - starts[s]) / lengths[s]).clip(0.0, 1.0)
             out[later + a:later + b] = at[s, 0] + lengths[s, None] * np.einsum(
-                "mp,mpd->md", theta[:, None] ** _POWERS, at[s, 1:])
+                "mp,mpd->md", theta[:, None] ** _DOP853.powers, at[s, 1:])
             y = np.append(flow @ y, 1.0)
         stats["floquet_multipliers"] = tuple(sorted(
             np.abs(np.linalg.eigvals(flow[:, :dim])).tolist(), reverse=True))

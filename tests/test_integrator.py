@@ -392,6 +392,106 @@ class TestConvergence:
         assert all(a / b >= 14.0 for a, b in zip(errors, errors[1:]))
 
 
+TABLEAUX = pytest.mark.parametrize(
+    "tableau", [oscibath.integrator._DP5, oscibath.integrator._DOP853],
+    ids=["dp5", "dop853"])
+
+
+class TestTableaux:
+    """The Runge-Kutta pairs the stepper takes: DP5 for every stepped
+    solve, DOP853 for the periodic tail's period solve."""
+
+    @TABLEAUX
+    def test_weights_and_nodes_are_consistent(self, tableau):
+        # sum_j b_j = 1, and every stage's node is its row sum.
+        eps = np.finfo(float).eps
+        assert math.fsum(tableau.a[tableau.stages]) == 1.0
+        assert len(tableau.a) == len(tableau.c) == tableau.dense.shape[1]
+        for c, row in zip(tableau.c, tableau.a):
+            assert abs(math.fsum(row) - c) <= 8.0 * eps * max(
+                1.0, math.fsum(map(abs, row)))
+
+    @TABLEAUX
+    def test_interpolant_meets_the_step(self, tableau):
+        # On every step the stepper hands out, the interpolant is y at
+        # theta = 0, y_new at theta = 1 up to the rounding of the dense
+        # rows' sums, and its slope at theta = 0 is the slope k0 at (t, y).
+        eps = np.finfo(float).eps
+        rate = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.3],
+                         [0.0, -0.3, -0.2]])
+        largest = [0.0]
+
+        def f(t, y):
+            slope = math.cos(t) * (rate @ y) + np.array([0.1, math.sin(2 * t), 0])
+            largest[0] = max(largest[0], np.abs(slope).max())
+            return slope
+
+        stats = {"steps_accepted": 0, "steps_rejected": 0,
+                 "rhs_evaluations": 0, "h_min": math.inf, "h_max": 0.0}
+        steps = list(oscibath.integrator._rk_steps(
+            f, np.array([1.0, -0.5, 0.25]), 0.3, 5.0, 1e-6, 1e-9, [], stats,
+            tableau))
+        assert len(steps) > 5
+        weights = np.abs(tableau.dense).sum()
+        for t, h, t_new, y, y_new, rows in steps:
+            assert rows.shape == (tableau.powers.size, 3)
+            assert np.array_equal(y + h * (0.0 ** tableau.powers) @ rows, y)
+            end = y + h * (1.0 ** tableau.powers) @ rows
+            assert (np.abs(end - y_new).max()
+                    <= eps * (h * weights * largest[0] + np.abs(y_new).max()))
+            k0 = f(t, y)
+            assert np.abs(rows[0] - k0).max() <= 4.0 * eps * np.abs(k0).max()
+
+    def test_dop853_global_error_falls_by_two_to_the_eighth(self):
+        # y' = cos(t) y has y = exp(sin t): with n equal steps to t = 4,
+        # each halving of h divides the error by about 2**8.
+        tableau = oscibath.integrator._DOP853
+        c, a, s = tableau.c, tableau.a, tableau.stages
+        errors = []
+        for n in (8, 16, 32):
+            h, y, k = 4.0 / n, 1.0, np.empty(s)
+            for m in range(n):
+                for i in range(s):
+                    k[i] = math.cos(m * h + c[i] * h) * (y + h * (a[i] @ k[:i]))
+                y += h * (a[s] @ k)
+            errors.append(abs(y - math.exp(math.sin(4.0))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 7.5 <= math.log2(coarse / fine) <= 8.5
+
+    def test_dop853_is_the_published_tableau(self):
+        # The transcribed coefficients are the published ones that scipy
+        # ships, and the power-basis dense rows give scipy's nested
+        # interpolant.
+        published = pytest.importorskip(
+            "scipy.integrate._ivp.dop853_coefficients")
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        module = oscibath.integrator
+        tableau = module._DOP853
+        assert np.array_equal(tableau.c, published.C)
+        assert tableau.stages == published.N_STAGES
+        for i, row in enumerate(tableau.a):
+            assert np.array_equal(row, published.A[i, :i])
+        assert np.array_equal(tableau.a[tableau.stages], published.B)
+        assert np.array_equal(module._DOP853_E, [published.E5, published.E3])
+        assert np.array_equal(module._DOP853_D, published.D)
+        assert tableau.powers.size == published.INTERPOLATOR_POWER
+
+        rng = np.random.default_rng(5)
+        k = rng.normal(size=(published.N_STAGES_EXTENDED, 3))
+        y, h = rng.normal(size=3), 0.7
+        y_new = y + h * (tableau.a[tableau.stages] @ k[:tableau.stages])
+        delta = y_new - y
+        nested = np.vstack([delta, h * k[0] - delta,
+                            2.0 * delta - h * (k[tableau.stages] + k[0]),
+                            h * (published.D @ k)])
+        theirs = rk.Dop853DenseOutput(0.0, h, y, nested)
+        rows = tableau.dense @ k
+        bound = np.finfo(float).eps * h * (np.abs(tableau.dense) @ np.abs(k)).sum(0)
+        for theta in np.linspace(0.0, 1.0, 11):
+            ours = y + h * (theta ** tableau.powers) @ rows
+            assert (np.abs(ours - theirs(theta * h)) <= bound).all()
+
+
 class Recorder:
     """Forwards a provider and its breakpoints; records every scalar call."""
 
@@ -579,6 +679,24 @@ def three_coupled(seed=3):
         provider_config=tuple(p.describe() for p in providers),
         coupling=CouplingNetwork(3, beta), t_end=60.0)
     return config, providers
+
+
+def fig4_chain_scenario(n, t_end=80):
+    """n oscillators in a chain, frequencies 2 and 3 alternating, each with
+    the fig4 demo's coefficients and phases, beta 0.5 between neighbours."""
+    lines = []
+    for i in range(1, n + 1):
+        odd = i % 2
+        lines += [f"[oscillator {i}]", f"omega = {2 if odd else 3}", "",
+                  f"[coefficients {i}]", "kind = phenomenological",
+                  "mean_lambda = 0.2", "amp_lambda = 0.05", "mean_D = 0.05",
+                  "amp_D = 0.05", f"phase_lambda = {0 if odd else math.pi!r}",
+                  f"phase_D = {math.pi if odd else 0!r}", "ramp_time = 0.5",
+                  ""]
+    lines += ["[coupling]"] + [f"beta {i} {i + 1} = 0.5" for i in range(1, n)]
+    lines += ["", "[integration]", f"t_end = {t_end}", "output_dt = 0.01",
+              "rtol = 1e-9", "atol = 1e-12"]
+    return "\n".join(lines) + "\n"
 
 
 def dop853_reference(config, providers, t):
@@ -792,20 +910,24 @@ class TestPeriodicTail:
             assert error <= np.abs(getattr(stepped, name) - reference[rows]).max()
             assert error <= 1e-9
 
-    @pytest.mark.parametrize("second, t_end, bound", [
+    @pytest.mark.parametrize("second, t_end, room", [
         (dataclasses.replace(STANDARD, osc_freq=math.sqrt(2.0)), 40.0, None),
         (table_on(np.linspace(0.0, 40.0, 401)), 40.0, None),
         (STANDARD, 12.0, None),
-        # Room for 30 steps of the 4 x 5 matrix state; a period takes more.
-        (STANDARD, 40.0, 30 * 5 * 20),
+        # Room for 20 steps of the 4 x 5 matrix state; a period takes 27.
+        (STANDARD, 40.0, 20),
         (NanStart(**dataclasses.asdict(STANDARD)), 40.0, None),
     ], ids=["incommensurate", "tabulated", "short", "oversized", "nan-start"])
     def test_runs_without_a_usable_period_step_as_before(self, second, t_end,
-                                                         bound, monkeypatch):
+                                                         room, monkeypatch):
         module = oscibath.integrator
+        # The period solve's pair, and the values it records per step: the
+        # start state and the dense rows.
+        tableau = module._DOP853
+        width = 1 + tableau.powers.size
         records = []
-        if bound is not None:
-            solve = module._rk45_steps
+        if room is not None:
+            solve = module._rk_steps
 
             def recording(f, y0, *args):
                 # The steps the 4 x 5 matrix state's solve hands out.
@@ -820,8 +942,8 @@ class TestPeriodicTail:
                 finally:
                     steps.close()
 
-            monkeypatch.setattr(module, "_TAIL_MAX_DOUBLES", bound)
-            monkeypatch.setattr(module, "_rk45_steps", recording)
+            monkeypatch.setattr(module, "_TAIL_MAX_DOUBLES", room * width * 20)
+            monkeypatch.setattr(module, "_rk_steps", recording)
         config = coupled_config(OscillatorSpec(1.0),
                                 OscillatorSpec(1.5, n0=0.3), 0.4, t_end)
         series = integrate_coupled(config, [STANDARD, second])
@@ -832,22 +954,25 @@ class TestPeriodicTail:
         assert "floquet_multipliers" not in series.diagnostics
         for name in ("n", "v"):
             assert np.array_equal(getattr(series, name), getattr(bare, name))
-        if bound is None:
+        if room is None:
             assert series.diagnostics == bare.diagnostics
             return
         # The period solve stopped as soon as its record was full: it kept
         # every step it handed out but the last, and the run's statistics
-        # count its work on top of the stepped run's.
+        # count its work on top of the stepped run's.  Its start takes two
+        # evaluations, every attempt one per stage after the first, and
+        # every step handed out its dense stages.
         (handed,) = records
-        kept = bound // (5 * 20)
-        assert len(handed) == kept + 1
+        assert len(handed) == room + 1
         stats = ("steps_accepted", "steps_rejected", "rhs_evaluations",
                  "h_min", "h_max", "rejection_ratio")
         extra = {key: series.diagnostics[key] - bare.diagnostics[key]
                  for key in stats[:3]}
-        assert extra["steps_accepted"] == kept
-        assert extra["rhs_evaluations"] == 2 + 6 * (
-            len(handed) + extra["steps_rejected"])
+        assert extra["steps_accepted"] == room
+        dense_stages = len(tableau.c) - tableau.stages - 1
+        assert extra["rhs_evaluations"] == (
+            2 + tableau.stages * (len(handed) + extra["steps_rejected"])
+            + dense_stages * len(handed))
         assert ({k: v for k, v in series.diagnostics.items() if k not in stats}
                 == {k: v for k, v in bare.diagnostics.items() if k not in stats})
 
@@ -865,6 +990,28 @@ class TestPeriodicTail:
         for name in ("n", "v"):
             difference = np.abs(getattr(tail, name) - getattr(stepped, name))
             assert difference.max() <= 50.0 * (config.rtol * scale + config.atol)
+
+    def test_fig4_like_chain_of_16_takes_the_tail(self):
+        # Its period solve records 45 steps of a 32 x 33 state (3.0 MB),
+        # within _TAIL_MAX_DOUBLES; stepping all the way takes 10x the
+        # RHS evaluations.
+        config, providers = scenario_run(fig4_chain_scenario(16))
+        tail = integrate_coupled(config, providers)
+        stepped = integrate_coupled(config,
+                                    [declaring_nothing(p) for p in providers])
+        assert tail.diagnostics["periods_propagated"] == 12
+        assert stepped.diagnostics["periods_propagated"] == 0
+        scale = max(np.abs(stepped.n).max(), np.abs(stepped.v).max())
+        for name in ("n", "v"):
+            difference = np.abs(getattr(tail, name) - getattr(stepped, name))
+            assert difference.max() <= 50.0 * (config.rtol * scale + config.atol)
+
+    def test_fig4_like_chain_of_32_steps(self):
+        # A 64 x 65 state's period would need about 11 MB of record.
+        config, providers = scenario_run(fig4_chain_scenario(32))
+        diag = integrate_coupled(config, providers).diagnostics
+        assert diag["periods_propagated"] == 0
+        assert "floquet_multipliers" not in diag
 
     def test_tail_needs_four_periods_after_t_p(self):
         config, providers = scenario_run(demo_fig4_scenario("0.5"))
