@@ -21,7 +21,9 @@ are denser, steps cross the pieces instead of shrinking to their spacing.
 Each formulation supplies one linear right-hand side rhs(t, y, drive) =
 A(t) y + b(t) drive, and every run, of either formulation, takes one solve
 (_solve): it steps [0, t_p] with Dormand-Prince 5(4) and its quartic
-interpolant.  A run whose providers all declare ``osc_freq`` and
+interpolant.  Both pairs keep their interpolant in its published nested
+form, one dense row per term, and every sample is evaluated in one basis
+(_nested, _basis).  A run whose providers all declare ``osc_freq`` and
 ``periodic_from`` is periodic with a common period T from some time t_p on
 (Floquet): the flow over one period is then a fixed affine map
 y -> M y + c.  When enough periods follow t_p (see _common_period), the
@@ -92,8 +94,9 @@ class _Tableau(NamedTuple):
     the scaled norm of the embedded error estimate; an estimate of order q
     sets ``exponent`` = 1 / (q + 1).  Stages after s feed only the dense
     output and are taken on accepted steps: row j of ``dense`` holds the
-    stage weights of theta**powers[j] in the interpolant
-    y + h * theta**powers @ (dense @ k) at theta in [0, 1].
+    stage weights of F_j / h, the terms of the pair's nested interpolant
+    y + h * _basis(theta, len(dense)) @ (dense @ k) at theta in [0, 1]
+    (see _nested).
     """
 
     c: tuple[float, ...]
@@ -102,7 +105,6 @@ class _Tableau(NamedTuple):
     error: Callable[[float, np.ndarray, np.ndarray], float]
     exponent: float
     dense: np.ndarray
-    powers: np.ndarray
 
 
 def _error_norm(e: np.ndarray, scale: np.ndarray) -> float:
@@ -111,43 +113,55 @@ def _error_norm(e: np.ndarray, scale: np.ndarray) -> float:
     return math.sqrt(float(x @ x) / x.size)
 
 
+def _basis(theta: np.ndarray, n: int) -> np.ndarray:
+    """The first n of theta, theta (1 - theta), theta**2 (1 - theta), ...:
+    the cumulative products of theta and 1 - theta, one row per theta."""
+    factors = np.empty((theta.size, n))
+    factors[:, ::2] = theta[:, None]
+    factors[:, 1::2] = 1.0 - theta[:, None]
+    return factors.cumprod(1)
+
+
+def _nested(b: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """A pair's dense rows: the stage weights of F_j / h over all stages.
+
+    Both pairs publish their interpolant in one nested form (Dormand &
+    Prince, Runge-Kutta triples, 1986; Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6): y + theta (F0 + (1 - theta) (F1 + theta (F2 + ...))),
+    that is y + _basis(theta, n) @ F, with F0 = y_new - y, F1 = h k0 - F0,
+    F2 = 2 F0 - h (k0 + k_s) for the weights b = a[s] and the end slope
+    k_s, s = len(b), and the pair's published ``extra`` rows after them.
+    """
+    first, last = np.eye(extra.shape[1])[[0, b.size]]
+    b = np.pad(b, (0, extra.shape[1] - b.size))
+    return np.vstack([b, first - b, 2.0 * b - first - last, extra])
+
+
 # Dormand-Prince 5(4) (DP5), which every stepped solve takes.  The
 # fifth-order solution propagates; the embedded fourth-order difference
-# (_E) drives step-size control, and the dense output is quartic.
+# (_E) drives step-size control, and the dense output is quartic, its
+# extra row Dormand & Prince's d.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
+_DP5_A = [np.array(row, dtype=float) for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
 _DP5 = _Tableau(
     c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
-    a=[
-        np.array([]),
-        np.array([1 / 5]),
-        np.array([3 / 40, 9 / 40]),
-        np.array([44 / 45, -56 / 15, 32 / 9]),
-        np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-        np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                  -5103 / 18656]),
-        np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                  11 / 84]),
-    ],
+    a=_DP5_A,
     stages=6,
     error=lambda h, k, scale: _error_norm(h * (_E @ k), scale),
     exponent=0.2,
-    dense=np.array([
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-         -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-         87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-         -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-         701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-         -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423,
-         69997945 / 29380423],
-    ]).T.copy(),
-    powers=np.arange(1.0, 5.0),
+    dense=_nested(_DP5_A[6], np.array([
+        [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423]])),
 )
 
 # Dormand-Prince 8(5,3) (DOP853; Prince & Dormand, J. Comput. Appl. Math.
@@ -206,7 +220,7 @@ _DOP853_E = np.array([
     [*_DOP853_A[12], 0]])
 _DOP853_E[1, [0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118,
                              0.022058823529411766)
-# The dense output's F3..F6 over all 16 stages (see _dop853_dense).
+# The dense output's F3..F6 over all 16 stages (see _nested).
 _DOP853_D = np.array([
     [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
      2.38466765651207, 2.117034582445028, -0.871391583777973,
@@ -237,31 +251,8 @@ def _dop853_error(h: float, k: np.ndarray, scale: np.ndarray) -> float:
     return 0.0 if n5 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * e5.size)
 
 
-def _dop853_dense() -> np.ndarray:
-    """DOP853's dense output in the power basis: the 7 x 16 rows P.
-
-    Hairer's interpolant is y + theta (F0 + (1 - theta) (F1 + theta (F2 +
-    (1 - theta) (F3 + theta (F4 + (1 - theta) (F5 + theta F6)))))), where
-    F0 = y_new - y, F1 = h k0 - F0, F2 = 2 F0 - h (k0 + k12) and F3..F6 =
-    h _DOP853_D @ k, each h G_j @ k for a fixed G_j.  Expanding the nested
-    products gives the weight of theta**p on every F_j, so that the
-    interpolant is y + h * theta**(1..7) @ (P @ k).
-    """
-    b, first, last = np.zeros(16), np.eye(16)[0], np.eye(16)[12]
-    b[:12] = _DOP853_A[12]
-    g = np.vstack([b, first - b, 2.0 * b - first - last, _DOP853_D])
-    nested = np.zeros((8, g.shape[0]))  # [p, j]: weight of theta**p F_j
-    for j in reversed(range(g.shape[0])):
-        nested[0, j] = 1.0
-        times_theta = np.zeros_like(nested)
-        times_theta[1:] = nested[:-1]
-        nested = times_theta if j % 2 == 0 else nested - times_theta
-    return nested[1:] @ g
-
-
 _DOP853 = _Tableau(c=_DOP853_C, a=_DOP853_A, stages=12, error=_dop853_error,
-                   exponent=0.125, dense=_dop853_dense(),
-                   powers=np.arange(1.0, 8.0))
+                   exponent=0.125, dense=_nested(_DOP853_A[12], _DOP853_D))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -340,14 +331,15 @@ def _rk_steps(f: RHS, y0: np.ndarray, t: float, t_final: float,
     step that would reach past one of the providers' breakpoints, or
     t_final, is shortened to end exactly on the last one it reaches), its
     start and end states, and its dense rows tableau.dense @ k, whose
-    interpolant at theta in [0, 1] is y + h * theta**tableau.powers @ rows.
-    The states are rebound, never written to, so a caller may keep them.
+    interpolant at theta in [0, 1] is y + h * _basis(theta, len(rows)) @
+    rows.  The states are rebound, never written to, so a caller may keep
+    them.
 
     When the steps run out or the caller closes the generator, the step
     counts, the RHS evaluations and the step-size range are added to
     ``stats``; a step the caller closed on counts its evaluations only.
     """
-    c, a, s, error, exponent, dense, _ = tableau
+    c, a, s, error, exponent, dense = tableau
     stops = _stops(providers, t, t_final)
     next_stop = 0
     y = np.array(y0, dtype=float)
@@ -475,10 +467,10 @@ def _solve(config: SimulationConfig,
     state is integrated from [I | 0] over [t_p, t_p + T] with _DOP853, at
     a tenth of the tolerances since its error is compounded once per
     period (every other solve takes _DP5); its last step's end state is
-    [M | c], and the solve records each step's interpolant instead of
-    sampling it.  Once the record would pass _TAIL_MAX_DOUBLES values, the
-    solve closes that stepper and the run steps all the way as if it had
-    no period.  The sample k whole periods and tau past t_p is
+    [M | c], and the solve records each step's start state and dense rows
+    instead of sampling it.  Once the record would pass _TAIL_MAX_DOUBLES
+    values, the solve closes that stepper and the run steps all the way as
+    if it had no period.  The sample k whole periods and tau past t_p is
     [Phi(tau) | psi(tau)] (y_k, 1), with y_0 = y(t_p), the head's end
     state, and y_{k+1} = M y_k + c, evaluated from the record one period
     at a time.
@@ -502,7 +494,7 @@ def _solve(config: SimulationConfig,
              "h_min": math.inf, "h_max": 0.0}
     record = []
     # A recorded step keeps its start state and its dense rows.
-    width = 1 + _DOP853.powers.size
+    width = 1 + len(_DOP853.dense)
     if period:
         drive = np.eye(dim + 1)[dim]
         stepper = _rk_steps(
@@ -519,7 +511,7 @@ def _solve(config: SimulationConfig,
     later = int(np.searchsorted(grid, t_p)) if period else grid.size
     out = np.empty((grid.size, dim))
     out[0] = y0
-    times = grid.tolist()
+    times = grid[:later].tolist()
     filled = 1
     for t, h, t_new, y, y_p, rows in _rk_steps(
             lambda t, y: rhs(t, y, 1.0), y0, 0.0, t_p,
@@ -528,7 +520,7 @@ def _solve(config: SimulationConfig,
             times, t_new + 4.0 * _EPS * max(abs(t_new), 1.0), filled, later)
         if hi > filled:
             theta = ((grid[filled:hi] - t) / h).clip(0.0, 1.0)
-            out[filled:hi] = y + h * ((theta[:, None] ** _DP5.powers) @ rows)
+            out[filled:hi] = y + h * (_basis(theta, len(rows)) @ rows)
             filled = hi
     if filled != later:
         raise IntegratorError("internal error: output grid not fully covered")
@@ -556,7 +548,7 @@ def _solve(config: SimulationConfig,
             s = np.searchsorted(starts, t, "right") - 1
             theta = ((t - starts[s]) / lengths[s]).clip(0.0, 1.0)
             out[later + a:later + b] = at[s, 0] + lengths[s, None] * np.einsum(
-                "mp,mpd->md", theta[:, None] ** _DOP853.powers, at[s, 1:])
+                "mp,mpd->md", _basis(theta, width - 1), at[s, 1:])
             y = np.append(flow @ y, 1.0)
         stats["floquet_multipliers"] = tuple(sorted(
             np.abs(np.linalg.eigvals(flow[:, :dim])).tolist(), reverse=True))

@@ -414,17 +414,16 @@ class TestTableaux:
     @TABLEAUX
     def test_interpolant_meets_the_step(self, tableau):
         # On every step the stepper hands out, the interpolant is y at
-        # theta = 0, y_new at theta = 1 up to the rounding of the dense
-        # rows' sums, and its slope at theta = 0 is the slope k0 at (t, y).
+        # theta = 0, y_new at theta = 1 within a few eps of the state, and
+        # its slope at theta = 0, rows[0] + rows[1] in the nested basis, is
+        # the slope k0 at (t, y).
+        basis = oscibath.integrator._basis
         eps = np.finfo(float).eps
         rate = np.array([[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.3],
                          [0.0, -0.3, -0.2]])
-        largest = [0.0]
 
         def f(t, y):
-            slope = math.cos(t) * (rate @ y) + np.array([0.1, math.sin(2 * t), 0])
-            largest[0] = max(largest[0], np.abs(slope).max())
-            return slope
+            return math.cos(t) * (rate @ y) + np.array([0.1, math.sin(2 * t), 0])
 
         stats = {"steps_accepted": 0, "steps_rejected": 0,
                  "rhs_evaluations": 0, "h_min": math.inf, "h_max": 0.0}
@@ -432,15 +431,15 @@ class TestTableaux:
             f, np.array([1.0, -0.5, 0.25]), 0.3, 5.0, 1e-6, 1e-9, [], stats,
             tableau))
         assert len(steps) > 5
-        weights = np.abs(tableau.dense).sum()
         for t, h, t_new, y, y_new, rows in steps:
-            assert rows.shape == (tableau.powers.size, 3)
-            assert np.array_equal(y + h * (0.0 ** tableau.powers) @ rows, y)
-            end = y + h * (1.0 ** tableau.powers) @ rows
-            assert (np.abs(end - y_new).max()
-                    <= eps * (h * weights * largest[0] + np.abs(y_new).max()))
+            assert rows.shape == (tableau.dense.shape[0], 3)
+            at = y + h * (basis(np.array([0.0, 1.0]), len(rows)) @ rows)
+            assert np.array_equal(at[0], y)
+            assert (np.abs(at[1] - y_new).max()
+                    <= 4.0 * eps * np.abs(y_new).max())
             k0 = f(t, y)
-            assert np.abs(rows[0] - k0).max() <= 4.0 * eps * np.abs(k0).max()
+            assert (np.abs(rows[0] + rows[1] - k0).max()
+                    <= 4.0 * eps * np.abs(k0).max())
 
     def test_dop853_global_error_falls_by_two_to_the_eighth(self):
         # y' = cos(t) y has y = exp(sin t): with n equal steps to t = 4,
@@ -460,8 +459,8 @@ class TestTableaux:
 
     def test_dop853_is_the_published_tableau(self):
         # The transcribed coefficients are the published ones that scipy
-        # ships, and the power-basis dense rows give scipy's nested
-        # interpolant.
+        # ships, and the dense rows are scipy's nested terms F_j / h, so
+        # that the interpolant is scipy's.
         published = pytest.importorskip(
             "scipy.integrate._ivp.dop853_coefficients")
         rk = pytest.importorskip("scipy.integrate._ivp.rk")
@@ -474,7 +473,7 @@ class TestTableaux:
         assert np.array_equal(tableau.a[tableau.stages], published.B)
         assert np.array_equal(module._DOP853_E, [published.E5, published.E3])
         assert np.array_equal(module._DOP853_D, published.D)
-        assert tableau.powers.size == published.INTERPOLATOR_POWER
+        assert tableau.dense.shape[0] == published.INTERPOLATOR_POWER
 
         rng = np.random.default_rng(5)
         k = rng.normal(size=(published.N_STAGES_EXTENDED, 3))
@@ -484,12 +483,38 @@ class TestTableaux:
         nested = np.vstack([delta, h * k[0] - delta,
                             2.0 * delta - h * (k[tableau.stages] + k[0]),
                             h * (published.D @ k)])
-        theirs = rk.Dop853DenseOutput(0.0, h, y, nested)
         rows = tableau.dense @ k
-        bound = np.finfo(float).eps * h * (np.abs(tableau.dense) @ np.abs(k)).sum(0)
-        for theta in np.linspace(0.0, 1.0, 11):
-            ours = y + h * (theta ** tableau.powers) @ rows
-            assert (np.abs(ours - theirs(theta * h)) <= bound).all()
+        eps = np.finfo(float).eps
+        bound = 8.0 * eps * (h * (np.abs(tableau.dense) @ np.abs(k))
+                             + np.abs(y) + np.abs(y_new))
+        assert (np.abs(h * rows - nested) <= bound).all()
+        theirs = rk.Dop853DenseOutput(0.0, h, y, nested)
+        theta = np.linspace(0.0, 1.0, 11)
+        ours = y + h * (module._basis(theta, len(rows)) @ rows)
+        assert (np.abs(ours - theirs(theta * h).T) <= bound.sum(0)).all()
+
+    def test_dp5_is_scipys_rk45_interpolant(self):
+        # DP5 is scipy's RK45, and its nested rows give the quartic that
+        # RK45 keeps in the power basis (RK45.P), up to that basis's
+        # rounding.
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        module = oscibath.integrator
+        tableau = module._DP5
+        assert np.array_equal(tableau.c, [*rk.RK45.C, 1.0])
+        for i, row in enumerate(tableau.a[:tableau.stages]):
+            assert np.array_equal(row, rk.RK45.A[i, :i])
+        assert np.array_equal(tableau.a[tableau.stages], rk.RK45.B)
+        rng = np.random.default_rng(7)
+        eps = np.finfo(float).eps
+        theta = np.linspace(0.0, 1.0, 11)
+        for _ in range(20):
+            k = rng.normal(size=(len(tableau.c), 3))
+            y, h = rng.normal(size=3), rng.uniform(0.01, 2.0)
+            rows = tableau.dense @ k
+            ours = y + h * (module._basis(theta, len(rows)) @ rows)
+            theirs = rk.RkDenseOutput(0.0, h, y, k.T @ rk.RK45.P)(theta * h)
+            bound = 64.0 * eps * (np.abs(y) + h * np.abs(k).sum(0))
+            assert (np.abs(ours - theirs.T) <= bound).all()
 
 
 class Recorder:
@@ -924,7 +949,7 @@ class TestPeriodicTail:
         # The period solve's pair, and the values it records per step: the
         # start state and the dense rows.
         tableau = module._DOP853
-        width = 1 + tableau.powers.size
+        width = 1 + tableau.dense.shape[0]
         records = []
         if room is not None:
             solve = module._rk_steps
