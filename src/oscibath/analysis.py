@@ -313,25 +313,20 @@ def _taper_interior(size: int) -> slice:
 
 def synchronization_metrics(t: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
                             window: tuple[float, float] | None = None,
-                            atol: float = SimulationConfig.atol) -> SyncReport:
+                            atol: float = SimulationConfig.atol, *,
+                            reports: tuple[OscillationReport, OscillationReport]
+                            | None = None) -> SyncReport:
     """Period ratio and phase-lock score of two channels.
 
     phase_lock_score is the magnitude of the mean phasor of the
     analytic-signal phase difference over the window (taken on the untapered
     interior): 1 for perfect locking, near 0 for unrelated phases.
-    Stationary channels propagate NoOscillation.
+    ``reports`` are the two channels' extract_period reports over the same
+    window; given them, no period is estimated and ``atol`` is unused.
+    Otherwise stationary channels propagate NoOscillation.
     """
-    return _sync_report(t, x_a, x_b, window,
-                        extract_period(t, x_a, window, atol),
-                        extract_period(t, x_b, window, atol))
-
-
-def _sync_report(t: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
-                 window: tuple[float, float] | None,
-                 report_a: OscillationReport,
-                 report_b: OscillationReport) -> SyncReport:
-    """synchronization_metrics from the channels' extract_period reports
-    over the same window."""
+    report_a, report_b = reports or (extract_period(t, x_a, window, atol),
+                                     extract_period(t, x_b, window, atol))
     _, xa = _slice_window(t, x_a, window)
     _, xb = _slice_window(t, x_b, window)
     phase_diff = _instantaneous_phase(xa) - _instantaneous_phase(xb)

@@ -24,11 +24,11 @@ from .analysis import (
     AnalysisError,
     NoOscillation,
     OscillationReport,
-    _sync_report,
     eigenfrequency_candidates,
     envelope,
     extract_period,
     nearest_candidate,
+    synchronization_metrics,
 )
 from .coefficients import OutOfRange, make_provider
 from .csvio import read_timeseries_csv, write_timeseries_csv
@@ -183,8 +183,8 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray,
             # Channel a's error first, as synchronization_metrics raises it.
             errors.append(f"sync {a},{b}: {failed[0]}")
         else:
-            sync = _sync_report(t, channels[a - 1], channels[b - 1], window,
-                                report_a, report_b)
+            sync = synchronization_metrics(t, channels[a - 1], channels[b - 1],
+                                           window, reports=(report_a, report_b))
             values["phase_lock_score"] = format(sync.phase_lock_score, ".17g")
             lines.append(f"period_ratio = {sync.period_ratio:.6g} "
                          f"± {sync.ratio_uncertainty:.2g}")

@@ -26,7 +26,7 @@ form, one dense row per term, and every sample is evaluated in one basis
 (_nested, _basis).  A run whose providers all declare ``osc_freq`` and
 ``periodic_from`` is periodic with a common period T from some time t_p on
 (Floquet): the flow over one period is then a fixed affine map
-y -> M y + c.  When enough periods follow t_p (see _common_period), the
+y -> M y + c.  When the output grid reaches t_p + T (_common_period), the
 solve first steps one period of the affine matrix state with Dormand-Prince
 8(5,3), whose eighth order pays on coefficients that are trigonometric
 polynomials there, keeping each step's degree-7 interpolant (Hairer,
@@ -259,18 +259,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_STEPS = 10_000_000
 _EPS = float(np.finfo(float).eps)
-# The periodic tail runs only when at least _TAIL_MIN_PERIODS periods
-# follow t_p.  With the gate lowered, a run 1/2/3/4 periods past t_p took
-# this share of its stepping run's CPU (min of 5): fig2 0.90/0.61/0.49/0.39,
-# fig4 beta 0.5 0.79/0.63/0.40/0.34, fig4-like chains of 4, 8 and 16
-# 0.76/0.48/0.38/0.24, 0.81/0.54/0.38/0.30 and 0.89/0.56/0.40/0.32.  Its
-# period solve records 8 * dim * (dim + 1) values per step (the start
-# state and seven dense rows), whatever t_end and output_dt, and may hold
-# at most _TAIL_MAX_DOUBLES of them (4 MB): one fig4 period takes 46-67
-# steps (0.06-0.09 MB) and one of a fig4-like chain of 16 oscillators 45
-# steps (3.0 MB).  A chain of 32 would need 43 steps (11.4 MB); its period
-# solve stops after 15 and the run steps all the way.
-_TAIL_MIN_PERIODS = 4.0
+# The periodic tail's period solve records 8 * dim * (dim + 1) values per
+# step (the start state and seven dense rows), whatever t_end and output_dt,
+# and may hold at most _TAIL_MAX_DOUBLES of them (4 MB): one fig4 period
+# takes 46-67 steps (0.06-0.09 MB) and one of a fig4-like chain of 16
+# oscillators 45 steps (3.0 MB).  A chain of 32 would need 43 steps (11.4
+# MB); its period solve stops after 15 and the run steps all the way.
 _TAIL_MAX_DOUBLES = 2**19
 # The output grid's friction and diffusion are sampled in chunks of at most
 # _SAMPLE_MAX_VALUES output times x oscillators.  A stacked call gathers 14
@@ -425,10 +419,12 @@ def _common_period(providers: Sequence[CoefficientProvider],
     """(t_p, T): the providers' coefficients repeat with period T from t_p on.
 
     None unless every provider declares ``osc_freq`` and a finite
-    ``periodic_from`` and the output grid reaches
-    t_p + _TAIL_MIN_PERIODS * T.  T is 2*pi over the exact gcd of the
-    frequencies' binary values: incommensurate ones give a T far beyond any
-    t_end.  t_p is at least grid[1], so that [0, t_p] is a grid.
+    ``periodic_from`` and the output grid reaches t_p + T, where the period
+    solve ends: one period past t_p the tail costs at most about what
+    stepping does, and less with every further period.  T is 2*pi over the
+    exact gcd of the frequencies' binary values: incommensurate ones give a
+    T far beyond any t_end.  t_p is at least grid[1], so that [0, t_p] is a
+    grid.
     """
     freqs = [getattr(p, "osc_freq", None) for p in providers]
     starts = [getattr(p, "periodic_from", None) for p in providers]
@@ -441,7 +437,7 @@ def _common_period(providers: Sequence[CoefficientProvider],
                               for q in fractions)), den)
     period = 2.0 * math.pi / float(gcd)
     t_p = max(float(grid[1]), *map(float, starts))
-    if grid[-1] < t_p + _TAIL_MIN_PERIODS * period:
+    if grid[-1] < t_p + period:
         return None
     return t_p, period
 

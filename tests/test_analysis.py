@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import detrend, hilbert
 from scipy.signal.windows import tukey
 
+from oscibath import analysis
 from oscibath.analysis import (
     AmbiguousPeriod,
     NoOscillation,
@@ -172,6 +173,23 @@ class TestSynchronization:
                                        reports[1].n[0], (25.0, 50.0),
                                        atol=1e-12)
         assert sync.period_ratio == pytest.approx(1.5, rel=0.02)
+
+    def test_given_reports_give_the_same_sync(self, monkeypatch):
+        # The CLI passes the period reports it already printed; no period
+        # is estimated again, and atol is not read.
+        t = grid(60.0)
+        a, b = np.sin(t), np.sin(1.3 * t + 0.2)
+        window = (10.0, 60.0)
+        expected = synchronization_metrics(t, a, b, window, atol=1e-12)
+        reports = (extract_period(t, a, window, 1e-12),
+                   extract_period(t, b, window, 1e-12))
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("period estimated again")
+
+        monkeypatch.setattr(analysis, "extract_period", no_estimate)
+        assert synchronization_metrics(t, a, b, window, atol=math.nan,
+                                       reports=reports) == expected
 
     def test_stationary_channel_propagates(self):
         t = grid(60.0)

@@ -639,13 +639,15 @@ class TestBreakpoints:
             assert plain.diagnostics[key] == stopped.diagnostics[key]
 
     def test_provider_without_breakpoints_steps_as_before(self):
-        # Step counts and final values of the knot-free solve of this run;
-        # the values to a few ulp, so that another BLAS build's summation
-        # order does not matter.  They are within 4e-10 of an rtol-1e-13
-        # DOP853 solve (TestAccuracy).
+        # Step counts and final values of the knot-free solve of this run,
+        # stepped all the way: its providers declare no period either; the
+        # values to a few ulp, so that another BLAS build's summation order
+        # does not matter.  They are within 4e-10 of an rtol-1e-13 DOP853
+        # solve (TestAccuracy).
         config = coupled_config(OscillatorSpec(2.0),
                                 OscillatorSpec(3.0, n0=0.3), 0.4, 12.0)
-        series = integrate_coupled(config, [STANDARD, STANDARD])
+        series = integrate_coupled(
+            config, [declaring_nothing(STANDARD), declaring_nothing(STANDARD)])
         diag = series.diagnostics
         assert (diag["steps_accepted"], diag["steps_rejected"],
                 diag["rhs_evaluations"]) == (182, 4, 1118)
@@ -938,7 +940,8 @@ class TestPeriodicTail:
     @pytest.mark.parametrize("second, t_end, room", [
         (dataclasses.replace(STANDARD, osc_freq=math.sqrt(2.0)), 40.0, None),
         (table_on(np.linspace(0.0, 40.0, 401)), 40.0, None),
-        (STANDARD, 12.0, None),
+        # Shorter than one period past t_p (3.059 + 2 pi = 9.342).
+        (STANDARD, 9.0, None),
         # Room for 20 steps of the 4 x 5 matrix state; a period takes 27.
         (STANDARD, 40.0, 20),
         (NanStart(**dataclasses.asdict(STANDARD)), 40.0, None),
@@ -1038,14 +1041,37 @@ class TestPeriodicTail:
         assert diag["periods_propagated"] == 0
         assert "floquet_multipliers" not in diag
 
-    def test_tail_needs_four_periods_after_t_p(self):
+    def test_tail_needs_one_period_after_t_p(self):
+        # Short of t_p + T the period solve would pass t_end: the run steps.
         config, providers = scenario_run(demo_fig4_scenario("0.5"))
         t_p = providers[0].periodic_from
-        for t_end, periods in ((t_p + 8.0 * math.pi - 0.05, 0),
-                               (t_p + 8.0 * math.pi + 0.05, 4)):
+        for t_end, periods in ((t_p + 2.0 * math.pi - 0.05, 0),
+                               (t_p + 2.0 * math.pi + 0.05, 1)):
             run = dataclasses.replace(config, t_end=t_end)
             diag = integrate_coupled(run, providers).diagnostics
             assert diag["periods_propagated"] == periods
+
+    @pytest.mark.parametrize("periods", [1, 2, 3])
+    @pytest.mark.parametrize("text", [
+        demo_fig2_scenario(), demo_fig4_scenario("0.5"), fig4_chain_scenario(4),
+    ], ids=["fig2", "fig4-0.5", "chain4"])
+    def test_runs_a_few_periods_past_t_p_take_the_tail(self, text, periods):
+        # Each run's common period is 2 pi.  fig4 beta 0.5 took 1,471 RHS
+        # evaluations at 1, 2 and 3 periods, stepping 1,628 / 2,558 / 3,482.
+        config, providers = scenario_run(text)
+        t_p = max(p.periodic_from for p in providers)
+        config = dataclasses.replace(
+            config, t_end=t_p + periods * 2.0 * math.pi + 0.05)
+        tail = integrate_coupled(config, providers)
+        stepped = integrate_coupled(config,
+                                    [declaring_nothing(p) for p in providers])
+        assert tail.diagnostics["periods_propagated"] == periods
+        assert (tail.diagnostics["rhs_evaluations"]
+                < stepped.diagnostics["rhs_evaluations"])
+        scale = max(np.abs(stepped.n).max(), np.abs(stepped.v).max())
+        for name in ("n", "v"):
+            difference = np.abs(getattr(tail, name) - getattr(stepped, name))
+            assert difference.max() <= 50.0 * (config.rtol * scale + config.atol)
 
     def test_first_order_takes_the_tail(self):
         # At N = 1 Liouville's formula gives the one multiplier itself:

@@ -242,7 +242,7 @@ def _first_order_reference(osc, provider, t):
         osc_freq=0.5))))
 def test_periodic_tail_agrees_with_stepping(run):
     # Every generated run has a common period of at most 4 pi from
-    # t <= 6.2, so at least four whole periods follow and the tail runs.
+    # t <= 6.2 and runs to t_end 60, past t_p + T, so the tail runs.
     config, providers = run
     tail = integrate_coupled(config, providers)
     stepped = integrate_coupled(config, [lambda t, p=p: p(t) for p in providers])
@@ -266,7 +266,7 @@ def test_periodic_tail_agrees_with_stepping(run):
 def harmonic_runs(draw):
     # w0 = m/32 keeps every k * w0 exact in binary, so the common period is
     # 2 pi / (gcd(k) w0) <= 4 pi; t_p <= 6.2 (ramp_time <= 1), so
-    # t_end >= 60 leaves at least four periods after t_p.
+    # t_end >= 60 maps at least four of the periods after t_p.
     n = draw(st.integers(1, 3))
     w0 = draw(st.integers(16, 48)) / 32
     freqs = [draw(st.sampled_from((1, 2, 3))) * w0 for _ in range(n)]
