@@ -386,27 +386,17 @@ class _TableStack:
         return CoefficientSample(x[0], x[1], x[2], x[3])
 
 
-# A coupled run samples its tables as one _TableStack from _STACK_MIN_TABLES
-# tables on; below, per-array overhead outweighs the per-table calls.
-# integrate_coupled CPU time on 1-second chains of N tables 0.1 apart, fresh
-# tables each run (so each side pays its spline fits), loop against stacked,
-# min of 30 interleaved runs with equal RHS counts: 3.4/5.7 ms (N = 1),
-# 5.2/7.0 (2), 5.7/6.5 (3), 7.2/7.1 (4), 7.8/6.9 (5), 8.8/7.4 (6), 10.6/6.9
-# (8), 17.3/7.3 (16), 32.0/8.4 (32).  N = 4 is a tie.
-_STACK_MIN_TABLES = 5
-
-
 def _provider_bank(providers: Sequence[CoefficientProvider]
                    ) -> list[tuple[int | slice, CoefficientProvider]]:
     """The (rows, provider) pairs that sample every provider at a scalar t:
     the call of each fills the entries ``rows`` of the run's vectors.
 
-    ``[(slice(None), stack)]``, one ``_TableStack``, when there are at least
-    _STACK_MIN_TABLES providers, each exactly a ``TabulatedProvider`` (a
-    subclass may override its call) and all on one grid; otherwise
-    ``[(i, provider_i)]``, one call per provider.
+    ``[(slice(None), stack)]``, one ``_TableStack``, when there are two or
+    more providers, each exactly a ``TabulatedProvider`` (a subclass may
+    override its call) and all on one grid; otherwise ``[(i, provider_i)]``,
+    one call per provider.
     """
-    if (len(providers) >= _STACK_MIN_TABLES
+    if (len(providers) >= 2
             and all(type(p) is TabulatedProvider for p in providers)
             and all(np.array_equal(p.grid, providers[0].grid)
                     for p in providers[1:])):

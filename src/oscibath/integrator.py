@@ -620,7 +620,7 @@ def integrate_coupled(config: SimulationConfig,
     the ``negative_excursions`` of n.
 
     The RHS samples the providers through their bank: one call per
-    oscillator, or one call for all of them when they are at least five
+    oscillator, or one call for all of them when they are two or more
     tables on one knot grid (coefficients._provider_bank).  Both give the
     same values bit for bit.  On the periodic tail's dim x (dim + 1) matrix
     state it is one product with [A(t) | b(t)] instead, at less than half

@@ -6,7 +6,6 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from oscibath.coefficients import (
-    _STACK_MIN_TABLES,
     ConstantProvider,
     OutOfRange,
     PhenomenologicalProvider,
@@ -376,7 +375,7 @@ class TestStackedSampler:
                 sample(times)
 
     def test_providers_that_do_not_stack(self):
-        tables = tables_on_one_grid(_STACK_MIN_TABLES)
+        tables = tables_on_one_grid(5)
         other_grid = random_table(np.random.default_rng(1), tables[0].grid.size,
                                   tables[0].grid + 0.5)
 
@@ -386,7 +385,7 @@ class TestStackedSampler:
         subclass = Subclass(grid=tables[0].grid,
                             lambda_values=tables[0].lambda_values,
                             D_values=tables[0].D_values)
-        for providers in ([], tables[1:], [*tables, other_grid],
+        for providers in ([], tables[:1], [*tables, other_grid],
                           [*tables, STANDARD], [*tables, subclass],
                           [lambda t: tables[0](t)]):
             assert _provider_bank(providers) == list(enumerate(providers))

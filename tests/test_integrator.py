@@ -11,7 +11,6 @@ import pytest
 import oscibath
 
 from oscibath.coefficients import (
-    _STACK_MIN_TABLES,
     ConstantProvider,
     OutOfRange,
     make_provider,
@@ -773,13 +772,15 @@ class SubTable(TabulatedProvider):
 
 
 class TestStackedTables:
-    def test_stacked_run_equals_the_per_oscillator_run(self, scalar_table_calls):
-        config, providers = tabulated_chain(32, knot_dt=0.1)
+    @pytest.mark.parametrize("n", [2, 3, 4, 32])
+    def test_stacked_run_equals_the_per_oscillator_run(self, n,
+                                                       scalar_table_calls):
+        config, providers = tabulated_chain(n, knot_dt=0.1)
         stacked = integrate_coupled(config, providers)
         assert scalar_table_calls == []
         # Recorder is not a TabulatedProvider: one call per oscillator.
         looped = integrate_coupled(config, [Recorder(p) for p in providers])
-        assert len(scalar_table_calls) == 32 * looped.diagnostics["rhs_evaluations"]
+        assert len(scalar_table_calls) == n * looped.diagnostics["rhs_evaluations"]
         assert_same_bits(stacked, looped)
         # Every step statistic, and the invariant drift.
         assert "invariant_drift" in stacked.diagnostics
@@ -802,7 +803,7 @@ class TestStackedTables:
         assert calls == []
         assert not any("_kernel" in vars(p) for p in providers)
 
-    @pytest.mark.parametrize("n", [_STACK_MIN_TABLES - 1, 32])
+    @pytest.mark.parametrize("n", [1, 4, 32])
     def test_output_grid_sampled_in_chunks(self, n, monkeypatch):
         # Seven output times per chunk: 15 chunks, the last one partial.
         config, providers = tabulated_chain(n, knot_dt=0.1)
@@ -813,22 +814,20 @@ class TestStackedTables:
     def test_tables_declare_no_period(self):
         # The stacked RHS handles the vector state only; the periodic tail's
         # matrix state would need every provider to declare a period.
-        _, providers = tabulated_chain(_STACK_MIN_TABLES, knot_dt=0.1)
+        _, providers = tabulated_chain(5, knot_dt=0.1)
         for name in ("osc_freq", "periodic_from"):
             assert not any(hasattr(p, name) for p in providers)
 
     @pytest.mark.parametrize("case", [
-        "other-grid", "phenomenological", "subclass", "below-gate"])
+        "other-grid", "phenomenological", "subclass"])
     def test_other_runs_call_each_provider(self, case, scalar_table_calls):
-        n = _STACK_MIN_TABLES - 1 if case == "below-gate" else 8
-        config, providers = tabulated_chain(n, knot_dt=0.1)
+        config, providers = tabulated_chain(8, knot_dt=0.1)
         table = providers[3]
         providers[3] = {
             "other-grid": table_on(np.linspace(0.0, 1.0, 7)),
             "phenomenological": STANDARD,
             "subclass": SubTable(grid=table.grid, D_values=table.D_values,
                                  lambda_values=table.lambda_values),
-            "below-gate": table,
         }[case]
         series = integrate_coupled(config, providers)
         assert np.isfinite(series.n).all()
