@@ -18,10 +18,8 @@ from .analysis import (
     SyncReport,
     TooFewPeaks,
     TooShort,
-    eigenfrequency_candidates,
     envelope,
     extract_period,
-    nearest_candidate,
     synchronization_metrics,
 )
 from .coefficients import (
@@ -29,9 +27,7 @@ from .coefficients import (
     OutOfRange,
     PhenomenologicalProvider,
     TabulatedProvider,
-    check_derivatives,
     make_provider,
-    read_coefficient_csv,
 )
 from .csvio import CsvSchemaError, read_timeseries_csv, write_timeseries_csv
 from .integrator import (
@@ -52,11 +48,6 @@ from .model import (
     SimulationConfig,
     TimeSeries,
 )
-from .scenario import (
-    apply_override,
-    load_scenario,
-    parse_scenario,
-    serialize_scenario,
-)
+from .scenario import load_scenario, parse_scenario, serialize_scenario
 
 __version__ = "0.1.0"

@@ -18,32 +18,30 @@ one ends exactly on the last one it reaches.  Where breakpoints are sparser
 than the steps, no step straddles a change of polynomial piece; where they
 are denser, steps cross the pieces instead of shrinking to their spacing.
 
-Each formulation supplies one linear right-hand side rhs(t, y, drive) =
-A(t) y + b(t) drive, and every run, of either formulation, takes one solve
-(_solve): it steps [0, t_p] with Dormand-Prince 5(4) and its quartic
-interpolant.  Both pairs keep their interpolant in its published nested
-form, one dense row per term, and every sample is evaluated in one basis
-(_nested, _basis).  A run whose providers all declare ``osc_freq`` and
-``periodic_from`` is periodic with a common period T from some time t_p on
-(Floquet): the flow over one period is then a fixed affine map
-y -> M y + c.  When the output grid reaches t_p + T (_common_period), the
-solve first steps one period of the affine matrix state with Dormand-Prince
-8(5,3), whose eighth order pays on coefficients that are trigonometric
-polynomials there, keeping each step's degree-7 interpolant (Hairer,
-Norsett & Wanner, Solving ODEs I, II.5-II.6), and maps every later sample
-from that record; the moduli of the eigenvalues of M are its Floquet
-multipliers.  Any other run, and one whose record would pass
+Each formulation is one linear system y' = A(t) y + b(t), and every run, of
+either formulation, takes one solve (_solve): it steps [0, t_p] with
+Dormand-Prince 5(4) and its quartic interpolant.  Both pairs keep their
+interpolant in its published nested form, one dense row per term, and every
+sample is evaluated in one basis (_nested, _basis).  A run whose providers
+all declare ``osc_freq`` and ``periodic_from`` is periodic with a common
+period T from some time t_p on (Floquet): the flow over one period is then
+a fixed affine map y -> M y + c.  When the output grid reaches t_p + T
+(_common_period), the solve first steps one period of the affine matrix
+state with Dormand-Prince 8(5,3), whose eighth order pays on coefficients
+that are trigonometric polynomials there, keeping each step's degree-7
+interpolant (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6), and maps
+every later sample from that record; the moduli of the eigenvalues of M are
+its Floquet multipliers.  Any other run, and one whose record would pass
 _TAIL_MAX_DOUBLES, has t_p = t_end, the last output time, and no tail:
 stepping [0, t_p] is the whole run.
 
-The coupled RHS is one closure over the run's provider bank
-(coefficients._provider_bank): (rows, provider) pairs whose calls fill the
-entries ``rows`` of its vectors, one pair per oscillator, or one pair for
-all when the tables of a run share one knot grid.  On the tail's matrix
-state it is one matrix product, [A(t) | b(t)] @ [Y; drive], over a
-preallocated [A | b] whose time-dependent entries each call rewrites; on
-the vector state, which every run steps, it keeps its elementwise form,
-whose rounding stepped results depend on to the last bit.
+Both build their right-hand side rhs(t, y, drive) = A(t) y + b(t) drive
+one way (_linear_rhs): a preallocated [A | b], its constant entries set
+once, and an assemble(t) that writes the others through the run's provider
+bank (coefficients._provider_bank), (rows, provider) pairs whose calls
+fill the entries ``rows``: one pair per oscillator, or one for all when
+the tables of a run share one knot grid.  One product, [A(t) | b(t)] @
+[y; drive], serves the vector state and the tail's matrix state alike.
 """
 
 from __future__ import annotations
@@ -277,6 +275,23 @@ _SAMPLE_MAX_VALUES = 2**15
 
 RHS = Callable[[float, np.ndarray], np.ndarray]
 DrivenRHS = Callable[[float, np.ndarray, float | np.ndarray], np.ndarray]
+
+
+def _linear_rhs(ab: np.ndarray, assemble: Callable[[float], None]
+                ) -> DrivenRHS:
+    """[A(t) | b(t)] @ [y; drive] over a formulation's ``ab`` = [A | b],
+    whose time-dependent entries assemble(t) writes: y is the vector state
+    with drive a number, or the tail's matrix state with drive its unit row.
+    """
+
+    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
+        assemble(t)
+        augmented = np.empty((len(y) + 1,) + y.shape[1:])
+        augmented[:-1] = y
+        augmented[-1] = drive
+        return ab @ augmented
+
+    return rhs
 
 
 def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -581,12 +596,16 @@ def integrate_single_first_order(osc: OscillatorSpec,
         t_end=t_end, output_dt=output_dt, rtol=rtol, atol=atol,
     )
 
-    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
-        s = provider(t)
-        return -2.0 * s.friction * y + 2.0 * s.diffusion * drive
+    ab = np.zeros((1, 2))
+    bank = _provider_bank([provider])
+
+    def assemble(t: float) -> None:
+        for rows, p in bank:
+            s = p(t)
+            ab[rows] = -2.0 * s.friction, 2.0 * s.diffusion
 
     grid, out, lam, dif, diagnostics = _solve(
-        config, _provider_bank([provider]), rhs, np.array([osc.n0]))
+        config, bank, _linear_rhs(ab, assemble), np.array([osc.n0]))
     n = out.T
     v = -2.0 * lam * n + 2.0 * dif
 
@@ -619,63 +638,42 @@ def integrate_coupled(config: SimulationConfig,
     periodic tail's ``periods_propagated`` and ``floquet_multipliers``, and
     the ``negative_excursions`` of n.
 
-    The RHS samples the providers through their bank: one call per
+    The RHS is one product [A(t) | b(t)] @ [y; drive] (_linear_rhs) on
+    the vector state and on the periodic tail's matrix state alike.  Each
+    call assembles A and b through the providers' bank: one call per
     oscillator, or one call for all of them when they are two or more
-    tables on one knot grid (coefficients._provider_bank).  Both give the
-    same values bit for bit.  On the periodic tail's dim x (dim + 1) matrix
-    state it is one product with [A(t) | b(t)] instead, at less than half
-    the cost per call; the vector state keeps the elementwise formula,
-    since the product rounds differently and would move stepped runs in
-    their last bits.
+    tables on one knot grid (coefficients._provider_bank); both give the
+    same values bit for bit.
     """
     n_osc = config.n_oscillators
     if len(providers) != n_osc:
         raise ValueError("one provider per oscillator required")
 
-    laplacian = config.coupling.laplacian
-    providers = list(providers)
     bank = _provider_bank(providers)
-
-    # The tail's matrix state Y = [Phi | psi] with its drive row appended:
-    # Y' = [A(t) | b(t)] @ [Y; drive].  The constant blocks I and -L of A
-    # are set once; each call writes the three time-dependent entries of
-    # row n_osc + i, one provider call per oscillator i.  A stack's
-    # N-vectors meet only the vector state: tables declare no period, so
-    # their runs never take the tail.
+    # [A | b] over (n, v): the n rows are [0 | I | 0], and row i of the v
+    # rows is [-L_i - 2 dlam_i/dt e_i | -2 lam_i e_i | 2 dD_i/dt].  The
+    # constant blocks are set once; assemble writes the rest through the
+    # diagonals of the v rows' n and v blocks and the drive column.
     dim = 2 * n_osc
     ab = np.zeros((dim, dim + 1))
     ab[:n_osc, n_osc:dim] = np.eye(n_osc)
-    ab[n_osc:, :n_osc] = -laplacian
-    augmented = np.empty((dim + 1, dim + 1))
-    entries = [(i, n_osc + i, -float(laplacian[i, i]), provider)
-               for i, provider in enumerate(providers)]
+    ab[n_osc:, :n_osc] = -config.coupling.laplacian
+    n_diagonal = np.einsum("ii->i", ab[n_osc:, :n_osc])
+    v_diagonal = np.einsum("ii->i", ab[n_osc:, n_osc:dim])
+    drive_column = ab[n_osc:, dim]
+    minus_lii = n_diagonal.copy()
 
-    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
-        if y.ndim == 2:
-            for i, row, minus_lii, provider in entries:
-                s = provider(t)
-                ab[row, i] = minus_lii - 2.0 * s.dfriction_dt
-                ab[row, row] = -2.0 * s.friction
-                ab[row, dim] = 2.0 * s.ddiffusion_dt
-            augmented[:dim] = y
-            augmented[dim] = drive
-            return ab @ augmented
-        n = y[:n_osc]
-        v = y[n_osc:]
-        out = np.empty_like(y)
-        out[:n_osc] = v
-        dv = out[n_osc:]
-        coupling = laplacian @ n
+    def assemble(t: float) -> None:
         for rows, provider in bank:
             s = provider(t)
-            # Doubling is exact: 2 (a - b) is 2a - 2b bit for bit.
-            dv[rows] = 2.0 * (s.ddiffusion_dt * drive - s.friction * v[rows]
-                              - s.dfriction_dt * n[rows]) - coupling[rows]
-        return out
+            n_diagonal[rows] = minus_lii[rows] - 2.0 * s.dfriction_dt
+            v_diagonal[rows] = -2.0 * s.friction
+            drive_column[rows] = 2.0 * s.ddiffusion_dt
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    grid, out, lam, dif, diagnostics = _solve(config, bank, rhs, y0)
+    grid, out, lam, dif, diagnostics = _solve(
+        config, bank, _linear_rhs(ab, assemble), y0)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
     # w_i = v_i + 2 lam_i n_i - 2 D_i: its first sample is oscillator i's

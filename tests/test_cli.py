@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,28 @@ def test_importing_the_cli_loads_no_process_pool():
                           capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         pytest.fail(f"exit {proc.returncode}: {proc.stderr}")
+
+
+def test_package_exports_are_pinned():
+    # The package's public names, its submodules aside.  A name added or
+    # removed here is a change to the package surface, made on purpose.
+    exported = {name for name, value in vars(oscibath).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == {
+        "AmbiguousPeriod", "AnalysisError", "EnvelopeReport", "NoOscillation",
+        "OscillationReport", "SyncReport", "TooFewPeaks", "TooShort",
+        "envelope", "extract_period", "synchronization_metrics",
+        "ConstantProvider", "OutOfRange", "PhenomenologicalProvider",
+        "TabulatedProvider", "make_provider",
+        "CsvSchemaError", "read_timeseries_csv", "write_timeseries_csv",
+        "IntegratorError", "PositivityViolation", "StepSizeUnderflow",
+        "integrate_coupled", "integrate_single_first_order",
+        "BathSpec", "BathStatistics", "CoefficientSample", "CouplingNetwork",
+        "InvalidConfig", "OscillatorSpec", "ProviderConfig",
+        "SimulationConfig", "TimeSeries",
+        "load_scenario", "parse_scenario", "serialize_scenario",
+    }
 
 
 class TestSimulate:

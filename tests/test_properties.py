@@ -210,7 +210,8 @@ def _uncoupled_run(*pairs):
 
 
 def _first_order_reference(osc, provider, t):
-    """The first-order run's n on t by scipy's DOP853 at rtol 1e-13."""
+    """The first-order run's n on t by scipy's DOP853 at rtol 1e-13 and
+    steps of at most 0.5 (see test_integrator.dop853_reference)."""
     from scipy.integrate import solve_ivp
 
     def rhs(time, y):
@@ -218,7 +219,7 @@ def _first_order_reference(osc, provider, t):
         return [-2.0 * s.friction * y[0] + 2.0 * s.diffusion]
 
     return solve_ivp(rhs, (0.0, t[-1]), [osc.n0], method="DOP853",
-                     rtol=1e-13, atol=1e-16, t_eval=t).y
+                     rtol=1e-13, atol=1e-16, max_step=0.5, t_eval=t).y
 
 
 @settings(max_examples=5, deadline=None)
