@@ -52,10 +52,10 @@ EXIT_INTEGRATION = 2
 EXIT_INCONCLUSIVE = 3
 
 # Failures of one run: the integration errors exit with EXIT_INTEGRATION,
-# the rest (InvalidConfig, CsvSchemaError, unreadable or unwritable files)
-# with EXIT_CONFIG.
+# the rest (InvalidConfig, CsvSchemaError, unreadable or unwritable files,
+# an output grid too large to allocate) with EXIT_CONFIG.
 _INTEGRATION_ERRORS = (IntegratorError, OutOfRange)
-_RUN_ERRORS = (*_INTEGRATION_ERRORS, OSError, ValueError)
+_RUN_ERRORS = (*_INTEGRATION_ERRORS, OSError, ValueError, MemoryError)
 
 _SUMMARY_COLUMNS = ("value", "period_1", "period_2", "modulation_depth_1",
                     "modulation_depth_2", "phase_lock_score", "status", "file")

@@ -468,23 +468,25 @@ def _solve(config: SimulationConfig,
     friction and diffusion on the output grid, one call per pair and chunk
     of output times (_SAMPLE_MAX_VALUES).
 
-    Every run steps [0, t_p], writing each output time before t_p from
-    the interpolant of the step that covers it as the steps arrive.
-    Without a usable period (_common_period), t_p is the grid's last time
-    and that step writes the whole grid.  Otherwise the run first solves
-    one period of the affine matrix state [Phi | psi], the only code that
-    knows it: rhs is called with that state as a dim x (dim + 1) matrix
-    and drive the unit row e_{dim+1}, so that only psi is driven.  The
-    state is integrated from [I | 0] over [t_p, t_p + T] with _DOP853, at
-    a tenth of the tolerances since its error is compounded once per
-    period (every other solve takes _DP5); its last step's end state is
-    [M | c], and the solve records each step's start state and dense rows
-    instead of sampling it.  Once the record would pass _TAIL_MAX_DOUBLES
-    values, the solve closes that stepper and the run steps all the way as
-    if it had no period.  The sample k whole periods and tau past t_p is
+    One rule writes every sample: each step writes the output times it
+    covers, from its interpolant.  Every run steps [0, t_p], its steps
+    writing the times before t_p as they arrive; without a usable period
+    (_common_period), t_p is the grid's last time.  Otherwise the run
+    first solves one period of the affine matrix state [Phi | psi], the
+    only code that knows it: rhs is called with that state as a
+    dim x (dim + 1) matrix and drive the unit row e_{dim+1}, so that only
+    psi is driven.  The state is integrated from [I | 0] over
+    [t_p, t_p + T] with _DOP853, at a tenth of the tolerances since its
+    error is compounded once per period (every other solve takes _DP5);
+    its last step's end state is [M | c].  The solve records each step's
+    start, length and stack, its start state over its dense rows, instead
+    of sampling it; once the record would pass _TAIL_MAX_DOUBLES values, it
+    closes that stepper and the run steps all the way as if it had no
+    period.  The sample k whole periods and tau past t_p is
     [Phi(tau) | psi(tau)] (y_k, 1), with y_0 = y(t_p), the head's end
-    state, and y_{k+1} = M y_k + c, evaluated from the record one period
-    at a time.
+    state, and y_{k+1} = M y_k + c: after the head, each recorded step
+    writes the samples whose tau it covers, in every period, with one
+    product of its stack and those periods' columns (y_k, 1).
 
     Returns the grid, the samples (one row per output time), the
     friction and diffusion on the grid (one row per oscillator) and the
@@ -504,8 +506,6 @@ def _solve(config: SimulationConfig,
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evaluations": 0,
              "h_min": math.inf, "h_max": 0.0}
     record = []
-    # A recorded step keeps its start state and its dense rows.
-    width = 1 + len(_DOP853.dense)
     if period:
         drive = np.eye(dim + 1)[dim]
         stepper = _rk_steps(
@@ -513,11 +513,12 @@ def _solve(config: SimulationConfig,
             np.eye(dim, dim + 1).ravel(), t_p, t_p + period,
             config.rtol / 10, config.atol / 10, providers, stats, _DOP853)
         for t, h, _, y, flow, rows in stepper:
-            if width * flow.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
+            stack = np.vstack([y, rows]).reshape(-1, dim, dim + 1)
+            if stack.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
                 stepper.close()
                 t_p, period = float(grid[-1]), 0.0
                 break
-            record.append((t, h, y, rows))
+            record.append((t, h, stack))
     # The head samples [0, t_p), or the whole grid of a stepping run.
     later = int(np.searchsorted(grid, t_p)) if period else grid.size
     out = np.empty((grid.size, dim))
@@ -540,27 +541,22 @@ def _solve(config: SimulationConfig,
     stats["periods_propagated"] = 0
     if period:
         flow = flow.reshape(dim, dim + 1)
-        starts, lengths = np.array([step[:2] for step in record]).T
-        # Row s holds step s's start state, then its dense rows.
-        steps = np.empty((len(record), width, dim * (dim + 1)))
-        for into, (_, _, *rows) in zip(steps, record):
-            into[0], into[1:] = rows
-        record.clear()
-        steps = steps.reshape(-1, dim + 1)
-        y = np.append(y_p, 1.0)
         whole, tau = np.divmod(grid[later:] - t_p, period)
         stats["periods_propagated"] = periods = int(whole[-1])
-        bounds = np.searchsorted(whole, np.arange(periods + 2))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            # Every step's start state and dense rows applied to (y_k, 1);
-            # each sample then takes its own step's.
-            at = (steps @ y).reshape(-1, width, dim)
-            t = t_p + tau[a:b]
-            s = np.searchsorted(starts, t, "right") - 1
-            theta = ((t - starts[s]) / lengths[s]).clip(0.0, 1.0)
-            out[later + a:later + b] = at[s, 0] + lengths[s, None] * np.einsum(
-                "mp,mpd->md", _basis(theta, width - 1), at[s, 1:])
-            y = np.append(flow @ y, 1.0)
+        # Column k is (y_k, 1): y_0 = y(t_p) and y_{k+1} = M y_k + c.
+        columns = np.ones((dim + 1, periods + 1))
+        columns[:dim, 0] = y_p
+        for k in range(periods):
+            columns[:dim, k + 1] = flow @ columns[:, k]
+        # Each step writes, in every period at once, the samples it covers.
+        s = np.searchsorted([step[0] for step in record], t_p + tau, "right") - 1
+        order = np.argsort(s, kind="stable")
+        groups = np.split(order, np.searchsorted(s[order], range(1, len(record))))
+        for (start, h, stack), mine in zip(record, groups):
+            at = stack @ columns[:, whole[mine].astype(int)]
+            theta = ((t_p + tau[mine] - start) / h).clip(0.0, 1.0)
+            out[later + mine] = (at[0] + h * np.einsum(
+                "mp,pdm->dm", _basis(theta, len(stack) - 1), at[1:])).T
         stats["floquet_multipliers"] = tuple(sorted(
             np.abs(np.linalg.eigvals(flow[:, :dim])).tolist(), reverse=True))
     n = out[:, :n_osc]

@@ -248,6 +248,9 @@ class SimulationConfig:
         _require(math.isfinite(self.output_dt) and self.output_dt > 0,
                  "output_dt not positive")
         _require(self.output_dt <= self.t_end, "output_dt exceeds t_end")
+        # From 2**53 on, the output times k * output_dt may stop increasing.
+        _require(self.t_end / self.output_dt < 2.0**53,
+                 "t_end / output_dt not below 2**53")
         _require(math.isfinite(self.rtol) and self.rtol > 0, "rtol not positive")
         _require(math.isfinite(self.atol) and self.atol > 0, "atol not positive")
 

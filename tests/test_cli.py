@@ -302,6 +302,16 @@ t_end = 30
         assert proc.stderr.startswith("oscibath:")
         assert "Traceback" not in proc.stderr
 
+    def test_unbuildable_grid_exits_1_without_traceback(self, tmp_path):
+        scn = tmp_path / "huge.scn"
+        scn.write_text(CONSTANT_SCN.replace(
+            "t_end = 50\n", "t_end = 1e300\noutput_dt = 1e-300\n"))
+        proc = run_cli("simulate", scn, tmp_path / "out.csv")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("oscibath:")
+        assert "t_end / output_dt" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestAnalyze:
     def test_period_of_demo_run(self, fig2_demo_dir, capsys):
@@ -554,6 +564,44 @@ class TestSweep:
             rows = list(csv.DictReader(handle))
         assert [row["status"] for row in rows[::2]] == ["ok", "ok"]
         assert rows[1]["status"].startswith("failed: ")
+
+    def test_member_whose_grid_cannot_be_built_fails_alone(self, tmp_path,
+                                                           capsys):
+        scn = tmp_path / "fig2.scn"
+        scn.write_text(demo_fig2_scenario())
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scn), str(out_dir),
+                     "--param", "integration.t_end",
+                     "--values", "50,1e16"]) == 0
+        with (out_dir / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["value"] for row in rows] == ["50", "1e16"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"].startswith("failed: ")
+        assert "t_end / output_dt" in rows[1]["status"]
+
+    def test_member_out_of_memory_fails_alone(self, tmp_path, capsys,
+                                              monkeypatch):
+        from oscibath import cli
+
+        integrate = cli.integrate_coupled
+
+        def short_of_memory(config, providers):
+            if config.rtol == 1e-8:
+                raise MemoryError("Unable to allocate the output grid")
+            return integrate(config, providers)
+
+        monkeypatch.setattr(cli, "integrate_coupled", short_of_memory)
+        scn = tmp_path / "const.scn"
+        scn.write_text(CONSTANT_SCN)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(scn), str(out_dir),
+                     "--param", "integration.rtol",
+                     "--values", "1e-6,1e-8,1e-9"]) == 0
+        with (out_dir / "summary.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["status"] for row in rows[::2]] == ["ok", "ok"]
+        assert rows[1]["status"] == "failed: Unable to allocate the output grid"
 
     @pytest.mark.parametrize("jobs, values, pools", [
         ("64", "1e-6,1e-8,1e-9", [3]),

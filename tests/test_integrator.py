@@ -1054,6 +1054,29 @@ class TestPeriodicTail:
             difference = np.abs(getattr(tail, name) - getattr(stepped, name))
             assert difference.max() <= 50.0 * (config.rtol * scale + config.atol)
 
+    def test_samples_on_whole_periods_past_t_p(self):
+        # A ramp of 0.001 puts periodic_from (0.0061) below output_dt, so
+        # t_p = grid[1]; frequencies pi and 2 pi share the period 2, a
+        # multiple of output_dt, so samples fall on phase 0, the first
+        # recorded step's start.
+        providers = [dataclasses.replace(STANDARD, osc_freq=w, ramp_time=0.001)
+                     for w in (math.pi, 2.0 * math.pi)]
+        config = coupled_config(OscillatorSpec(1.0),
+                                OscillatorSpec(1.5, n0=0.3), 0.4, 20.0)
+        tail = integrate_coupled(config, providers)
+        stepped = integrate_coupled(config,
+                                    [declaring_nothing(p) for p in providers])
+        t_p = tail.t[1]
+        assert max(p.periodic_from for p in providers) < t_p
+        assert tail.diagnostics["periods_propagated"] == 9
+        # The tail's phases: 10 samples within rounding of 0, 9 of them on it.
+        _, tau = np.divmod(tail.t[1:] - t_p, 2.0)
+        assert ((tau < 1e-12).sum(), (tau == 0.0).sum()) == (10, 9)
+        scale = max(np.abs(stepped.n).max(), np.abs(stepped.v).max())
+        for name in ("n", "v"):
+            difference = np.abs(getattr(tail, name) - getattr(stepped, name))
+            assert difference.max() <= 50.0 * (config.rtol * scale + config.atol)
+
     def test_fig4_like_chain_of_16_takes_the_tail(self):
         # Its period solve records 45 steps of a 32 x 33 state (3.0 MB),
         # within _TAIL_MAX_DOUBLES; stepping all the way takes 10x the

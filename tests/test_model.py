@@ -90,6 +90,10 @@ def test_rejects_coupling_size_mismatch():
     (dict(output_dt=60.0), "output_dt exceeds t_end"),
     (dict(rtol=0.0), "rtol not positive"),
     (dict(atol=-1e-12), "atol not positive"),
+    # A ratio that overflows, and one of 2**53, from where k * output_dt
+    # may no longer increase strictly: neither grid is built.
+    (dict(t_end=1e300, output_dt=1e-300), r"t_end / output_dt not below 2\*\*53"),
+    (dict(t_end=2.0**52, output_dt=0.5), r"t_end / output_dt not below 2\*\*53"),
 ])
 def test_rejects_bad_integration_fields(overrides, message):
     with pytest.raises(InvalidConfig, match=message):
