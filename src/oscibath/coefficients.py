@@ -184,25 +184,24 @@ def _locate_all(grid: np.ndarray, kernel: tuple,
     return i, t - grid[i]
 
 
-def _gtsv(dl: list, d: list, du: list, b: list) -> list:
-    """Solve a tridiagonal system for a list of right-hand sides, in place.
+def _gtsv(dl: list, d: list, du: list, b: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system for many right-hand sides, in place.
 
     A transcription of reference LAPACK ``dgtsv``: Gaussian elimination with
     partial pivoting, where row i and i+1 swap when ``|dl[i]| > |d[i]|``,
     then back substitution, every operation in LAPACK's order so the result
     is the one LAPACK gives.  ``dl``, ``d`` and ``du`` are the sub-, main
-    and super-diagonal as float lists; ``b`` is a list of right-hand-side
-    columns, each a float list, which the solutions overwrite; it is
-    returned.  A zero pivot, which only a singular system has, raises
-    ZeroDivisionError.
+    and super-diagonal as float lists; ``b`` is an (n, columns) array of
+    right-hand sides, each row operation taken on all columns at once,
+    which the solutions overwrite; it is returned.  A zero pivot, which
+    only a singular system has, raises ZeroDivisionError.
     """
     n = len(d)
     for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):
             fact = dl[i] / d[i]
             d[i + 1] = d[i + 1] - fact * du[i]
-            for col in b:
-                col[i + 1] = col[i + 1] - fact * col[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
             dl[i] = 0.0
         else:
             fact = d[i] / dl[i]
@@ -213,15 +212,13 @@ def _gtsv(dl: list, d: list, du: list, b: list) -> list:
                 dl[i] = du[i + 1]
                 du[i + 1] = -fact * dl[i]
             du[i] = temp
-            for col in b:
-                temp = col[i]
-                col[i] = col[i + 1]
-                col[i + 1] = temp - fact * col[i + 1]
-    for col in b:
-        col[n - 1] = col[n - 1] / d[n - 1]
-        col[n - 2] = (col[n - 2] - du[n - 2] * col[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            col[i] = (col[i] - du[i] * col[i + 1] - dl[i] * col[i + 2]) / d[i]
+            row = b[i].copy()
+            b[i] = b[i + 1]
+            b[i + 1] = row - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
     return b
 
 
@@ -256,8 +253,7 @@ def _spline_kernel(tables: Sequence[TabulatedProvider]) -> tuple:
     rhs = np.concatenate([[3 * (y[1] - y[0])],
                           3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:]),
                           [0.0 + 3 * (y[-1] - y[-2])]])
-    s = np.array(_gtsv(h[1:] + h[-1:], diag.tolist(), h[:1] + h[:-1],
-                       rhs.T.tolist())).T
+    s = _gtsv(h[1:] + h[-1:], diag.tolist(), h[:1] + h[:-1], rhs)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     c = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr])
     pieces = np.concatenate([c, c[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]])

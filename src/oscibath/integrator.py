@@ -1,16 +1,17 @@
 """Adaptive Runge-Kutta integration of the occupation-number master equations.
 
-Two formulations share one solve path: the output grid, one embedded
-Runge-Kutta stepper over a tableau, which hands each accepted step with its
-dense-output interpolant to the solve (output samples come from the
-interpolant, never from re-integration), and the coefficient samples:
+One formulation, the coupled second-order system
 
-* first-order single oscillator:   dn/dt = -2 lam(t) n + 2 D(t)
-* coupled second-order system:     n_i'' + 2 lam_i n_i' + 2 lam_i' n_i
-                                     + sum_j beta_ij (n_i - n_j) = 2 D_i'
+    n_i'' + 2 lam_i n_i' + 2 lam_i' n_i + sum_j beta_ij (n_i - n_j) = 2 D_i',
 
-A single oscillator in second-order form is the coupled system with one
-oscillator and ``CouplingNetwork.none(1)``.
+takes one solve path: the output grid, one embedded Runge-Kutta stepper
+over a tableau, which hands each accepted step with its dense-output
+interpolant to the solve (output samples come from the interpolant, never
+from re-integration), and the coefficient samples.  A single oscillator is
+the system with one oscillator and ``CouplingNetwork.none(1)``; the
+first-order equation dn/dt = -2 lam(t) n + 2 D(t) is that system started
+from the consistent slope v0 = -2 lam(0) n0 + 2 D(0)
+(integrate_single_first_order).
 
 A provider may declare ``breakpoints``: times where its coefficients are
 less smooth (a tabulated provider's knots).  A step that would reach past
@@ -18,11 +19,11 @@ one ends exactly on the last one it reaches.  Where breakpoints are sparser
 than the steps, no step straddles a change of polynomial piece; where they
 are denser, steps cross the pieces instead of shrinking to their spacing.
 
-Each formulation is one linear system y' = A(t) y + b(t), and every run, of
-either formulation, takes one solve (_solve): it steps [0, t_p] with
-Dormand-Prince 5(4) and its quartic interpolant.  Both pairs keep their
-interpolant in its published nested form, one dense row per term, and every
-sample is evaluated in one basis (_nested, _basis).  A run whose providers
+The system is linear, y' = A(t) y + b(t) over y = (n, v), and every run
+takes one solve (_solve): it steps [0, t_p] with Dormand-Prince 5(4) and
+its quartic interpolant.  Both pairs keep their interpolant in its
+published nested form, one dense row per term, and every sample is
+evaluated in one basis (_nested, _basis).  A run whose providers
 all declare ``osc_freq`` and ``periodic_from`` is periodic with a common
 period T from some time t_p on (Floquet): the flow over one period is then
 a fixed affine map y -> M y + c.  When the output grid reaches t_p + T
@@ -35,18 +36,19 @@ its Floquet multipliers.  Any other run, and one whose record would pass
 _TAIL_MAX_DOUBLES, has t_p = t_end, the last output time, and no tail:
 stepping [0, t_p] is the whole run.
 
-Both build their right-hand side rhs(t, y, drive) = A(t) y + b(t) drive
-one way (_linear_rhs): a preallocated [A | b], its constant entries set
-once, and an assemble(t) that writes the others through the run's provider
-bank (coefficients._provider_bank), (rows, provider) pairs whose calls
-fill the entries ``rows``: one pair per oscillator, or one for all when
-the tables of a run share one knot grid.  One product, [A(t) | b(t)] @
-[y; drive], serves the vector state and the tail's matrix state alike.
+The right-hand side rhs(t, y, drive) = A(t) y + b(t) drive fills a
+preallocated [A | b], its constant entries set once, by writing the others
+through the run's provider bank (coefficients._provider_bank), (rows,
+provider) pairs whose calls fill the entries ``rows``: one pair per
+oscillator, or one for all when the tables of a run share one knot grid.
+One product, [A(t) | b(t)] @ [y; drive], serves the vector state and the
+tail's matrix state alike.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -277,23 +279,6 @@ RHS = Callable[[float, np.ndarray], np.ndarray]
 DrivenRHS = Callable[[float, np.ndarray, float | np.ndarray], np.ndarray]
 
 
-def _linear_rhs(ab: np.ndarray, assemble: Callable[[float], None]
-                ) -> DrivenRHS:
-    """[A(t) | b(t)] @ [y; drive] over a formulation's ``ab`` = [A | b],
-    whose time-dependent entries assemble(t) writes: y is the vector state
-    with drive a number, or the tail's matrix state with drive its unit row.
-    """
-
-    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
-        assemble(t)
-        augmented = np.empty((len(y) + 1,) + y.shape[1:])
-        augmented[:-1] = y
-        augmented[-1] = drive
-        return ab @ augmented
-
-    return rhs
-
-
 def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
                   rtol: float, atol: float, span: float,
                   exponent: float) -> float:
@@ -461,7 +446,8 @@ def _solve(config: SimulationConfig,
            bank: list[tuple[int | slice, CoefficientProvider]],
            rhs: DrivenRHS, y0: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Integrate y' = rhs(t, y, 1.0) from y0 over the config's output grid.
+    """Integrate y' = rhs(t, y, 1.0), the one formulation's linear system
+    (integrate_coupled), from y0 over the config's output grid.
 
     ``bank`` is the run's provider bank (coefficients._provider_bank): its
     providers give the breakpoints and the period, and its calls fill the
@@ -581,34 +567,39 @@ def integrate_single_first_order(osc: OscillatorSpec,
                                  atol: float = SimulationConfig.atol) -> TimeSeries:
     """Solve dn/dt = -2 lam(t) n + 2 D(t) from n(0) = n0.
 
+    The solve is integrate_coupled's at N = 1, from the consistent slope
+    v0 = -2 lam(0) n0 + 2 D(0), whose second-order solution is the
+    first-order one; ``v`` is the rate -2 lam n + 2 D on the grid.  The
+    diagnostics are integrate_coupled's, but for the periodic tail's one
+    ``floquet_multipliers`` entry: the product of the N = 1 monodromy's
+    two moduli, the conserved direction's 1 and exp(-2 * integral of lam
+    over a period) (Liouville's formula).
+
     When the provider keeps D(t) >= 0 (checked at the output samples) and
     n0 >= 0, the exact flow preserves n >= 0 and the result is checked to
     stay above -10 * atol; PositivityViolation is raised otherwise.
     """
+    s = provider(0.0)
+    v0 = -2.0 * s.friction * osc.n0 + 2.0 * s.diffusion
+    if not math.isfinite(v0):
+        raise IntegratorError("right-hand side not finite at t=0.0")
     config = SimulationConfig(
-        oscillators=(osc,),
+        oscillators=(dataclasses.replace(osc, v0=float(v0)),),
         provider_config=(ProviderConfig("custom"),),
         coupling=CouplingNetwork.none(1),
         t_end=t_end, output_dt=output_dt, rtol=rtol, atol=atol,
     )
-
-    ab = np.zeros((1, 2))
-    bank = _provider_bank([provider])
-
-    def assemble(t: float) -> None:
-        for rows, p in bank:
-            s = p(t)
-            ab[rows] = -2.0 * s.friction, 2.0 * s.diffusion
-
-    grid, out, lam, dif, diagnostics = _solve(
-        config, bank, _linear_rhs(ab, assemble), np.array([osc.n0]))
-    n = out.T
-    v = -2.0 * lam * n + 2.0 * dif
+    series = integrate_coupled(config, [provider])
+    n, lam, dif = series.n, series.friction, series.diffusion
+    diagnostics = series.diagnostics
+    if "floquet_multipliers" in diagnostics:
+        diagnostics["floquet_multipliers"] = (
+            math.prod(diagnostics["floquet_multipliers"]),)
 
     if osc.n0 >= 0 and (dif >= 0).all() and not n.min() >= -10.0 * atol:
         raise PositivityViolation(f"positivity violated: min n = {n.min():g}")
-    return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,
-                      diagnostics=diagnostics)
+    return TimeSeries(t=series.t, n=n, v=-2.0 * lam * n + 2.0 * dif,
+                      friction=lam, diffusion=dif, diagnostics=diagnostics)
 
 
 def integrate_coupled(config: SimulationConfig,
@@ -634,12 +625,12 @@ def integrate_coupled(config: SimulationConfig,
     periodic tail's ``periods_propagated`` and ``floquet_multipliers``, and
     the ``negative_excursions`` of n.
 
-    The RHS is one product [A(t) | b(t)] @ [y; drive] (_linear_rhs) on
-    the vector state and on the periodic tail's matrix state alike.  Each
-    call assembles A and b through the providers' bank: one call per
-    oscillator, or one call for all of them when they are two or more
-    tables on one knot grid (coefficients._provider_bank); both give the
-    same values bit for bit.
+    The RHS is one product [A(t) | b(t)] @ [y; drive] on the vector state
+    (drive a number) and on the periodic tail's matrix state (drive its
+    unit row) alike.  Each call writes A and b through the providers'
+    bank: one call per oscillator, or one call for all of them when they
+    are two or more tables on one knot grid (coefficients._provider_bank);
+    both give the same values bit for bit.
     """
     n_osc = config.n_oscillators
     if len(providers) != n_osc:
@@ -648,8 +639,8 @@ def integrate_coupled(config: SimulationConfig,
     bank = _provider_bank(providers)
     # [A | b] over (n, v): the n rows are [0 | I | 0], and row i of the v
     # rows is [-L_i - 2 dlam_i/dt e_i | -2 lam_i e_i | 2 dD_i/dt].  The
-    # constant blocks are set once; assemble writes the rest through the
-    # diagonals of the v rows' n and v blocks and the drive column.
+    # constant blocks are set once; each RHS call writes the rest through
+    # the diagonals of the v rows' n and v blocks and the drive column.
     dim = 2 * n_osc
     ab = np.zeros((dim, dim + 1))
     ab[:n_osc, n_osc:dim] = np.eye(n_osc)
@@ -659,17 +650,20 @@ def integrate_coupled(config: SimulationConfig,
     drive_column = ab[n_osc:, dim]
     minus_lii = n_diagonal.copy()
 
-    def assemble(t: float) -> None:
+    def rhs(t: float, y: np.ndarray, drive: float | np.ndarray) -> np.ndarray:
         for rows, provider in bank:
             s = provider(t)
             n_diagonal[rows] = minus_lii[rows] - 2.0 * s.dfriction_dt
             v_diagonal[rows] = -2.0 * s.friction
             drive_column[rows] = 2.0 * s.ddiffusion_dt
+        augmented = np.empty((dim + 1,) + y.shape[1:])
+        augmented[:-1] = y
+        augmented[-1] = drive
+        return ab @ augmented
 
     y0 = np.concatenate([[o.n0 for o in config.oscillators],
                          [o.v0 for o in config.oscillators]])
-    grid, out, lam, dif, diagnostics = _solve(
-        config, bank, _linear_rhs(ab, assemble), y0)
+    grid, out, lam, dif, diagnostics = _solve(config, bank, rhs, y0)
     n = out[:, :n_osc].T
     v = out[:, n_osc:].T
     # w_i = v_i + 2 lam_i n_i - 2 D_i: its first sample is oscillator i's

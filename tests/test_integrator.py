@@ -1153,3 +1153,31 @@ class TestPeriodicTail:
                               rtol=1e-13, atol=1e-16, t_eval=tail.t).y
         assert (np.abs(tail.n - reference).max()
                 <= np.abs(stepped.n - reference).max())
+
+
+class TestOneFormulation:
+    # The first-order solve is integrate_coupled's at N = 1, started from
+    # the consistent slope v0 = -2 lam(0) n0 + 2 D(0).
+
+    def test_first_order_matches_dop853_reference_on_fig2(self):
+        # fig2's n0 = v0 = 0 is consistent, so the coupled reference's n is
+        # the first-order solution; the bound is the coupled runs' own.
+        config, providers = scenario_run(demo_fig2_scenario(), t_end=40.0)
+        series = integrate_single_first_order(
+            config.oscillators[0], providers[0], config.t_end,
+            config.output_dt, config.rtol, config.atol)
+        reference = dop853_reference(config, providers, series.t)
+        assert np.abs(series.n - reference[:1]).max() <= 1e-9
+
+    def test_first_order_is_the_coupled_solve_at_n_1(self):
+        config, providers = scenario_run(demo_fig2_scenario(), t_end=50.0)
+        first = integrate_single_first_order(
+            config.oscillators[0], providers[0], config.t_end,
+            config.output_dt, config.rtol, config.atol)
+        coupled = integrate_coupled(config, providers)
+        assert np.array_equal(first.n, coupled.n)
+        assert np.array_equal(
+            first.v, -2.0 * first.friction * first.n + 2.0 * first.diffusion)
+        (mu,) = first.diagnostics["floquet_multipliers"]
+        assert mu == pytest.approx(math.exp(-2.0 * 0.1 * 2.0 * math.pi),
+                                   rel=0, abs=1e-9)
