@@ -17,10 +17,10 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -486,25 +486,36 @@ def read_coefficient_csv(path: str | Path) -> TabulatedProvider:
         raise InvalidConfig(f"{where}: {exc}") from exc
 
 
-def make_provider(pc: ProviderConfig) -> CoefficientProvider:
-    """Build a provider from its declarative description.
+class _Kind(NamedTuple):
+    keys: tuple[str, ...]  # in serialization order
+    required: tuple[str, ...]
+    build: Callable[[dict], CoefficientProvider]  # a ProviderConfig's params
+    text: tuple[str, ...] = ()  # keys read as text
+    flags: tuple[str, ...] = ()  # keys read as booleans; the others are numbers
 
-    Tabulated providers load their table from ``params['path']``, resolved
-    against the working directory.
-    """
-    params = pc.as_dict()
-    if pc.kind == "constant":
-        try:
-            return ConstantProvider(float(params["lambda"]), float(params["D"]))
-        except KeyError as exc:
-            raise InvalidConfig(f"constant provider missing key {exc}") from exc
-    if pc.kind == "phenomenological":
-        try:
-            return PhenomenologicalProvider(**params)
-        except TypeError as exc:
-            raise InvalidConfig(f"phenomenological provider: {exc}") from exc
-    if pc.kind == "tabulated":
-        if "path" not in params:
-            raise InvalidConfig("tabulated provider missing key 'path'")
-        return read_coefficient_csv(params["path"])
-    raise InvalidConfig(f"unknown coefficient kind '{pc.kind}'")
+
+#: Every scenario coefficient kind, declared once for the scenario grammar and
+#: :func:`make_provider`.  A ``build`` KeyError names a missing key, a
+#: TypeError a bad argument; a table's path is read from the working directory.
+KINDS = {
+    "constant": _Kind(("lambda", "D"), ("lambda", "D"), lambda p: ConstantProvider(
+        float(p["lambda"]), float(p["D"]))),
+    "phenomenological": _Kind(
+        tuple(f.name for f in fields(PhenomenologicalProvider)),
+        tuple(f.name for f in fields(PhenomenologicalProvider) if f.default is MISSING),
+        lambda p: PhenomenologicalProvider(**p), flags=("allow_negative_friction",)),
+    "tabulated": _Kind(("path",), ("path",), lambda p: read_coefficient_csv(p["path"]),
+                       text=("path",)),
+}
+
+
+def make_provider(pc: ProviderConfig) -> CoefficientProvider:
+    """Build a provider from its declarative description."""
+    if pc.kind not in KINDS:
+        raise InvalidConfig(f"unknown coefficient kind '{pc.kind}'")
+    try:
+        return KINDS[pc.kind].build(pc.as_dict())
+    except KeyError as exc:
+        raise InvalidConfig(f"{pc.kind} provider missing key {exc}") from exc
+    except TypeError as exc:
+        raise InvalidConfig(f"{pc.kind} provider: {exc}") from exc

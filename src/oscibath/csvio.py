@@ -304,7 +304,7 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
                     f"{where}: unsupported csv version line: {found!r}")
             header = fh.readline()
             start = fh.tell()
-            if not header or not fh.readline():
+            if not header or not any(line.split("#", 1)[0].strip() for line in fh):
                 raise CsvSchemaError(f"{where}: csv has no data rows")
             names = [c.strip() for c in header.split(",")]
             if len(names) < 5 or (len(names) - 1) % 4 != 0:

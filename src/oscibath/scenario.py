@@ -25,7 +25,6 @@ applied before the config is built, so derived defaults follow.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import io
 import math
 import re
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import PhenomenologicalProvider
+from .coefficients import KINDS
 from .model import (
     BathSpec,
     BathStatistics,
@@ -69,16 +68,6 @@ _BETA_KEY_RE = re.compile(r"^beta (\d+) (\d+)$")
 # Keys absent from a section are left out of the constructor call, so the
 # model dataclasses own every default.
 _OSC_KEYS = ("omega", "n0", "v0")
-_PROVIDER_KEYS = {
-    "constant": ("lambda", "D"),
-    "phenomenological": tuple(
-        f.name for f in dataclasses.fields(PhenomenologicalProvider)),
-    "tabulated": ("path",),
-}
-#: Every key of a kind is required, except phenomenological keys with a default.
-_PROVIDER_REQUIRED = dict(_PROVIDER_KEYS, phenomenological=tuple(
-    f.name for f in dataclasses.fields(PhenomenologicalProvider)
-    if f.default is dataclasses.MISSING))
 #: Scenario key -> BathSpec field, in serialization order.
 _BATH_KEYS = {"statistics": "statistics", "temperature": "temperature",
               "alpha": "coupling", "gamma": "cutoff"}
@@ -189,19 +178,19 @@ def build_config(sections: Sections) -> SimulationConfig:
         kind = body.pop("kind", None)
         if kind is None:
             raise InvalidConfig(f"[{section}] kind missing")
-        if kind not in _PROVIDER_KEYS:
+        if kind not in KINDS:
             raise InvalidConfig(f"[{section}] unknown kind '{kind}'")
-        _check_keys(section, body, _PROVIDER_KEYS[kind],
-                    required=_PROVIDER_REQUIRED[kind])
+        spec = KINDS[kind]
+        _check_keys(section, body, spec.keys, required=spec.required)
         params: dict[str, object] = {}
         for key, token in body.items():
-            if key == "path":
+            if key in spec.text:
                 params[key] = token.strip()
-            elif key == "allow_negative_friction":
+            elif key in spec.flags:
                 params[key] = _bool(section, key, token)
             else:
                 params[key] = _float(section, key, token)
-        if kind == "phenomenological" and "osc_freq" not in params:
+        if "osc_freq" in spec.keys and "osc_freq" not in params:
             params["osc_freq"] = oscillators[i - 1].omega
         providers.append(ProviderConfig(kind, params))
 
@@ -301,14 +290,13 @@ def serialize_scenario(config: SimulationConfig) -> str:
     for i, osc in enumerate(config.oscillators, start=1):
         section(f"oscillator {i}", [(key, getattr(osc, key)) for key in _OSC_KEYS])
         pc = config.provider_config[i - 1]
-        if pc.kind == "custom":
+        if pc.kind not in KINDS:
             raise InvalidConfig("custom providers have no scenario representation")
-        params = pc.as_dict()
+        spec, params = KINDS[pc.kind], pc.as_dict()
         # Refuse what parse_scenario would refuse, with its message.
-        _check_keys(f"coefficients {i}", params, _PROVIDER_KEYS[pc.kind],
-                    required=_PROVIDER_REQUIRED[pc.kind])
+        _check_keys(f"coefficients {i}", params, spec.keys, required=spec.required)
         section(f"coefficients {i}", [("kind", pc.kind)] + [
-            (key, params[key]) for key in _PROVIDER_KEYS[pc.kind] if key in params])
+            (key, params[key]) for key in spec.keys if key in params])
         if config.baths:
             for j, bath in enumerate(config.baths[i - 1], start=1):
                 section(f"bath {i} {j}", [(key, getattr(bath, name))

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,19 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "version" in err
         assert f"csv {bad}: " in err
+
+    @pytest.mark.parametrize("body", ["\n\n", "   \n", "# note\n\n#\n"],
+                             ids=["blank", "spaces", "comments"])
+    def test_no_data_rows_exits_1(self, tmp_path, capsys, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("# oscibath-csv v1\nt,n1,v1,lambda1,D1\n" + body)
+        # A warning would reach stderr at the command line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", str(path)]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            f"oscibath: csv {path}: csv has no data rows\n")
 
     def test_swapped_rows_exit_1(self, tmp_path, capsys):
         t = 0.01 * np.arange(6001)

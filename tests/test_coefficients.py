@@ -550,6 +550,16 @@ class TestMakeProvider:
         with pytest.raises(InvalidConfig, match=message):
             make_provider(ProviderConfig(kind, params))
 
+    @pytest.mark.parametrize("kind,params", [
+        ("constant", {"lambda": None, "D": 0.25}),
+        ("tabulated", {"path": 5}),
+    ])
+    def test_wrong_argument_type_names_the_kind(self, kind, params):
+        with pytest.raises(InvalidConfig) as info:
+            make_provider(ProviderConfig(kind, params))
+        assert str(info.value).startswith(f"{kind} provider: ")
+        assert isinstance(info.value.__cause__, TypeError)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidConfig, match="unknown coefficient kind"):
             make_provider(ProviderConfig("custom"))

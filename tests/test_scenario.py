@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from oscibath.coefficients import KINDS
 from oscibath.model import (
     InvalidConfig,
     OscillatorSpec,
@@ -179,6 +180,35 @@ class TestParseErrors:
                                    "beta 1 2 = 0.2\nbeta 2 1 = 0.3")
         with pytest.raises(InvalidConfig, match="conflicting"):
             parse_scenario(text)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_kind_table_is_the_scenario_grammar(kind):
+    spec = KINDS[kind]
+
+    def text(keys):
+        values = {key: "t.csv" if key in spec.text else
+                  "false" if key in spec.flags else "0" for key in keys}
+        return "".join(["[oscillator 1]\nomega = 2\n\n[coefficients 1]\n",
+                        f"kind = {kind}\n"]
+                       + [f"{key} = {value}\n" for key, value in values.items()]
+                       + ["\n[integration]\nt_end = 1\n"])
+
+    def refusal(keys):
+        with pytest.raises(InvalidConfig) as info:
+            parse_scenario(text(keys))
+        return str(info.value)
+
+    config = parse_scenario(text(spec.required))
+    assert config.provider_config[0].kind == kind
+    assert parse_scenario(serialize_scenario(config)) == config
+    others = {key for other in KINDS.values() for key in other.keys} | {"mass"}
+    for key in sorted(others - set(spec.keys)):
+        assert refusal(spec.required + (key,)) == (
+            f"[coefficients 1] unknown key '{key}'")
+    for key in spec.required:
+        assert refusal([k for k in spec.required if k != key]) == (
+            f"[coefficients 1] {key} missing")
 
 
 class TestOverrides:
