@@ -31,8 +31,6 @@ __all__ = [
     "extract_period",
     "envelope",
     "synchronization_metrics",
-    "eigenfrequency_candidates",
-    "nearest_candidate",
 ]
 
 #: Minimum number of samples an analysis window must contain.
@@ -342,33 +340,3 @@ def synchronization_metrics(t: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
                       period_ratio=ratio, ratio_uncertainty=ratio_unc,
                       phase_lock_score=score)
 
-
-def eigenfrequency_candidates(config: SimulationConfig) -> dict[str, tuple[float, ...]]:
-    """Candidate frequencies an extracted period may track.
-
-    Two families: the oscillators' own frequencies, and the frequencies of
-    the coupling network's normal modes (square roots of the coupling
-    Laplacian's nonzero eigenvalues, i.e. the dissipation-free mode
-    frequencies).  Which family the printed periods follow is reported, not
-    decided.
-    """
-    bare = tuple(o.omega for o in config.oscillators)
-    eigs = np.linalg.eigvalsh(config.coupling.laplacian)
-    modes = tuple(float(math.sqrt(e)) for e in eigs if e > 1e-12)
-    return {"bare": bare, "normal_mode": modes}
-
-
-def nearest_candidate(omega: float,
-                      candidates: dict[str, tuple[float, ...]]) -> tuple[str, float]:
-    """Family name and value of the candidate frequency closest to omega."""
-    best: tuple[str, float] | None = None
-    best_dist = math.inf
-    for family, values in candidates.items():
-        for value in values:
-            dist = abs(value - omega)
-            if dist < best_dist:
-                best_dist = dist
-                best = (family, value)
-    if best is None:
-        raise ValueError("no candidate frequencies")
-    return best

@@ -24,10 +24,8 @@ from .analysis import (
     AnalysisError,
     NoOscillation,
     OscillationReport,
-    eigenfrequency_candidates,
     envelope,
     extract_period,
-    nearest_candidate,
     synchronization_metrics,
 )
 from .coefficients import OutOfRange, make_provider
@@ -36,12 +34,10 @@ from .integrator import IntegratorError, integrate_coupled
 from .model import InvalidConfig, SimulationConfig, TimeSeries
 from .scenario import (
     DEMO_FIG4_BETAS,
-    Sections,
     apply_override,
     build_config,
     demo_fig2_scenario,
     demo_fig4_scenario,
-    load_scenario,
     read_scenario,
     read_sections,
 )
@@ -65,14 +61,21 @@ def _err(message: str) -> None:
     print(f"oscibath: {message}", file=sys.stderr)
 
 
-def _run(sections: Sections,
-         csv_path: str | Path) -> tuple[SimulationConfig, TimeSeries]:
-    """Build, integrate and write one run; return its config and series."""
-    config = build_config(sections)
+def _load(path: str) -> SimulationConfig:
+    """A scenario file's config; every error names the file."""
+    sections = read_scenario(path)
+    try:
+        return build_config(sections)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"scenario {path}: {exc}") from exc
+
+
+def _run(config: SimulationConfig, csv_path: str | Path) -> TimeSeries:
+    """Integrate and write one run; return its series."""
     series = integrate_coupled(
         config, [make_provider(pc) for pc in config.provider_config])
     write_timeseries_csv(series, csv_path)
-    return config, series
+    return series
 
 
 def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
@@ -190,12 +193,14 @@ def _analysis_lines(t: np.ndarray, channels: np.ndarray,
                          f"± {sync.ratio_uncertainty:.2g}")
             lines.append(f"phase_lock_score = {sync.phase_lock_score:.6g}")
             if config is not None:
-                candidates = eigenfrequency_candidates(config)
+                # min names the first nearest: an omega before a normal mode.
+                eigs = np.linalg.eigvalsh(config.coupling.laplacian)
+                candidates = [("bare", o.omega) for o in config.oscillators] + [
+                    ("normal_mode", w) for w in np.sqrt(eigs[eigs > 1e-12])]
                 for idx, period in ((a, sync.period_a), (b, sync.period_b)):
-                    family, value = nearest_candidate(2.0 * np.pi / period,
-                                                      candidates)
-                    lines.append(f"nearest_frequency_{idx} = "
-                                 f"{family} {value:.6g}")
+                    family, value = min(candidates, key=lambda c: abs(
+                        c[1] - 2.0 * np.pi / period))
+                    lines.append(f"nearest_frequency_{idx} = {family} {value:.6g}")
     return lines, values, errors
 
 
@@ -217,7 +222,7 @@ def _write_summary(path: Path, rows: list[dict[str, str]]) -> None:
 
 
 def cmd_simulate(scenario_path: str, output_path: str) -> int:
-    _, series = _run(read_scenario(scenario_path), output_path)
+    series = _run(_load(scenario_path), output_path)
     for line in _simulation_summary(series, output_path):
         print(line)
     return EXIT_OK
@@ -258,7 +263,7 @@ def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
     series = read_timeseries_csv(csv_path)
     config = None
     if scenario is not None:
-        config = load_scenario(scenario)
+        config = _load(scenario)
         if config.n_oscillators != series.n_oscillators:
             raise InvalidConfig(f"--scenario has {config.n_oscillators} "
                                 f"oscillators, the csv has "
@@ -279,7 +284,8 @@ def _sweep_worker(task) -> dict[str, str]:
     sections, param, token, csv_path = task
     row = {"value": token}
     try:
-        config, series = _run(apply_override(sections, param, token), csv_path)
+        config = build_config(apply_override(sections, param, token))
+        series = _run(config, csv_path)
     except _RUN_ERRORS as exc:
         row["status"] = f"failed: {exc}"
         return row
@@ -327,7 +333,8 @@ def _demo_run(scenario_text: str, stem: str, out_dir: Path, *,
     """Write scenario + CSV + report for one demo run; return (code, summary row)."""
     (out_dir / f"{stem}.scn").write_text(scenario_text, encoding="utf-8")
     csv_path = out_dir / f"{stem}.csv"
-    config, series = _run(read_sections(scenario_text), csv_path)
+    config = build_config(read_sections(scenario_text))
+    series = _run(config, csv_path)
     for line in _simulation_summary(series, str(csv_path)):
         print(line)
 

@@ -14,7 +14,6 @@ come in through a three-column CSV (``t,lambda,D``).
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -24,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
+from .csvio import _csv_floats
 from .model import CoefficientSample, InvalidConfig, ProviderConfig
 
 __all__ = [
@@ -458,20 +458,7 @@ def read_coefficient_csv(path: str | Path) -> TabulatedProvider:
     where = f"coefficient csv {Path(path)}"
     try:
         with Path(path).open(encoding="utf-8-sig", newline="") as f:
-            reader = csv.reader(f)
-            rows = ((reader.line_num, row) for row in reader
-                    if row and not row[0].lstrip().startswith("#"))
-            _, header = next(rows, (0, []))
-            if [c.strip() for c in header] != ["t", "lambda", "D"]:
-                raise InvalidConfig(f"{where}: header must be 't,lambda,D'")
-            data = []
-            for lineno, row in rows:
-                if len(row) != 3:
-                    raise InvalidConfig(f"{where}: line {lineno} not 3 columns")
-                try:
-                    data.append([float(c) for c in row])
-                except ValueError as exc:
-                    raise InvalidConfig(f"{where}: line {lineno} not numeric") from exc
+            data = _csv_floats(f, ["t", "lambda", "D"], where, InvalidConfig)
     except OSError as exc:
         raise InvalidConfig(f"{where}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -22,6 +22,7 @@ assumes, and every other column must be finite, as a run's output is.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,29 @@ class CsvSchemaError(ValueError):
     """The file does not follow the versioned time-series schema."""
 
 
+def _csv_floats(f, header: list[str], where: str,
+                error: type[ValueError]) -> list[list[float]]:
+    """The rows after ``header`` of a csv text file as floats, skipping blank
+    and ``#`` lines; ``error`` names the line of the first bad row."""
+    reader = csv.reader(f)
+    rows = ((reader.line_num, row) for row in reader
+            if row and not row[0].lstrip().startswith("#"))
+    data = []
+    try:
+        if [c.strip() for c in next(rows, (0, []))[1]] != header:
+            raise error(f"{where}: header must be '{','.join(header)}'")
+        for lineno, row in rows:
+            if len(row) != len(header):
+                raise error(f"{where}: line {lineno} not {len(header)} columns")
+            try:
+                data.append([float(c) for c in row])
+            except ValueError as exc:
+                raise error(f"{where}: line {lineno} not numeric") from exc
+    except csv.Error as exc:
+        raise error(f"{where}: line {reader.line_num}: {exc}") from exc
+    return data
+
+
 def _column_names(n_osc: int) -> list[str]:
     names = ["t"]
     for i in range(1, n_osc + 1):
@@ -317,14 +341,15 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
             fh.seek(start)
             try:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except UnicodeDecodeError:
-                raise
-            except ValueError as exc:
-                raise CsvSchemaError(f"{where}: malformed csv data: {exc}") from exc
+            except ValueError:  # a UnicodeDecodeError too: the scan meets it
+                data = None
+            if data is None or data.shape[1] != len(names):
+                # loadtxt's text counts data rows; name the file's line.
+                fh.seek(0)
+                _csv_floats(fh, names, where, CsvSchemaError)
+                raise CsvSchemaError(f"{where}: malformed csv data")
     except UnicodeDecodeError as exc:
         raise CsvSchemaError(f"{where}: not UTF-8 ({exc.reason})") from exc
-    if data.shape[1] != len(names):
-        raise CsvSchemaError(f"{where}: csv row width does not match header")
     try:
         series = TimeSeries(t=data[:, 0], n=data[:, 1::4].T, v=data[:, 2::4].T,
                             friction=data[:, 3::4].T, diffusion=data[:, 4::4].T)

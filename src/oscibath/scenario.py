@@ -265,12 +265,23 @@ def parse_scenario(text: str) -> SimulationConfig:
 
 
 def read_scenario(path: str | Path) -> Sections:
-    """Read a scenario file's sections; every scenario file is read here."""
+    """Read a scenario file's sections; every error names the file."""
+    where = f"scenario {path}"
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"scenario {path}: not UTF-8 ({exc.reason})") from exc
-    return read_sections(text)
+        raise InvalidConfig(f"{where}: not UTF-8 ({exc.reason})") from exc
+    try:
+        return read_sections(text)
+    except InvalidConfig as exc:
+        syntax = exc.__cause__  # the configparser error
+        lineno = getattr(syntax, "lineno", None) or syntax.errors[0][0]
+        reason = {configparser.MissingSectionHeaderError: "precedes every section",
+                  configparser.DuplicateSectionError: "repeats a section",
+                  configparser.DuplicateOptionError: "repeats a key of its section",
+                  }.get(type(syntax), "is neither a section header nor 'key = value'")
+        line = text.split("\n")[lineno - 1].strip()
+        raise InvalidConfig(f"{where}: line {lineno}: {line!r} {reason}") from syntax
 
 
 def load_scenario(path: str | Path) -> SimulationConfig:

@@ -11,10 +11,8 @@ from oscibath.analysis import (
     NoOscillation,
     TooFewPeaks,
     TooShort,
-    eigenfrequency_candidates,
     envelope,
     extract_period,
-    nearest_candidate,
     synchronization_metrics,
     _detrend,
     _hilbert,
@@ -195,23 +193,6 @@ class TestSynchronization:
         t = grid(60.0)
         with pytest.raises(NoOscillation):
             synchronization_metrics(t, np.sin(t), np.full_like(t, 1.0))
-
-
-class TestEigenfrequencyCandidates:
-    def test_two_oscillator_candidates(self):
-        config = SimulationConfig(
-            oscillators=(OscillatorSpec(1.0), OscillatorSpec(1.5)),
-            provider_config=(ProviderConfig("custom"),) * 2,
-            coupling=CouplingNetwork.uniform(2, 0.5),
-            t_end=10.0)
-        candidates = eigenfrequency_candidates(config)
-        assert candidates["bare"] == (1.0, 1.5)
-        assert candidates["normal_mode"] == pytest.approx((1.0,))
-
-    def test_nearest_candidate(self):
-        candidates = {"bare": (1.0, 1.5), "normal_mode": (0.316,)}
-        assert nearest_candidate(1.48, candidates) == ("bare", 1.5)
-        assert nearest_candidate(0.3, candidates) == ("normal_mode", 0.316)
 
 
 def test_headline_property_no_asymptotic_limit():

@@ -14,9 +14,15 @@ import pytest
 
 import oscibath
 from oscibath.analysis import extract_period
-from oscibath.cli import main
+from oscibath.cli import _analysis_lines, main
 from oscibath.csvio import read_timeseries_csv
-from oscibath.model import TimeSeries
+from oscibath.model import (
+    CouplingNetwork,
+    OscillatorSpec,
+    ProviderConfig,
+    SimulationConfig,
+    TimeSeries,
+)
 from oscibath.scenario import demo_fig2_scenario, demo_fig4_scenario
 
 CONSTANT_SCN = """\
@@ -361,6 +367,16 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"oscibath: csv {path}: csv has no data rows\n")
 
+    def test_malformed_row_exits_1_naming_its_line(self, tmp_path, capsys):
+        # Line 4 is blank; line 5 holds three spaces, a one-cell row to the
+        # reader as to numpy's loadtxt.
+        path = tmp_path / "bad.csv"
+        path.write_text("# oscibath-csv v1\nt,n1,v1,lambda1,D1\n0,1,2,3,4\n\n   \n"
+                        "0.01,1,2,3,4\n0.02,1,x,3,4\n")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"oscibath: csv {path}: line 5 not 5 columns\n")
+
     def test_swapped_rows_exit_1(self, tmp_path, capsys):
         t = 0.01 * np.arange(6001)
         t[[4500, 4501]] = t[[4501, 4500]]
@@ -466,6 +482,22 @@ class TestAnalyze:
         assert "phase_lock_score = " in out
         assert "nearest_frequency_1 = bare 2" in out
         assert "nearest_frequency_2 = bare 3" in out
+
+    def test_sync_names_a_normal_mode_of_the_coupling(self):
+        # Both channels oscillate at 0.3, nearer the one normal mode of
+        # beta = 0.05, sqrt(2 beta) = 0.316228, than either omega (2, 3).
+        t = np.linspace(0.0, 600.0, 12001)
+        channels = np.array([1.0 + 0.5 * np.sin(0.3 * t + phi)
+                             for phi in (0.0, 1.0)])
+        config = SimulationConfig(
+            oscillators=(OscillatorSpec(2.0), OscillatorSpec(3.0)),
+            provider_config=(ProviderConfig("custom"),) * 2,
+            coupling=CouplingNetwork.uniform(2, 0.05), t_end=600.0)
+        lines, _, errors = _analysis_lines(t, channels, config, do_period=False,
+                                           do_envelope=False, sync_pair=(1, 2))
+        assert errors == []
+        assert lines[-2:] == ["nearest_frequency_1 = normal_mode 0.316228",
+                              "nearest_frequency_2 = normal_mode 0.316228"]
 
     def test_period_and_sync_estimate_each_channel_once(self, fig4_demo_dir,
                                                         monkeypatch, capsys):
@@ -832,19 +864,60 @@ def test_byte_order_mark_scenario_simulates_like_plain(tmp_path, capsys):
 NON_UTF8_SCN = CONSTANT_SCN.encode().replace(b"# slope", b"# caf\xe9: slope")
 
 
+def scenario_command(command, scn, tmp_path, fig2_demo_dir):
+    """The arguments of a command that reads the one-oscillator scenario scn."""
+    return {"simulate": ["simulate", str(scn), str(tmp_path / "x.csv")],
+            "sweep": ["sweep", str(scn), str(tmp_path / "sweep"), "--param",
+                      "integration.rtol", "--values", "1e-6"],
+            "analyze": ["analyze", str(fig2_demo_dir / "fig2.csv"),
+                        "--scenario", str(scn)]}[command]
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "analyze"])
 def test_non_utf8_scenario_exits_1_naming_it(tmp_path, capsys, fig2_demo_dir,
                                              command):
     scn = tmp_path / "bad.scn"
     scn.write_bytes(NON_UTF8_SCN)
-    args = {"simulate": ["simulate", str(scn), str(tmp_path / "x.csv")],
-            "sweep": ["sweep", str(scn), str(tmp_path / "sweep"), "--param",
-                      "integration.rtol", "--values", "1e-6"],
-            "analyze": ["analyze", str(fig2_demo_dir / "fig2.csv"),
-                        "--scenario", str(scn)]}[command]
-    assert main(args) == 1
+    assert main(scenario_command(command, scn, tmp_path, fig2_demo_dir)) == 1
     err = capsys.readouterr().err
     assert err == f"oscibath: scenario {scn}: not UTF-8 (invalid continuation byte)\n"
+
+
+FIG2_SCN = demo_fig2_scenario()
+OMEGA_LINE = FIG2_SCN.split("\n").index("omega = 1") + 1
+# Scenario text, and the error that follows "scenario <path>: ".
+BAD_SCENARIOS = {
+    "unknown-key": (FIG2_SCN.replace("t_end =", "t_ned ="),
+                    "[integration] unknown key 't_ned'"),
+    "repeated-section": (FIG2_SCN + "[integration]\nt_end = 5\n",
+                         f"line {FIG2_SCN.count(chr(10)) + 1}: '[integration]' "
+                         "repeats a section"),
+    "repeated-key": (FIG2_SCN.replace("omega = 1\n", "omega = 1\nomega = 2\n"),
+                     f"line {OMEGA_LINE + 1}: 'omega = 2' repeats a key of its "
+                     "section"),
+    "key-before-sections": ("t_end = 5\n" + FIG2_SCN,
+                            "line 1: 't_end = 5' precedes every section"),
+    "bare-key": (FIG2_SCN.replace("omega = 1\n", "omega\n"),
+                 f"line {OMEGA_LINE}: 'omega' is neither a section header nor "
+                 "'key = value'"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "analyze"])
+@pytest.mark.parametrize("case", BAD_SCENARIOS)
+def test_scenario_error_is_one_line_naming_the_file(tmp_path, capsys,
+                                                    fig2_demo_dir, case, command):
+    text, message = BAD_SCENARIOS[case]
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text, encoding="utf-8")
+    assert main(scenario_command(command, scn, tmp_path, fig2_demo_dir)) == 1
+    captured = capsys.readouterr()
+    if command == "sweep" and case == "unknown-key":
+        # Each member builds its own config, and its error is its status.
+        assert captured.err == ""
+        assert f"integration.rtol = 1e-6: failed: {message}\n" in captured.out
+    else:
+        assert captured.err == f"oscibath: scenario {scn}: {message}\n"
 
 
 @pytest.mark.parametrize("row", [0, 4000])

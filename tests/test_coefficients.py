@@ -442,6 +442,8 @@ class TestCsvIngestion:
         # Errors name the file's own line, counting comments and blank lines.
         ("0,0,0\n# comment\n\n1,1\n2,2,2\n3,3,3\n", "line 5 not 3 columns"),
         ("0,0,0\n# comment\n1,1,1\n2,x,2\n3,3,3\n", "line 5 not numeric"),
+        # A line the csv module refuses is named too, not raised as csv.Error.
+        ("0,0,0\n" + "1" * 131073 + "\n", "line 3: field larger than field limit"),
     ])
     def test_bad_rows_rejected(self, tmp_path, rows, message):
         path = tmp_path / "coeffs.csv"

@@ -103,12 +103,14 @@ class TestReader:
          "csv column count must be 1 + 4 per oscillator"),
         (CSV_VERSION_LINE + "\nt,a,b,c,d\n0,1,2,3,4\n",
          "unexpected csv columns: ['t', 'a', 'b', 'c', 'd']"),
-        (HEADER + "0,1,2,3\n0.5,1,2,3\n", "csv row width does not match header"),
-        (HEADER + "0,1,2,3,x\n", "malformed csv data: "),
+        (HEADER + "0,1,2,3\n0.5,1,2,3\n", "line 3 not 5 columns"),
+        (HEADER + "0,1,2,3,x\n", "line 3 not numeric"),
+        # loadtxt refuses a quoted number that the csv module reads.
+        (HEADER + '0,1,2,3,"4"\n', "malformed csv data"),
         (HEADER + "0,1,2,3,4\n1,1,2,3,4\n0.5,1,2,3,4\n",
          "csv time column: grid not strictly increasing"),
     ], ids=["empty", "blank", "version", "no-header", "no-rows", "columns",
-            "names", "width", "malformed", "time"])
+            "names", "width", "malformed", "quoted", "time"])
     def test_schema_errors(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
