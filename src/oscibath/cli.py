@@ -38,6 +38,7 @@ from .scenario import (
     build_config,
     demo_fig2_scenario,
     demo_fig4_scenario,
+    load_scenario,
     read_scenario,
     read_sections,
 )
@@ -59,15 +60,6 @@ _SUMMARY_COLUMNS = ("value", "period_1", "period_2", "modulation_depth_1",
 
 def _err(message: str) -> None:
     print(f"oscibath: {message}", file=sys.stderr)
-
-
-def _load(path: str) -> SimulationConfig:
-    """A scenario file's config; every error names the file."""
-    sections = read_scenario(path)
-    try:
-        return build_config(sections)
-    except InvalidConfig as exc:
-        raise InvalidConfig(f"scenario {path}: {exc}") from exc
 
 
 def _run(config: SimulationConfig, csv_path: str | Path) -> TimeSeries:
@@ -222,8 +214,13 @@ def _write_summary(path: Path, rows: list[dict[str, str]]) -> None:
 
 
 def cmd_simulate(scenario_path: str, output_path: str) -> int:
-    series = _run(_load(scenario_path), output_path)
-    for line in _simulation_summary(series, output_path):
+    # load_scenario's steps; cli calls build_config so the bench tracer times it.
+    sections = read_scenario(scenario_path)
+    try:
+        config = build_config(sections)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"scenario {scenario_path}: {exc}") from exc
+    for line in _simulation_summary(_run(config, output_path), output_path):
         print(line)
     return EXIT_OK
 
@@ -263,7 +260,7 @@ def cmd_analyze(csv_path: str, *, do_period: bool, do_envelope: bool,
     series = read_timeseries_csv(csv_path)
     config = None
     if scenario is not None:
-        config = _load(scenario)
+        config = load_scenario(scenario)
         if config.n_oscillators != series.n_oscillators:
             raise InvalidConfig(f"--scenario has {config.n_oscillators} "
                                 f"oscillators, the csv has "
@@ -355,16 +352,11 @@ def cmd_demo(name: str, output_dir: str) -> int:
                          do_envelope=False)[0]
     if name != "fig4":
         raise InvalidConfig(f"unknown demo '{name}' (available: fig2, fig4)")
-    worst = EXIT_OK
-    rows = []
-    for beta in DEMO_FIG4_BETAS:
-        stem = f"fig4_beta{beta}"
-        code, row = _demo_run(demo_fig4_scenario(beta), stem, out_dir,
-                              do_envelope=True)
-        worst = max(worst, code)
-        rows.append(dict(row, value=beta))
-    _write_summary(out_dir / "fig4_summary.csv", rows)
-    return worst
+    runs = [_demo_run(demo_fig4_scenario(beta), f"fig4_beta{beta}", out_dir,
+                      do_envelope=True) for beta in DEMO_FIG4_BETAS]
+    _write_summary(out_dir / "fig4_summary.csv", [
+        dict(row, value=beta) for (_, row), beta in zip(runs, DEMO_FIG4_BETAS)])
+    return max(code for code, _ in runs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -344,9 +344,10 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
             except ValueError:  # a UnicodeDecodeError too: the scan meets it
                 data = None
             if data is None or data.shape[1] != len(names):
-                # loadtxt's text counts data rows; name the file's line.
+                # loadtxt counts data rows, not lines; cut # comments as it does.
                 fh.seek(0)
-                _csv_floats(fh, names, where, CsvSchemaError)
+                _csv_floats((line.split("#", 1)[0] for line in fh), names,
+                            where, CsvSchemaError)
                 raise CsvSchemaError(f"{where}: malformed csv data")
     except UnicodeDecodeError as exc:
         raise CsvSchemaError(f"{where}: not UTF-8 ({exc.reason})") from exc

@@ -103,17 +103,22 @@ def _bool(section: str, key: str, token: str) -> bool:
     raise InvalidConfig(f"[{section}] {key}: not a boolean: {token!r}")
 
 
-def read_sections(text: str) -> Sections:
-    """Parse scenario text into an ordered section -> key -> raw-value map."""
+def _parse_sections(text: str) -> Sections:
+    """read_sections, with configparser's error for a syntax error."""
     parser = configparser.ConfigParser(
         delimiters=("=",), comment_prefixes=("#", ";"),
         inline_comment_prefixes=None, interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive and keep their spacing
+    parser.read_string(text)
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def read_sections(text: str) -> Sections:
+    """Parse scenario text into an ordered section -> key -> raw-value map."""
     try:
-        parser.read_string(text)
+        return _parse_sections(text)
     except configparser.Error as exc:
         raise InvalidConfig(f"scenario syntax: {exc}") from exc
-    return {name: dict(parser.items(name)) for name in parser.sections()}
 
 
 def _check_keys(section: str, body: dict[str, str], allowed,
@@ -272,20 +277,28 @@ def read_scenario(path: str | Path) -> Sections:
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{where}: not UTF-8 ({exc.reason})") from exc
     try:
-        return read_sections(text)
-    except InvalidConfig as exc:
-        syntax = exc.__cause__  # the configparser error
-        lineno = getattr(syntax, "lineno", None) or syntax.errors[0][0]
+        return _parse_sections(text)
+    except configparser.Error as exc:
+        # A ParsingError lists its lines in ``errors``; the others carry one.
+        lineno = (getattr(exc, "lineno", None)
+                  or (getattr(exc, "errors", None) or [(None,)])[0][0])
+        if lineno is None:
+            raise InvalidConfig(f"{where}: {' '.join(str(exc).split())}") from exc
         reason = {configparser.MissingSectionHeaderError: "precedes every section",
                   configparser.DuplicateSectionError: "repeats a section",
                   configparser.DuplicateOptionError: "repeats a key of its section",
-                  }.get(type(syntax), "is neither a section header nor 'key = value'")
+                  }.get(type(exc), "is neither a section header nor 'key = value'")
         line = text.split("\n")[lineno - 1].strip()
-        raise InvalidConfig(f"{where}: line {lineno}: {line!r} {reason}") from syntax
+        raise InvalidConfig(f"{where}: line {lineno}: {line!r} {reason}") from exc
 
 
 def load_scenario(path: str | Path) -> SimulationConfig:
-    return build_config(read_scenario(path))
+    """A scenario file's config; every error names the file."""
+    sections = read_scenario(path)
+    try:
+        return build_config(sections)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"scenario {path}: {exc}") from exc
 
 
 def serialize_scenario(config: SimulationConfig) -> str:
@@ -315,11 +328,9 @@ def serialize_scenario(config: SimulationConfig) -> str:
 
     n = config.n_oscillators
     if n > 1:
-        items = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                items.append((f"beta {i} {j}", float(config.coupling.beta[i - 1, j - 1])))
-        section("coupling", items)
+        beta = config.coupling.beta
+        section("coupling", [(f"beta {i} {j}", float(beta[i - 1, j - 1]))
+                             for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
     section("integration", [(key, getattr(config, key))
                             for key in _INTEGRATION_KEYS])
@@ -343,11 +354,8 @@ def apply_override(sections: Sections, dotted: str, token: str) -> Sections:
     if parts[0] == "coupling":
         n = sum(1 for name in work if _OSC_RE.match(name))
         if parts[1:] == ["beta"]:
-            body = {}
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    body[f"beta {i} {j}"] = token
-            work["coupling"] = body
+            work["coupling"] = {f"beta {i} {j}": token for i in range(1, n + 1)
+                                for j in range(i + 1, n + 1)}
             return work
         if len(parts) == 4 and parts[1] == "beta":
             try:

@@ -105,12 +105,14 @@ class TestReader:
          "unexpected csv columns: ['t', 'a', 'b', 'c', 'd']"),
         (HEADER + "0,1,2,3\n0.5,1,2,3\n", "line 3 not 5 columns"),
         (HEADER + "0,1,2,3,x\n", "line 3 not numeric"),
+        # loadtxt drops a # comment, so the scan names the short line 4.
+        (HEADER + "0,1,2,3,4 # c\n0.5,1,2,3\n", "line 4 not 5 columns"),
         # loadtxt refuses a quoted number that the csv module reads.
         (HEADER + '0,1,2,3,"4"\n', "malformed csv data"),
         (HEADER + "0,1,2,3,4\n1,1,2,3,4\n0.5,1,2,3,4\n",
          "csv time column: grid not strictly increasing"),
     ], ids=["empty", "blank", "version", "no-header", "no-rows", "columns",
-            "names", "width", "malformed", "quoted", "time"])
+            "names", "width", "malformed", "comment", "quoted", "time"])
     def test_schema_errors(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 
 import pytest
@@ -14,7 +15,9 @@ from oscibath.scenario import (
     build_config,
     demo_fig2_scenario,
     demo_fig4_scenario,
+    load_scenario,
     parse_scenario,
+    read_scenario,
     read_sections,
     serialize_scenario,
 )
@@ -129,6 +132,29 @@ class TestParseErrors:
         text = HANDCRAFTED.replace(*mangle)
         with pytest.raises(InvalidConfig, match=message):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("mangle, message", [
+        (("t_end =", "t_ned ="), "[integration] unknown key 't_ned'"),
+        (("[oscillator 2]", "[oscillator 2"),
+         "line 18: '[oscillator 2' is neither a section header nor 'key = value'"),
+    ], ids=["build", "syntax"])
+    def test_load_scenario_names_the_file(self, tmp_path, mangle, message):
+        path = tmp_path / "bad.scn"
+        path.write_text(HANDCRAFTED.replace(*mangle), encoding="utf-8")
+        with pytest.raises(InvalidConfig) as info:
+            load_scenario(path)
+        assert str(info.value) == f"scenario {path}: {message}"
+
+    def test_syntax_error_without_a_line_is_one_line(self, tmp_path, monkeypatch):
+        def fail(self, text):
+            raise configparser.Error("no\n\tline")
+
+        monkeypatch.setattr(configparser.ConfigParser, "read_string", fail)
+        path = tmp_path / "any.scn"
+        path.write_text(HANDCRAFTED, encoding="utf-8")
+        with pytest.raises(InvalidConfig) as info:
+            read_scenario(path)
+        assert str(info.value) == f"scenario {path}: no line"
 
     def test_missing_t_end(self):
         text = HANDCRAFTED.replace("t_end = 40\n", "")
