@@ -64,34 +64,26 @@ def _err(message: str) -> None:
 
 def _run(config: SimulationConfig, csv_path: str | Path) -> TimeSeries:
     """Integrate and write one run; return its series."""
-    series = integrate_coupled(
-        config, [make_provider(pc) for pc in config.provider_config])
+    providers = []
+    for i, pc in enumerate(config.provider_config, start=1):
+        try:
+            providers.append(make_provider(pc))
+        except InvalidConfig as exc:
+            raise InvalidConfig(f"[coefficients {i}] {exc}") from exc
+    series = integrate_coupled(config, providers)
     write_timeseries_csv(series, csv_path)
     return series
 
 
 def _simulation_summary(series: TimeSeries, output_path: str) -> list[str]:
-    diag = series.diagnostics
-    lines = [
-        f"steps_accepted = {diag['steps_accepted']}",
-        f"steps_rejected = {diag['steps_rejected']}",
-        f"rejection_ratio = {diag['rejection_ratio']:.6g}",
-        f"rhs_evaluations = {diag['rhs_evaluations']}",
-        f"h_min = {diag['h_min']:.6g}",
-        f"h_max = {diag['h_max']:.6g}",
-        f"periods_propagated = {diag['periods_propagated']}",
-    ]
-    if "floquet_multipliers" in diag:
-        lines.append("floquet_multipliers = " + ", ".join(
-            format(mu, ".6g") for mu in diag["floquet_multipliers"]))
-    for i, residual in enumerate(diag["consistency_residuals"], start=1):
-        lines.append(f"consistency_residual_{i} = {residual:.6g}")
-    neg = diag["negative_excursions"]
-    lines.append(f"negative_excursions = {neg['count']}")
-    lines.append(f"most_negative_n = {neg['most_negative']:.6g}")
-    lines.append(f"invariant_drift = {diag['invariant_drift']:.6g}")
-    lines.append(f"wrote = {output_path}")
-    return lines
+    """One ``key = value`` line per diagnostics entry, then ``wrote``."""
+    def text(value) -> str:
+        if isinstance(value, tuple):
+            return ", ".join(map(text, value))
+        return format(value, ".6g") if isinstance(value, float) else str(value)
+
+    return [f"{key} = {text(value)}" for key, value in series.diagnostics.items()
+            ] + [f"wrote = {output_path}"]
 
 
 def _analysis_lines(t: np.ndarray, channels: np.ndarray,
@@ -217,10 +209,10 @@ def cmd_simulate(scenario_path: str, output_path: str) -> int:
     # load_scenario's steps; cli calls build_config so the bench tracer times it.
     sections = read_scenario(scenario_path)
     try:
-        config = build_config(sections)
+        series = _run(build_config(sections), output_path)
     except InvalidConfig as exc:
         raise InvalidConfig(f"scenario {scenario_path}: {exc}") from exc
-    for line in _simulation_summary(_run(config, output_path), output_path):
+    for line in _simulation_summary(series, output_path):
         print(line)
     return EXIT_OK
 

@@ -289,6 +289,8 @@ def _initial_step(f: RHS, t0: float, y0: np.ndarray, f0: np.ndarray,
     d1 = _error_norm(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if not h0 > 0.0:  # an overflowing slope norm, or a span below t0's ulp
+        raise StepSizeUnderflow(f"step size underflow at t={t0!r}")
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
     d2 = _error_norm(f1 - f0, scale) / h0
@@ -478,9 +480,8 @@ def _solve(config: SimulationConfig,
     friction and diffusion on the grid (one row per oscillator) and the
     diagnostics: the step statistics (sums over every solve the run
     started, a stopped period solve included), ``periods_propagated`` (0
-    when every sample was stepped to), the tail's ``floquet_multipliers``
-    (the moduli of the eigenvalues of M) and the ``negative_excursions``
-    of n, the first n_oscillators components of the state.
+    when every sample was stepped to) and the tail's
+    ``floquet_multipliers`` (the moduli of the eigenvalues of M).
     """
     providers = [provider for _, provider in bank]
     n_osc = config.n_oscillators
@@ -489,37 +490,39 @@ def _solve(config: SimulationConfig,
     grid = np.arange(m + 1) * config.output_dt
     dim = y0.size
     t_p, period = _common_period(providers, grid) or (float(grid[-1]), 0.0)
-    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evaluations": 0,
-             "h_min": math.inf, "h_max": 0.0}
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rejection_ratio": 0.0,
+             "rhs_evaluations": 0, "h_min": math.inf, "h_max": 0.0}
     record = []
-    if period:
-        drive = np.eye(dim + 1)[dim]
-        stepper = _rk_steps(
-            lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
-            np.eye(dim, dim + 1).ravel(), t_p, t_p + period,
-            config.rtol / 10, config.atol / 10, providers, stats, _DOP853)
-        for t, h, _, y, flow, rows in stepper:
-            stack = np.vstack([y, rows]).reshape(-1, dim, dim + 1)
-            if stack.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
-                stepper.close()
-                t_p, period = float(grid[-1]), 0.0
-                break
-            record.append((t, h, stack))
-    # The head samples [0, t_p), or the whole grid of a stepping run.
-    later = int(np.searchsorted(grid, t_p)) if period else grid.size
-    out = np.empty((grid.size, dim))
-    out[0] = y0
-    times = grid[:later].tolist()
-    filled = 1
-    for t, h, t_new, y, y_p, rows in _rk_steps(
-            lambda t, y: rhs(t, y, 1.0), y0, 0.0, t_p,
-            config.rtol, config.atol, providers, stats):
-        hi = bisect.bisect_right(
-            times, t_new + 4.0 * _EPS * max(abs(t_new), 1.0), filled, later)
-        if hi > filled:
-            theta = ((grid[filled:hi] - t) / h).clip(0.0, 1.0)
-            out[filled:hi] = y + h * (_basis(theta, len(rows)) @ rows)
-            filled = hi
+    # _rk_steps rejects a non-finite attempt (err = inf): silence its warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if period:
+            drive = np.eye(dim + 1)[dim]
+            stepper = _rk_steps(
+                lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
+                np.eye(dim, dim + 1).ravel(), t_p, t_p + period,
+                config.rtol / 10, config.atol / 10, providers, stats, _DOP853)
+            for t, h, _, y, flow, rows in stepper:
+                stack = np.vstack([y, rows]).reshape(-1, dim, dim + 1)
+                if stack.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
+                    stepper.close()
+                    t_p, period = float(grid[-1]), 0.0
+                    break
+                record.append((t, h, stack))
+        # The head samples [0, t_p), or the whole grid of a stepping run.
+        later = int(np.searchsorted(grid, t_p)) if period else grid.size
+        out = np.empty((grid.size, dim))
+        out[0] = y0
+        times = grid[:later].tolist()
+        filled = 1
+        for t, h, t_new, y, y_p, rows in _rk_steps(
+                lambda t, y: rhs(t, y, 1.0), y0, 0.0, t_p,
+                config.rtol, config.atol, providers, stats):
+            hi = bisect.bisect_right(
+                times, t_new + 4.0 * _EPS * max(abs(t_new), 1.0), filled, later)
+            if hi > filled:
+                theta = ((grid[filled:hi] - t) / h).clip(0.0, 1.0)
+                out[filled:hi] = y + h * (_basis(theta, len(rows)) @ rows)
+                filled = hi
     if filled != later:
         raise IntegratorError("internal error: output grid not fully covered")
     stats["rejection_ratio"] = stats["steps_rejected"] / (
@@ -545,9 +548,6 @@ def _solve(config: SimulationConfig,
                 "mp,pdm->dm", _basis(theta, len(stack) - 1), at[1:])).T
         stats["floquet_multipliers"] = tuple(sorted(
             np.abs(np.linalg.eigvals(flow[:, :dim])).tolist(), reverse=True))
-    n = out[:, :n_osc]
-    stats["negative_excursions"] = {"count": int((n < 0).sum()),
-                                    "most_negative": float(min(0.0, n.min()))}
     lam = np.empty((n_osc, grid.size))
     dif = np.empty((n_osc, grid.size))
     step = max(1, _SAMPLE_MAX_VALUES // n_osc)
@@ -613,17 +613,17 @@ def integrate_coupled(config: SimulationConfig,
 
     The second-order form is the time derivative of the first-order one;
     its solution matches that of the first-order form only when the initial
-    slope satisfies v0 = -2 lam(0) n0 + 2 D(0).  The diagnostics'
-    ``consistency_residuals`` report |v0 + 2 lam(0) n0 - 2 D(0)| per
-    oscillator; they are never enforced.
+    slope satisfies v0 = -2 lam(0) n0 + 2 D(0).
 
+    The diagnostics are the run summary's lines, in order: _solve's step
+    statistics, ``periods_propagated`` and ``floquet_multipliers``, then
+    ``consistency_residual_i`` = |v0 + 2 lam(0) n0 - 2 D(0)| of oscillator
+    i (never enforced), the count of ``negative_excursions`` (samples of n
+    below 0), ``most_negative_n`` (0.0 without one) and ``invariant_drift``.
     With symmetric coupling the sum I = sum_i (v_i + 2 lam_i n_i - 2 D_i)
-    is conserved.  ``invariant_drift`` is max_t |I(t) - I(0)| over the
+    is conserved; ``invariant_drift`` is max_t |I(t) - I(0)| over the
     output samples, relative to the largest per-sample
-    sum_i (|v_i| + 2 |lam_i n_i| + 2 |D_i|).  The other diagnostics are
-    _solve's: the step statistics of every solve the run started, the
-    periodic tail's ``periods_propagated`` and ``floquet_multipliers``, and
-    the ``negative_excursions`` of n.
+    sum_i (|v_i| + 2 |lam_i n_i| + 2 |D_i|).
 
     The RHS is one product [A(t) | b(t)] @ [y; drive] on the vector state
     (drive a number) and on the periodic tail's matrix state (drive its
@@ -670,15 +670,18 @@ def integrate_coupled(config: SimulationConfig,
     # consistency residual, its sum over i the invariant.  One oscillator
     # at a time: whole (N, samples) temporaries raised the peak RSS of a
     # fig4 sweep by 0.5 MB.
-    residuals = []
+    negative, most_negative = 0, 0.0
     invariant = np.zeros(grid.size)
     scale = np.zeros(grid.size)
-    for n_i, v_i, lam_i, dif_i in zip(n, v, lam, dif):
+    for i, (n_i, v_i, lam_i, dif_i) in enumerate(zip(n, v, lam, dif), 1):
         w = v_i + 2.0 * lam_i * n_i - 2.0 * dif_i
-        residuals.append(abs(float(w[0])))
+        diagnostics[f"consistency_residual_{i}"] = abs(float(w[0]))
+        negative += int((n_i < 0).sum())
+        most_negative = min(most_negative, float(n_i.min()))
         invariant += w
         scale += np.abs(v_i) + 2.0 * np.abs(lam_i * n_i) + 2.0 * np.abs(dif_i)
-    diagnostics["consistency_residuals"] = tuple(residuals)
+    diagnostics["negative_excursions"] = negative
+    diagnostics["most_negative_n"] = most_negative
     diagnostics["invariant_drift"] = float(
         np.abs(invariant - invariant[0]).max() / max(scale.max(), 1e-300))
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,

@@ -144,8 +144,8 @@ class ProviderConfig:
 
     ``kind`` is one of ``constant``, ``phenomenological``, ``tabulated`` (or
     ``custom`` for providers supplied programmatically).  ``params`` holds the
-    kind-specific keys; it is stored as a sorted tuple of pairs so configs
-    stay hashable and serialize deterministically.
+    kind-specific keys; it is stored as a sorted tuple of pairs so equal
+    configs compare equal and serialize the same.
     """
 
     kind: str
@@ -266,9 +266,10 @@ class TimeSeries:
     The one record of a run's samples: the integrators return it and
     :func:`oscibath.csvio.read_timeseries_csv` reads it back.  Channel
     arrays are shaped (n_oscillators, n_samples) like ``n``; all five arrays
-    are read-only copies of the caller's.  ``diagnostics`` carries
-    integrator bookkeeping (step counts, consistency residuals,
-    negative-excursion report); it is empty for a series read from a CSV.
+    are read-only copies of the caller's.  ``diagnostics`` is the run
+    summary's record, one entry per printed ``key = value`` line in order
+    (an int, a float or a tuple of floats; see integrate_coupled); it is
+    empty for a series read from a CSV.
 
     The grid ``t`` must increase strictly in steps equal to its first step
     ``t[1] - t[0]``: every step may differ from it by GRID_SLACK relative to

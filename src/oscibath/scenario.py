@@ -103,22 +103,30 @@ def _bool(section: str, key: str, token: str) -> bool:
     raise InvalidConfig(f"[{section}] {key}: not a boolean: {token!r}")
 
 
-def _parse_sections(text: str) -> Sections:
-    """read_sections, with configparser's error for a syntax error."""
+def read_sections(text: str) -> Sections:
+    """Parse scenario text into an ordered section -> key -> raw-value map.
+
+    A syntax error reads ``line N: '<line>' <reason>``, counting every line.
+    """
     parser = configparser.ConfigParser(
         delimiters=("=",), comment_prefixes=("#", ";"),
         inline_comment_prefixes=None, interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive and keep their spacing
-    parser.read_string(text)
-    return {name: dict(parser.items(name)) for name in parser.sections()}
-
-
-def read_sections(text: str) -> Sections:
-    """Parse scenario text into an ordered section -> key -> raw-value map."""
     try:
-        return _parse_sections(text)
+        parser.read_string(text)
     except configparser.Error as exc:
-        raise InvalidConfig(f"scenario syntax: {exc}") from exc
+        # A ParsingError lists its lines in ``errors``; the others carry one.
+        lineno = (getattr(exc, "lineno", None)
+                  or (getattr(exc, "errors", None) or [(None,)])[0][0])
+        if lineno is None:
+            raise InvalidConfig(" ".join(str(exc).split())) from exc
+        reason = {configparser.MissingSectionHeaderError: "precedes every section",
+                  configparser.DuplicateSectionError: "repeats a section",
+                  configparser.DuplicateOptionError: "repeats a key of its section",
+                  }.get(type(exc), "is neither a section header nor 'key = value'")
+        line = text.split("\n")[lineno - 1].strip()
+        raise InvalidConfig(f"line {lineno}: {line!r} {reason}") from exc
+    return {name: dict(parser.items(name)) for name in parser.sections()}
 
 
 def _check_keys(section: str, body: dict[str, str], allowed,
@@ -277,19 +285,9 @@ def read_scenario(path: str | Path) -> Sections:
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{where}: not UTF-8 ({exc.reason})") from exc
     try:
-        return _parse_sections(text)
-    except configparser.Error as exc:
-        # A ParsingError lists its lines in ``errors``; the others carry one.
-        lineno = (getattr(exc, "lineno", None)
-                  or (getattr(exc, "errors", None) or [(None,)])[0][0])
-        if lineno is None:
-            raise InvalidConfig(f"{where}: {' '.join(str(exc).split())}") from exc
-        reason = {configparser.MissingSectionHeaderError: "precedes every section",
-                  configparser.DuplicateSectionError: "repeats a section",
-                  configparser.DuplicateOptionError: "repeats a key of its section",
-                  }.get(type(exc), "is neither a section header nor 'key = value'")
-        line = text.split("\n")[lineno - 1].strip()
-        raise InvalidConfig(f"{where}: line {lineno}: {line!r} {reason}") from exc
+        return read_sections(text)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{where}: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> SimulationConfig:

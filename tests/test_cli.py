@@ -15,7 +15,9 @@ import pytest
 import oscibath
 from oscibath.analysis import extract_period
 from oscibath.cli import _analysis_lines, main
+from oscibath.coefficients import make_provider
 from oscibath.csvio import read_timeseries_csv
+from oscibath.integrator import integrate_coupled
 from oscibath.model import (
     CouplingNetwork,
     OscillatorSpec,
@@ -23,7 +25,11 @@ from oscibath.model import (
     SimulationConfig,
     TimeSeries,
 )
-from oscibath.scenario import demo_fig2_scenario, demo_fig4_scenario
+from oscibath.scenario import (
+    demo_fig2_scenario,
+    demo_fig4_scenario,
+    load_scenario,
+)
 
 CONSTANT_SCN = """\
 [oscillator 1]
@@ -225,6 +231,28 @@ class TestSimulate:
         assert lines[0] == "# oscibath-csv v1"
         assert lines[1] == "t,n1,v1,lambda1,D1"
         assert len(lines) == 2 + 5001
+
+    @pytest.mark.parametrize("case", ["fig2", "fig4-0.5", "chain-seed-1"])
+    def test_summary_is_the_diagnostics(self, tmp_path, capsys, monkeypatch,
+                                        case):
+        if case == "chain-seed-1":
+            monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+            from oscibench.inputs import write_chain
+
+            scn = write_chain(tmp_path, [1, 0])
+        else:
+            scn = tmp_path / "run.scn"
+            scn.write_text(demo_fig2_scenario() if case == "fig2"
+                           else demo_fig4_scenario(0.5))
+        out = tmp_path / "run.csv"
+        assert main(["simulate", str(scn), str(out)]) == 0
+        keys = [line.split(" = ")[0]
+                for line in capsys.readouterr().out.splitlines()]
+        config = load_scenario(scn)
+        series = integrate_coupled(
+            config, [make_provider(pc) for pc in config.provider_config])
+        assert keys == [*series.diagnostics, "wrote"]
+        assert ("floquet_multipliers" in keys) == (case != "chain-seed-1")
 
     def test_invalid_omega_exits_1_and_names_key(self, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
@@ -918,6 +946,65 @@ def test_scenario_error_is_one_line_naming_the_file(tmp_path, capsys,
         assert f"integration.rtol = 1e-6: failed: {message}\n" in captured.out
     else:
         assert captured.err == f"oscibath: scenario {scn}: {message}\n"
+
+
+# A provider parameter that only the provider checks, and its error.
+BAD_PROVIDERS = {
+    "ramp_time": ("ramp_time = 0.5", "ramp_time = 0",
+                  "ramp_time not positive"),
+    "amp_lambda": ("amp_lambda = 0.05", "amp_lambda = 0.2",
+                   "amp_lambda reaches mean_lambda; negative friction "
+                   "intervals require allow_negative_friction"),
+    "phase_D": ("phase_D = 3.1415926535897931", "phase_D = 7",
+                "phase_D outside [0, 2*pi)"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("case", BAD_PROVIDERS)
+def test_provider_error_names_its_section(tmp_path, capsys, fig2_demo_dir,
+                                          case, command):
+    old, new, message = BAD_PROVIDERS[case]
+    assert old in FIG2_SCN
+    scn = tmp_path / "bad.scn"
+    scn.write_text(FIG2_SCN.replace(old, new), encoding="utf-8")
+    assert main(scenario_command(command, scn, tmp_path, fig2_demo_dir)) == 1
+    captured = capsys.readouterr()
+    if command == "sweep":
+        assert captured.err == ""
+        assert (f"integration.rtol = 1e-6: failed: [coefficients 1] {message}\n"
+                in captured.out)
+    else:
+        assert captured.err == (
+            f"oscibath: scenario {scn}: [coefficients 1] {message}\n")
+
+
+# fig2 scenarios whose solve cannot take a first step.  The first two fail
+# in the period solve from t_p: a slope whose norm overflows, and a period
+# 2 pi 1e-30 below the ulp of t_p.  The third steps from 0 (t_end 6 is
+# short of t_p + T) and overflows in every attempt.
+UNSTARTABLE = {
+    "huge-friction": ({"mean_lambda = 0.1": "mean_lambda = 1e200"},
+                      "3.059000970506427"),
+    "huge-omega": ({"omega = 1\n": "omega = 1e30\n"}, "3.059000970506427"),
+    "overflowing-steps": ({"mean_lambda = 0.1": "mean_lambda = 1e300",
+                           "t_end = 50": "t_end = 6"}, "0.0"),
+}
+
+
+@pytest.mark.parametrize("case", UNSTARTABLE)
+def test_unstartable_solve_exits_2_with_one_line(tmp_path, capsys, case):
+    edits, t = UNSTARTABLE[case]
+    text = FIG2_SCN
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    scn = tmp_path / "run.scn"
+    scn.write_text(text, encoding="utf-8")
+    # The suite turns a RuntimeWarning into an error.
+    assert main(["simulate", str(scn), str(tmp_path / "run.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"oscibath: integration failed: step size underflow at t={t}\n")
 
 
 @pytest.mark.parametrize("row", [0, 4000])

@@ -97,7 +97,7 @@ class TestFirstOrder:
             ts = integrate_single_first_order(OscillatorSpec(1.0, n0=0.0),
                                               provider, t_end=30.0)
             assert ts.n.min() >= -10.0 * 1e-12
-            assert ts.diagnostics["negative_excursions"]["count"] == 0
+            assert ts.diagnostics["negative_excursions"] == 0
 
     def test_linearity_affine_superposition(self):
         provider = STANDARD
@@ -130,7 +130,7 @@ class TestSecondOrder:
                                  t_end=20.0)
         exact = relaxation_exact(ts.t, 0.5, 0.25, 0.0)
         assert np.abs(ts.n[0] - exact).max() <= 1e-8
-        assert ts.diagnostics["consistency_residuals"][0] == 0.0
+        assert ts.diagnostics["consistency_residual_1"] == 0.0
 
     def test_matches_first_order_with_vanishing_initial_coefficients(self):
         provider = STANDARD
@@ -149,7 +149,7 @@ class TestSecondOrder:
         ts = single_second_order(OscillatorSpec(1.0, n0=0.0, v0=1.0),
                                  ConstantProvider(0.5, 0.25),
                                  t_end=10.0)
-        assert ts.diagnostics["consistency_residuals"][0] == pytest.approx(0.5)
+        assert ts.diagnostics["consistency_residual_1"] == pytest.approx(0.5)
         exact = 1.0 - np.exp(-ts.t)
         assert np.abs(ts.n[0] - exact).max() <= 1e-8
         first_order = relaxation_exact(ts.t, 0.5, 0.25, 0.0)
@@ -278,9 +278,8 @@ class TestCoupled:
                                 0.1, t_end=10.0)
         providers = [ConstantProvider(0.2, 0.0), ConstantProvider(0.2, 0.0)]
         ts = integrate_coupled(config, providers)
-        neg = ts.diagnostics["negative_excursions"]
-        assert neg["count"] > 0
-        assert neg["most_negative"] == pytest.approx(ts.n.min())
+        assert ts.diagnostics["negative_excursions"] > 0
+        assert ts.diagnostics["most_negative_n"] == pytest.approx(ts.n.min())
         assert ts.n.min() < 0
 
 

@@ -111,7 +111,9 @@ class TestParseErrors:
         (("beta 1 2 = 0.2", "beta 1 3 = 0.2"), "out of range"),
         (("n0 = 0.25", "mass = 1"), "unknown key"),
         (("omega = 1\nn0 = 0.25", "omega = inf\nn0 = 0.25"), "omega: not finite"),
-        (("[oscillator 2]", "[oscillator 2"), "scenario syntax"),
+        pytest.param(("[oscillator 2]", "[oscillator 2"),
+                     r"line 18: '\[oscillator 2' is neither a section header "
+                     "nor 'key = value'", id="mangle9-scenario syntax"),
         ((HANDCRAFTED, "[integration]\nt_end = 40\n"), "no oscillator sections"),
         (("[coefficients 2]", "[coefficients 3]"),
          "coefficients sections must match oscillator sections"),
@@ -144,6 +146,11 @@ class TestParseErrors:
         with pytest.raises(InvalidConfig) as info:
             load_scenario(path)
         assert str(info.value) == f"scenario {path}: {message}"
+
+    def test_text_syntax_error_is_one_line_naming_its_line(self):
+        with pytest.raises(InvalidConfig) as info:
+            parse_scenario("t_end = 5\n" + HANDCRAFTED)
+        assert str(info.value) == "line 1: 't_end = 5' precedes every section"
 
     def test_syntax_error_without_a_line_is_one_line(self, tmp_path, monkeypatch):
         def fail(self, text):
