@@ -112,15 +112,21 @@ class SyncReport:
 
 def _slice_window(t: np.ndarray, x: np.ndarray,
                   window: tuple[float, float] | None):
+    """The samples inside the window (all for None); AnalysisError unless
+    max |x| < 2**500 / x.size: no sum of x.size squares then overflows."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    if window is None:
-        return t, x
-    ta, tb = window
-    slack = 1e-9 * max(abs(ta), abs(tb), 1.0)
-    ia = int(np.searchsorted(t, ta - slack, side="left"))
-    ib = int(np.searchsorted(t, tb + slack, side="right"))
-    return t[ia:ib], x[ia:ib]
+    if window is not None:
+        ta, tb = window
+        slack = 1e-9 * max(abs(ta), abs(tb), 1.0)
+        ia = int(np.searchsorted(t, ta - slack, side="left"))
+        ib = int(np.searchsorted(t, tb + slack, side="right"))
+        t, x = t[ia:ib], x[ia:ib]
+    peak = float(np.abs(x).max(initial=0.0))
+    if not peak * x.size < 2.0**500:  # NaN fails too
+        raise AnalysisError(f"a value of magnitude {peak:.6g} is too large to "
+                            f"analyse (the bound is 2**500 / {x.size} samples)")
+    return t, x
 
 
 def _tukey(m: int, alpha: float) -> np.ndarray:

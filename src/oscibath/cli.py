@@ -5,8 +5,8 @@ Subcommands: ``simulate`` (scenario -> time-series CSV), ``analyze``
 values, concurrent via --jobs), ``demo`` (bundled fig2/fig4 scenarios run
 end to end).
 
-Exit codes: 0 success, 1 configuration or file-format error or a file that
-cannot be read or written, 2 integration failure, 3 analysis inconclusive.
+Exit codes: 0 success, 1 usage, configuration or file-format error or an
+unreadable or unwritable file, 2 integration failure, 3 analysis inconclusive.
 ``main`` maps every failure to its exit code; a sweep member that fails is
 marked ``failed: ...`` in the summary and the other members still run.
 """
@@ -351,8 +351,13 @@ def cmd_demo(name: str, output_dir: str) -> int:
     return max(code for code, _ in runs)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main exits 1; subparsers share the class
+        raise InvalidConfig(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscibath",
         description="Integrate occupation-number master equations with "
                     "time-dependent friction/diffusion and analyze the "
@@ -390,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             return cmd_simulate(args.scenario, args.output)
         if args.command == "analyze":

@@ -500,6 +500,9 @@ def make_provider(pc: ProviderConfig) -> CoefficientProvider:
     """Build a provider from its declarative description."""
     if pc.kind not in KINDS:
         raise InvalidConfig(f"unknown coefficient kind '{pc.kind}'")
+    for key, _ in pc.params:
+        if key not in KINDS[pc.kind].keys:
+            raise InvalidConfig(f"{pc.kind} provider: unknown key '{key}'")
     try:
         return KINDS[pc.kind].build(pc.as_dict())
     except KeyError as exc:

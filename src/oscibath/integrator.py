@@ -331,9 +331,10 @@ def _rk_steps(f: RHS, y0: np.ndarray, t: float, t_final: float,
     rows.  The states are rebound, never written to, so a caller may keep
     them.
 
-    When the steps run out or the caller closes the generator, the step
-    counts, the RHS evaluations and the step-size range are added to
-    ``stats``; a step the caller closed on counts its evaluations only.
+    Each count goes into ``stats`` as it happens, an accepted step and its
+    length once the caller resumes after it: a step the caller stops on
+    counts its RHS evaluations only.  _MAX_STEPS bounds the attempts in
+    ``stats``, which a run's period solve and head share.
     """
     c, a, s, error, exponent, dense = tableau
     stops = _stops(providers, t, t_final)
@@ -348,72 +349,59 @@ def _rk_steps(f: RHS, y0: np.ndarray, t: float, t_final: float,
     k = np.empty((len(c), dim))
     attempt = k[:s + 1]
     k[0] = f(t, y)
-    nfev = 1
     if not np.isfinite(k[0]).all():
         raise IntegratorError(f"right-hand side not finite at t={t!r}")
     h = _initial_step(f, t, y, k[0], rtol, atol, t_final - t, exponent)
-    nfev += 1
+    stats["rhs_evaluations"] += 2
 
-    accepted = rejected = 0
-    h_min, h_max = math.inf, 0.0
-    try:
-        while t < t_final:
-            tiny = 10.0 * _EPS * max(abs(t), abs(t_final))
-            # Skip the stops reached or within the underflow threshold of
-            # t (two tables' knots a few ulp apart); t_final stays.
-            while next_stop < len(stops) - 1 and stops[next_stop] - t <= tiny:
-                next_stop += 1
-            # Ending on the last stop reached, not the first, keeps steps
-            # longer than a dense table's knot spacing: the error control
-            # then prices the kinks they cross, instead of one step per knot.
-            clamped = h >= stops[next_stop] - t
-            if clamped:
-                stop = stops[bisect.bisect_right(stops, t + h, next_stop + 1)
-                             - 1]
-                h = stop - t
-            if h < tiny:
-                raise StepSizeUnderflow(f"step size underflow at t={t!r}")
-            if accepted + rejected > _MAX_STEPS:
-                raise IntegratorError("step budget exceeded")
+    while t < t_final:
+        tiny = 10.0 * _EPS * max(abs(t), abs(t_final))
+        # Skip the stops reached or within the underflow threshold of t
+        # (two tables' knots a few ulp apart); t_final stays.
+        while next_stop < len(stops) - 1 and stops[next_stop] - t <= tiny:
+            next_stop += 1
+        # Ending on the last stop reached, not the first, keeps steps longer
+        # than a dense table's knot spacing: the error control then prices
+        # the kinks they cross, instead of one step per knot.
+        clamped = h >= stops[next_stop] - t
+        if clamped:
+            stop = stops[bisect.bisect_right(stops, t + h, next_stop + 1) - 1]
+            h = stop - t
+        if h < tiny:
+            raise StepSizeUnderflow(f"step size underflow at t={t!r}")
+        if stats["steps_accepted"] + stats["steps_rejected"] > _MAX_STEPS:
+            raise IntegratorError("step budget exceeded")
 
-            for i in range(1, s):
+        for i in range(1, s):
+            k[i] = f(t + c[i] * h, y + h * (a[i] @ k[:i]))
+        y_new = y + h * (a[s] @ k[:s])
+        t_new = stop if clamped else t + h
+        k[s] = f(t_new, y_new)
+        stats["rhs_evaluations"] += s
+
+        if np.isfinite(attempt).all() and np.isfinite(y_new).all():
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = error(h, attempt, scale)
+        else:
+            err = math.inf
+
+        if err <= 1.0:
+            for i in range(s + 1, len(c)):
                 k[i] = f(t + c[i] * h, y + h * (a[i] @ k[:i]))
-            y_new = y + h * (a[s] @ k[:s])
-            t_new = stop if clamped else t + h
-            k[s] = f(t_new, y_new)
-            nfev += s
-
-            if np.isfinite(attempt).all() and np.isfinite(y_new).all():
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err = error(h, attempt, scale)
-            else:
-                err = math.inf
-
-            if err <= 1.0:
-                for i in range(s + 1, len(c)):
-                    k[i] = f(t + c[i] * h, y + h * (a[i] @ k[:i]))
-                    nfev += 1
-                yield t, h, t_new, y, y_new, dense @ k
-                t = t_new
-                y = y_new
-                k[0] = k[s]
-                accepted += 1
-                h_min = min(h_min, h)
-                h_max = max(h_max, h)
-                factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -exponent))
-                h *= factor
-            else:
-                rejected += 1
-                factor = 0.1 if math.isinf(err) else max(
-                    _MIN_FACTOR, _SAFETY * err ** -exponent)
-                h *= factor
-    finally:
-        stats["steps_accepted"] += accepted
-        stats["steps_rejected"] += rejected
-        stats["rhs_evaluations"] += nfev
-        stats["h_min"] = min(stats["h_min"], h_min)
-        stats["h_max"] = max(stats["h_max"], h_max)
+            stats["rhs_evaluations"] += len(c) - s - 1
+            yield t, h, t_new, y, y_new, dense @ k
+            stats["steps_accepted"] += 1
+            stats["h_min"] = min(stats["h_min"], h)
+            stats["h_max"] = max(stats["h_max"], h)
+            t = t_new
+            y = y_new
+            k[0] = k[s]
+            h *= _MAX_FACTOR if err == 0.0 else min(
+                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -exponent))
+        else:
+            stats["steps_rejected"] += 1
+            h *= 0.1 if math.isinf(err) else max(
+                _MIN_FACTOR, _SAFETY * err ** -exponent)
 
 
 def _common_period(providers: Sequence[CoefficientProvider],
@@ -469,7 +457,7 @@ def _solve(config: SimulationConfig,
     its last step's end state is [M | c].  The solve records each step's
     start, length and stack, its start state over its dense rows, instead
     of sampling it; once the record would pass _TAIL_MAX_DOUBLES values, it
-    closes that stepper and the run steps all the way as if it had no
+    stops that solve and the run steps all the way as if it had no
     period.  The sample k whole periods and tau past t_p is
     [Phi(tau) | psi(tau)] (y_k, 1), with y_0 = y(t_p), the head's end
     state, and y_{k+1} = M y_k + c: after the head, each recorded step
@@ -497,14 +485,13 @@ def _solve(config: SimulationConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         if period:
             drive = np.eye(dim + 1)[dim]
-            stepper = _rk_steps(
-                lambda t, y: rhs(t, y.reshape(dim, dim + 1), drive).ravel(),
-                np.eye(dim, dim + 1).ravel(), t_p, t_p + period,
-                config.rtol / 10, config.atol / 10, providers, stats, _DOP853)
-            for t, h, _, y, flow, rows in stepper:
+            for t, h, _, y, flow, rows in _rk_steps(
+                    lambda t, y: rhs(t, y.reshape(dim, -1), drive).ravel(),
+                    np.eye(dim, dim + 1).ravel(), t_p, t_p + period,
+                    config.rtol / 10, config.atol / 10, providers, stats,
+                    _DOP853):
                 stack = np.vstack([y, rows]).reshape(-1, dim, dim + 1)
                 if stack.size * (len(record) + 1) > _TAIL_MAX_DOUBLES:
-                    stepper.close()
                     t_p, period = float(grid[-1]), 0.0
                     break
                 record.append((t, h, stack))
@@ -668,20 +655,17 @@ def integrate_coupled(config: SimulationConfig,
     v = out[:, n_osc:].T
     # w_i = v_i + 2 lam_i n_i - 2 D_i: its first sample is oscillator i's
     # consistency residual, its sum over i the invariant.  One oscillator
-    # at a time: whole (N, samples) temporaries raised the peak RSS of a
-    # fig4 sweep by 0.5 MB.
-    negative, most_negative = 0, 0.0
+    # at a time: whole (N, samples) float temporaries raised the peak RSS of
+    # a fig4 sweep by 0.5 MB; the excursions' boolean one is 1 byte a sample.
     invariant = np.zeros(grid.size)
     scale = np.zeros(grid.size)
     for i, (n_i, v_i, lam_i, dif_i) in enumerate(zip(n, v, lam, dif), 1):
         w = v_i + 2.0 * lam_i * n_i - 2.0 * dif_i
         diagnostics[f"consistency_residual_{i}"] = abs(float(w[0]))
-        negative += int((n_i < 0).sum())
-        most_negative = min(most_negative, float(n_i.min()))
         invariant += w
         scale += np.abs(v_i) + 2.0 * np.abs(lam_i * n_i) + 2.0 * np.abs(dif_i)
-    diagnostics["negative_excursions"] = negative
-    diagnostics["most_negative_n"] = most_negative
+    diagnostics["negative_excursions"] = int((n < 0).sum())
+    diagnostics["most_negative_n"] = min(0.0, float(n.min()))
     diagnostics["invariant_drift"] = float(
         np.abs(invariant - invariant[0]).max() / max(scale.max(), 1e-300))
     return TimeSeries(t=grid, n=n, v=v, friction=lam, diffusion=dif,

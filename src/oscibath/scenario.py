@@ -108,9 +108,10 @@ def read_sections(text: str) -> Sections:
 
     A syntax error reads ``line N: '<line>' <reason>``, counting every line.
     """
+    # No header spells the defaults section "", so [DEFAULT] is a section.
     parser = configparser.ConfigParser(
-        delimiters=("=",), comment_prefixes=("#", ";"),
-        inline_comment_prefixes=None, interpolation=None, strict=True)
+        delimiters=("=",), comment_prefixes=("#", ";"), strict=True,
+        inline_comment_prefixes=None, interpolation=None, default_section="")
     parser.optionxform = str  # keys are case-sensitive and keep their spacing
     try:
         parser.read_string(text)

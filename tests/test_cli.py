@@ -840,8 +840,10 @@ class TestDemo:
         assert len(re.findall(r"^floquet_multipliers = 1, ", out, re.M)) == 3
 
     def test_unknown_name_exits_1(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["demo", "fig9", str(tmp_path)])
+        assert main(["demo", "fig9", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("oscibath: ") and err.count("\n") == 1
+        assert "'fig9'" in err
 
     def test_fig4_summary_equals_sweep(self, fig4_demo_dir, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -1017,3 +1019,65 @@ def test_non_utf8_csv_exits_1_naming_it(tmp_path, capsys, fig2_demo_dir, row):
     assert main(["analyze", str(bad), "--period"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"oscibath: csv {bad}: not UTF-8 (")
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nn0 = 0\n\n" + demo_fig4_scenario("0.5"),
+    demo_fig4_scenario("0.5") + "\n[DEFAULT]\n",
+], ids=["first", "last"])
+def test_default_section_exits_1(tmp_path, capsys, text):
+    scn = tmp_path / "default.scn"
+    scn.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(scn), str(tmp_path / "run.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"oscibath: scenario {scn}: unknown section 'DEFAULT'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "fig2.scn", "out", "--param", "integration.rtol",
+      "--values", "-1,2"], "argument --values: expected one argument"),
+    ([], "the following arguments are required: command"),
+], ids=["values-without-argument", "no-command"])
+def test_usage_error_exits_1_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oscibath: {message}\n"
+    with pytest.raises(SystemExit) as info:
+        main([*argv[:1], "--help"])
+    assert info.value.code == 0
+
+
+# n1 cells of fig4_beta0.5.csv set to values the estimators cannot
+# process: the standard deviation overflows, the autocorrelation's inverse
+# transform overflows, and the envelope's parabola through three peaks.
+HUGE_CELLS = {
+    "1e300": ("1e300", [49.98]),
+    "1e154": ("1e154", [49.98]),
+    "1.7e308": ("1.7e308", [49.98 + 2 * k for k in range(10)]),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_CELLS)
+def test_values_beyond_the_estimators_exit_3_naming_them(
+        fig4_demo_dir, tmp_path, capsys, case):
+    value, times = HUGE_CELLS[case]
+    lines = (fig4_demo_dir / "fig4_beta0.5.csv").read_text().splitlines()
+    for j in range(2, len(lines)):
+        row = lines[j].split(",")
+        if any(abs(float(row[0]) - t) < 1e-6 for t in times):
+            row[1] = value
+            lines[j] = ",".join(row)
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    # The suite turns a RuntimeWarning into an error.
+    assert main(["analyze", str(path), "--period", "--envelope",
+                 "--sync", "1,2"]) == 3
+    captured = capsys.readouterr()
+    reason = (f"a value of magnitude {float(value):.6g} is too large to "
+              "analyse (the bound is 2**500 / 4001 samples)")
+    assert captured.err == "".join(
+        f"oscibath: {metric}: {reason}\n"
+        for metric in ("channel 1", "channel 1", "sync 1,2"))
+    assert "period_2 = " in captured.out
+    assert "modulation_depth_2 = " in captured.out

@@ -547,6 +547,11 @@ class TestMakeProvider:
         ("phenomenological", dict(STANDARD.describe().params) | {"mass": 1.0},
          "phenomenological provider: .*mass"),
         ("tabulated", {}, "tabulated provider missing key 'path'"),
+        ("constant", {"lambda": 0.1, "D": 0.2, "junk": 5},
+         "^constant provider: unknown key 'junk'$"),
+        # Refused before the table is read: no such file exists.
+        ("tabulated", {"path": "missing.csv", "junk": 5},
+         "^tabulated provider: unknown key 'junk'$"),
     ])
     def test_bad_params_rejected(self, kind, params, message):
         with pytest.raises(InvalidConfig, match=message):

@@ -515,6 +515,22 @@ class TestTableaux:
             assert (np.abs(ours - theirs.T) <= bound).all()
 
 
+def test_stepper_books_each_count_as_it_happens():
+    # Suspended after handing out its third step, the stepper has booked
+    # the two steps the caller resumed after, and the evaluations of all
+    # three: two to start, six per attempt (DP5 has no dense stages).
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evaluations": 0,
+             "h_min": math.inf, "h_max": 0.0}
+    steps = oscibath.integrator._rk_steps(
+        lambda t, y: -y, np.array([1.0]), 0.0, 10.0, 1e-9, 1e-12, [], stats)
+    lengths = [next(steps)[1] for _ in range(3)]
+    assert stats["steps_accepted"] == 2
+    assert stats["rhs_evaluations"] == 2 + 6 * (3 + stats["steps_rejected"])
+    assert (stats["h_min"], stats["h_max"]) == (min(lengths[:2]),
+                                                max(lengths[:2]))
+    steps.close()
+
+
 class Recorder:
     """Forwards a provider and its breakpoints; records every scalar call."""
 

@@ -2,10 +2,17 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oscibath.analysis import (
+    AnalysisError,
+    envelope,
+    extract_period,
+    synchronization_metrics,
+)
 from oscibath.coefficients import (
     PhenomenologicalProvider,
     TabulatedProvider,
@@ -391,3 +398,33 @@ def test_one_fit_over_tables_on_one_grid_is_each_tables_fit(tables):
                               table._kernel[4].view(np.uint64))
         assert np.array_equal(coefs[..., k], scipy_coefficients(table))
         assert (knots, lo, hi, slack) == table._kernel[:4]
+
+
+@st.composite
+def spiked_series(draw):
+    """A noisy sine of 64 to 400 samples and random scale, with up to four
+    cells replaced by values of any magnitude up to 1e308."""
+    m = draw(st.integers(64, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = 0.01 * np.arange(m)
+    x = (np.sin(draw(st.floats(1.0, 30.0)) * t)
+         + 10.0 ** draw(st.integers(-12, 2)) * rng.normal(size=m))
+    for _ in range(draw(st.integers(0, 4))):
+        x[draw(st.integers(0, m - 1))] = (
+            draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 9.99))
+            * 10.0 ** draw(st.integers(-300, 307)))
+    return t, x
+
+
+@settings(max_examples=50, deadline=None)
+@given(spiked_series())
+def test_estimators_return_or_name_what_they_cannot_process(series):
+    t, x = series
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimate in (lambda: extract_period(t, x), lambda: envelope(t, x),
+                         lambda: synchronization_metrics(t, x, x[::-1])):
+            try:
+                estimate()
+            except AnalysisError:
+                pass

@@ -129,6 +129,11 @@ class TestParseErrors:
           "kind = phenomenological\nmean_lambda = 0.3\namp_lambda = 0.1\n"
           "mean_D = 0.15"), r"\[coefficients 1\] amp_D missing"),
         (("lambda = 0.3", "mu = 0.3"), r"\[coefficients 1\] unknown key 'mu'"),
+        # Not configparser's defaults section, whose keys it would copy into
+        # every other section.
+        ((HANDCRAFTED, "[DEFAULT]\nn0 = 0\n\n" + HANDCRAFTED),
+         "^unknown section 'DEFAULT'$"),
+        ((HANDCRAFTED, HANDCRAFTED + "\n[DEFAULT]\n"), "^unknown section 'DEFAULT'$"),
     ])
     def test_bad_input_names_the_problem(self, mangle, message):
         text = HANDCRAFTED.replace(*mangle)
