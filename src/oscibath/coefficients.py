@@ -234,11 +234,12 @@ def _spline_kernel(tables: Sequence[TabulatedProvider]) -> tuple:
 
     Returns the knots as a list, the grid ends lo and hi, the slack within
     which a time outside them is clamped, and ``coefs``, shaped
-    (intervals, 14, K): ``coefs[i, :, k]`` holds the ascending-power
-    coefficients of table k's four pieces on [grid[i], grid[i+1]):
-    lambda (4), dlambda/dt (3), D (4), dD/dt (3); a derivative is c1..c3
-    times (1, 2, 3).  Adding 0.0 turns -0.0 into +0.0, as an evaluation
-    whose sum starts from 0.0 does.
+    (intervals, 14, K): ``coefs[i, :, k]`` holds the coefficients of table
+    k's four pieces on [grid[i], grid[i+1]) power by power: those of
+    (lambda, D, dlambda/dt, dD/dt) for powers 0, 1 and 2, then the cubic
+    terms of lambda and D; a derivative's are c1..c3 times (1, 2, 3).
+    Adding 0.0 turns -0.0 into +0.0, as an evaluation whose sum starts
+    from 0.0 does.
     """
     x = tables[0].grid
     y = np.column_stack([p.lambda_values for p in tables]
@@ -256,10 +257,10 @@ def _spline_kernel(tables: Sequence[TabulatedProvider]) -> tuple:
     s = _gtsv(h[1:] + h[-1:], diag.tolist(), h[:1] + h[:-1], rhs)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     c = np.stack([y[:-1], s[:-1], (slope - s[:-1]) / dxr - t, t / dxr])
-    pieces = np.concatenate([c, c[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]])
+    low = np.concatenate([c[:3], c[1:] * np.array([1.0, 2.0, 3.0])[:, None, None]], 2)
     intervals = len(x) - 1
-    coefs = pieces.reshape(7, intervals, 2, -1).transpose(1, 2, 0, 3).reshape(
-        intervals, 14, -1) + 0.0
+    coefs = np.concatenate([low.transpose(1, 0, 2).reshape(intervals, -1), c[3]],
+                           1).reshape(intervals, 14, -1) + 0.0
     lo, hi = float(x[0]), float(x[-1])
     slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
     return x.tolist(), lo, hi, slack, coefs
@@ -327,7 +328,7 @@ class TabulatedProvider:
             c = coefs[i].tolist()
         d2 = d * d
         d3 = d2 * d
-        l0, l1, l2, l3, dl0, dl1, dl2, f0, f1, f2, f3, df0, df1, df2 = c
+        l0, f0, dl0, df0, l1, f1, dl1, df1, l2, f2, dl2, df2, l3, f3 = c
         return CoefficientSample(l0 + l1 * d + l2 * d2 + l3 * d3,
                                  f0 + f1 * d + f2 * d2 + f3 * d3,
                                  dl0 + dl1 * d + dl2 * d2,
@@ -347,21 +348,19 @@ class _TableStack:
     the times are located once, as a table locates them, and a table's
     sums are taken elementwise in its order, the four quadratic parts
     together and the cubic terms of lambda and D last.  The coefficients
-    come from one :func:`_spline_kernel` fit over all the tables' columns;
-    the shared knots are the ``breakpoints``.
+    come from one :func:`_spline_kernel` fit over all the tables' columns,
+    taken on the first call; the shared knots are the ``breakpoints``.
     """
 
     def __init__(self, tables: Sequence[TabulatedProvider]):
         self.breakpoints = tables[0].grid
-        knots, lo, hi, slack, coefs = _spline_kernel(tables)
-        # The kernel rows reordered into powers 0, 1, 2 of (lambda, D,
-        # dlambda/dt, dD/dt) and the cubic terms of lambda and D, one
-        # contiguous (intervals, rows, N) block per power: at N = 32 a call
-        # reading strided rows took 18.0 us against 12.2 us.
-        rows = [0, 7, 4, 11, 1, 8, 5, 12, 2, 9, 6, 13, 3, 10]
-        blocks = tuple(np.ascontiguousarray(coefs[:, rows[a:a + 4]])
-                       for a in (0, 4, 8, 12))
-        self._kernel = (knots, lo, hi, slack, blocks)
+        self._tables = tables
+
+    @cached_property
+    def _kernel(self):
+        """The fit, its coefficients one view per power (rows contiguous)."""
+        knots, lo, hi, slack, coefs = _spline_kernel(self._tables)
+        return knots, lo, hi, slack, tuple(coefs[:, a:a + 4] for a in (0, 4, 8, 12))
 
     def __call__(self, t: float | np.ndarray) -> CoefficientSample:
         kernel = self._kernel

@@ -12,7 +12,8 @@ comments allowed):
     [coupling]              beta <i> <j> = value  (i < j; omitted pairs are 0)
     [integration]           t_end (required), output_dt, rtol, atol
 
-Oscillator and coefficients sections must be numbered 1..N.  Serialization
+Oscillator and coefficients sections must be numbered 1..N, every index
+spelled 1, 2, ... (``[oscillator 01]`` is an unknown section).  Serialization
 is canonical (fixed section/key order, 17-significant-digit floats), so
 parse -> serialize -> parse reproduces the config exactly.
 
@@ -60,10 +61,12 @@ __all__ = [
 
 Sections = dict[str, dict[str, str]]
 
-_OSC_RE = re.compile(r"^oscillator (\d+)$")
-_COEF_RE = re.compile(r"^coefficients (\d+)$")
-_BATH_RE = re.compile(r"^bath (\d+) (\d+)$")
-_BETA_KEY_RE = re.compile(r"^beta (\d+) (\d+)$")
+# A section or coupling index, as serialize_scenario writes it; match whole.
+_I = "([1-9][0-9]*)"
+_OSC_RE = re.compile(f"oscillator {_I}")
+_COEF_RE = re.compile(f"coefficients {_I}")
+_BATH_RE = re.compile(f"bath {_I} {_I}")
+_BETA_KEY_RE = re.compile(f"beta {_I} {_I}")
 
 # Keys absent from a section are left out of the constructor call, so the
 # model dataclasses own every default.
@@ -159,11 +162,11 @@ def build_config(sections: Sections) -> SimulationConfig:
     integration_raw: dict[str, str] | None = None
 
     for name, body in sections.items():
-        if m := _OSC_RE.match(name):
+        if m := _OSC_RE.fullmatch(name):
             osc_raw[int(m.group(1))] = body
-        elif m := _COEF_RE.match(name):
+        elif m := _COEF_RE.fullmatch(name):
             coef_raw[int(m.group(1))] = body
-        elif m := _BATH_RE.match(name):
+        elif m := _BATH_RE.fullmatch(name):
             bath_raw.setdefault(int(m.group(1)), {})[int(m.group(2))] = body
         elif name == "coupling":
             coupling_raw = body
@@ -240,7 +243,7 @@ def build_config(sections: Sections) -> SimulationConfig:
     if coupling_raw:
         seen: dict[tuple[int, int], float] = {}
         for key, token in coupling_raw.items():
-            m = _BETA_KEY_RE.match(key)
+            m = _BETA_KEY_RE.fullmatch(key)
             if not m:
                 raise InvalidConfig(f"[coupling] unknown key '{key}'")
             i, j = int(m.group(1)), int(m.group(2))
@@ -351,8 +354,10 @@ def apply_override(sections: Sections, dotted: str, token: str) -> Sections:
         return work
 
     if parts[0] == "coupling":
-        n = sum(1 for name in work if _OSC_RE.match(name))
+        n = sum(1 for name in work if _OSC_RE.fullmatch(name))
         if parts[1:] == ["beta"]:
+            if n < 2:
+                raise InvalidConfig(f"override key '{dotted}': no oscillator pair")
             work["coupling"] = {f"beta {i} {j}": token for i in range(1, n + 1)
                                 for j in range(i + 1, n + 1)}
             return work

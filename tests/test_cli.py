@@ -421,6 +421,19 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--period"]) == 1
         assert "csv time column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [[6002], [2, 3]], ids=["last", "first-two"])
+    def test_infinite_time_exits_1_naming_the_csv(self, tmp_path, capsys, rows):
+        # A last time of inf read as a grid, the first two warned in numpy.
+        path = tmp_path / "inf.csv"
+        write_sine_csv(path, 0.01 * np.arange(6001))
+        lines = path.read_text().splitlines()
+        for row in rows:
+            lines[row] = "inf" + lines[row][lines[row].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(path), "--period"]) == 1
+        assert capsys.readouterr().err == (
+            f"oscibath: csv {path}: csv time column: grid not finite\n")
+
     @pytest.mark.parametrize("column, value", [("n1", "nan"), ("v2", "inf"),
                                                ("D1", "-inf")])
     def test_non_finite_channel_value_exits_1(self, fig4_demo_dir, tmp_path,
@@ -1007,6 +1020,41 @@ def test_unstartable_solve_exits_2_with_one_line(tmp_path, capsys, case):
     assert main(["simulate", str(scn), str(tmp_path / "run.csv")]) == 2
     assert capsys.readouterr().err == (
         f"oscibath: integration failed: step size underflow at t={t}\n")
+
+
+@pytest.mark.parametrize("section, body", [
+    ("oscillator 01", "omega = 5\n"),
+    ("bath 1 01", "statistics = bosonic\ntemperature = 9\nalpha = 1\ngamma = 1\n"),
+])
+def test_respelled_index_exits_1_naming_the_section(tmp_path, capsys, section,
+                                                     body):
+    # Read as index 1, the section would silently replace the first one.
+    scn = tmp_path / "respelled.scn"
+    scn.write_text(FIG2_SCN + f"[{section}]\n{body}", encoding="utf-8")
+    assert main(["simulate", str(scn), str(tmp_path / "run.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"oscibath: scenario {scn}: unknown section '{section}'\n")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overflowing_table_fit_exits_2_without_warnings(tmp_path, capsys, n):
+    # Two tables on one grid are fitted as one stack, one table alone.
+    table = tmp_path / "huge.csv"
+    table.write_text("t,lambda,D\n" + "".join(
+        f"{t},{(-1) ** (k + 1) * 1e308!r},0.1\n"
+        for k, t in enumerate([0, 0.25, 0.5, 0.75, 1])))
+    scn = tmp_path / "huge.scn"
+    scn.write_text("".join(
+        f"[oscillator {i}]\nomega = {i}\n\n[coefficients {i}]\n"
+        f"kind = tabulated\npath = {table}\n\n" for i in range(1, n + 1))
+        + "[coupling]\nbeta 1 2 = 0.3\n\n" * (n - 1)
+        + "[integration]\nt_end = 1\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", str(scn), str(tmp_path / "run.csv")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "oscibath: integration failed: right-hand side not finite at t=0.0\n")
 
 
 @pytest.mark.parametrize("row", [0, 4000])

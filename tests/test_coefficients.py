@@ -227,11 +227,13 @@ NEGATIVE_FRICTION = PhenomenologicalProvider(
 
 
 def scipy_coefficients(table: TabulatedProvider) -> np.ndarray:
-    """The kernel's table from scipy: one natural spline and its derivative."""
+    """The kernel's table from scipy: one natural spline and its derivative,
+    power by power (lambda, D, dlambda/dt, dD/dt), then the cubic terms."""
     both = np.column_stack([table.lambda_values, table.D_values])
     spline = CubicSpline(table.grid, both, bc_type="natural")
-    pieces = np.concatenate([spline.c[::-1], spline.derivative().c[::-1]])
-    return pieces.transpose(1, 2, 0).reshape(len(table.grid) - 1, 14)
+    c, dc = spline.c[::-1], spline.derivative().c[::-1]
+    rows = [p[k, :, q] for k in range(3) for p in (c, dc) for q in (0, 1)]
+    return np.stack(rows + [c[3, :, 0], c[3, :, 1]], axis=1)
 
 
 def random_table(rng, n: int, grid=None) -> TabulatedProvider:

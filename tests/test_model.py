@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,24 @@ def test_timeseries_rejects_nonuniform_grid():
     flat = np.zeros((1, 3))
     with pytest.raises(ValueError, match="uniform"):
         TimeSeries(t=t, n=flat, v=flat, friction=flat, diffusion=flat)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0, 0.01, np.inf], "grid not finite"),
+    ([np.inf, np.inf, 0.02], "grid not finite"),
+    ([-np.inf, 0.01, 0.02], "grid not finite"),
+    ([np.nan, 0.01, 0.02], "grid not finite"),
+    ([-1.7e308, 1.7e308, 1.75e308], "grid spacing not uniform"),
+    ([-1.7e308, 1.7e308], "grid spacing not uniform"),
+])
+def test_timeseries_rejects_non_finite_times_without_warnings(times, message):
+    # A last time of inf passed as a grid whose every step is within
+    # GRID_SLACK of inf; the others warned in numpy before they failed.
+    flat = np.zeros((1, len(times)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            TimeSeries(t=times, n=flat, v=flat, friction=flat, diffusion=flat)
 
 
 def test_timeseries_rejects_length_mismatch():

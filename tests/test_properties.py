@@ -1,8 +1,13 @@
 """Property tests over generated configurations (needs ``hypothesis``)."""
 
+import contextlib
 import dataclasses
+import io
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +18,9 @@ from oscibath.analysis import (
     extract_period,
     synchronization_metrics,
 )
+from oscibath.cli import main
 from oscibath.coefficients import (
+    KINDS,
     PhenomenologicalProvider,
     TabulatedProvider,
     _spline_kernel,
@@ -27,7 +34,12 @@ from oscibath.model import (
     ProviderConfig,
     SimulationConfig,
 )
-from oscibath.scenario import parse_scenario, serialize_scenario
+from oscibath.scenario import (
+    _BATH_KEYS,
+    demo_fig4_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -428,3 +440,209 @@ def test_estimators_return_or_name_what_they_cannot_process(series):
                 estimate()
             except AnalysisError:
                 pass
+
+
+# Generated command lines.  A valid scenario comes from the grammar: its
+# coefficient sections from KINDS, the rest from the model's fields and the
+# bath keys, every number in [0.05, 1] (valid for every key, negative
+# friction allowed) and every run to t_end <= 5 on a grid of at most 500
+# samples.  Mutations then break it as a user might.
+number = st.floats(0.05, 1.0).map(lambda x: format(x, ".3g"))
+BAD_TOKENS = ["nan", "inf", "-1", "1e400", "", "01"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A directory holding a coefficient table over [0, 5] and the CSV of a
+    fig4 run to t_end 10."""
+    root = tmp_path_factory.mktemp("commands")
+    table = root / "table.csv"
+    table.write_text("t,lambda,D\n" + "".join(
+        f"{t:g},{0.2 + 0.05 * math.cos(2 * t)!r},{0.05 + 0.02 * math.sin(2 * t)!r}\n"
+        for t in np.linspace(0.0, 5.0, 11)))
+    scn = root / "fig4.scn"
+    scn.write_text(demo_fig4_scenario("0.5").replace("t_end = 80", "t_end = 10"))
+    assert run_main(["simulate", str(scn), str(root / "fig4.csv")])[0] == 0
+    return root
+
+
+@st.composite
+def scenario_lines(draw, table):
+    """The lines of a valid scenario of 1 to 3 oscillators."""
+    n = draw(st.integers(1, 3))
+
+    def section(name, items):
+        return [f"[{name}]"] + [f"{key} = {value}" for key, value in items] + [""]
+
+    def optional(keys, required):
+        return [key for key in keys if key in required or draw(st.booleans())]
+
+    osc_keys = [f.name for f in dataclasses.fields(OscillatorSpec)]
+    lines = []
+    for i in range(1, n + 1):
+        lines += section(f"oscillator {i}", [(key, draw(number)) for key in
+                                             optional(osc_keys, ["omega"])])
+        kind = draw(st.sampled_from(sorted(KINDS)))
+        spec = KINDS[kind]
+        lines += section(f"coefficients {i}", [("kind", kind)] + [
+            (key, table if key in spec.text else "true" if key in spec.flags
+             else draw(number))
+            for key in optional(spec.keys, spec.required + spec.flags)])
+        for j in range(1, draw(st.integers(0, 2)) + 1):
+            lines += section(f"bath {i} {j}", [
+                (key, draw(st.sampled_from([s.value for s in BathStatistics]))
+                 if key == "statistics" else draw(number)) for key in _BATH_KEYS])
+    if n > 1:
+        lines += section("coupling", [(f"beta {i} {j}", draw(number))
+                                      for i in range(1, n + 1)
+                                      for j in range(i + 1, n + 1)
+                                      if draw(st.booleans())])
+    # output_dt <= 0.5 <= t_end <= 5: at most 500 samples.
+    integration = [("t_end", format(draw(st.floats(0.5, 5.0)), ".3g"))]
+    if draw(st.booleans()):
+        integration.append(("output_dt", format(draw(st.floats(0.01, 0.5)), ".3g")))
+    integration += [(key, format(getattr(SimulationConfig, key), "g"))
+                    for key in optional(["rtol", "atol"], ())]
+    return lines + section("integration", integration)
+
+
+@st.composite
+def mutated(draw, lines):
+    """lines broken by up to three mutations, each a line deleted,
+    duplicated or truncated, a value set to a bad token, an index respelled
+    (9 is out of range) or a [DEFAULT] section added; last, perhaps, a grid
+    of 2**53 samples or more, which a config refuses before it is allocated:
+    no earlier mutation can cut 1e300 down to a grid that would be built."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["delete", "duplicate", "truncate", "value",
+                                    "index", "default"]))
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        if how == "delete":
+            del lines[k]
+        elif how == "duplicate":
+            lines.insert(k, line)
+        elif how == "truncate":
+            lines[k] = line[:draw(st.integers(0, max(len(line) - 1, 0)))]
+        elif how == "value" and " = " in line:
+            lines[k] = line.split(" = ")[0] + " = " + draw(st.sampled_from(BAD_TOKENS))
+        elif how == "index":
+            numbered = [m for m, text in enumerate(lines) if re.fullmatch(
+                r"\[(oscillator|coefficients|bath) .*\]|beta .*", text.split(" = ")[0])]
+            if numbered:
+                m = draw(st.sampled_from(numbered))
+                index = draw(st.sampled_from(re.findall(r"\d+", lines[m])))
+                spelling = draw(st.sampled_from(
+                    ["0" + index, index.translate(ARABIC_INDIC), "0", "9"]))
+                lines[m] = lines[m].replace(f" {index}", f" {spelling}", 1)
+        elif how == "default":
+            lines.insert(draw(st.sampled_from([0, len(lines)])), "[DEFAULT]\nn0 = 0\n")
+    if draw(st.integers(0, 3)) == 0:
+        lines = [("t_end = 1e300" if line.startswith("t_end = ") else
+                  "output_dt = 1e-300" if line.startswith("output_dt = ") else line)
+                 for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+def run_main(argv):
+    """cli.main's exit code, stdout and stderr; no warning may be raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_names(code, err, path):
+    """Exit 0 says nothing; a failure is one line naming the input, and an
+    inconclusive analysis one line per metric."""
+    if code == 0:
+        assert err == ""
+        return
+    lines = err.splitlines(keepends=True)
+    assert code in (1, 2, 3) and lines
+    assert all(line.startswith("oscibath: ") and line.endswith("\n")
+               for line in lines)
+    assert code == 3 or len(lines) == 1
+    if code == 1:
+        assert str(path) in err
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_generated_scenarios_exit_cleanly(command_inputs, data):
+    table = str(command_inputs / "table.csv")
+    text = data.draw(mutated(data.draw(scenario_lines(table))))
+    with tempfile.TemporaryDirectory() as work:
+        scn = Path(work) / "run.scn"
+        scn.write_text(text, encoding="utf-8")
+        code, _, err = run_main(["simulate", str(scn), str(Path(work) / "run.csv")])
+    assert code in (0, 1, 2)
+    assert_exit_names(code, err, scn)
+
+
+# Each parameter's good values; coupling.beta, last, needs a pair.
+SWEEPS = {"integration.rtol": ("1e-6", "1e-8"),
+          "oscillator.1.omega": ("0.5", "1"), "coupling.beta": ("0.1", "0.5")}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_sweep_fails_only_its_bad_member(command_inputs, data):
+    lines = data.draw(scenario_lines(str(command_inputs / "table.csv")))
+    pairs = sum(line.startswith("[oscillator ") for line in lines) > 1
+    param = data.draw(st.sampled_from(list(SWEEPS)[:3 if pairs else 2]))
+    tokens = list(SWEEPS[param])
+    bad = data.draw(st.sampled_from(["nan", "inf", "-1", "1e400", "x"]))
+    tokens.insert(data.draw(st.integers(0, 2)), bad)
+    with tempfile.TemporaryDirectory() as work:
+        scn = Path(work) / "run.scn"
+        scn.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_main(["sweep", str(scn), str(Path(work) / "sweep"),
+                                   "--param", param, "--values=" + ",".join(tokens)])
+    assert (code, err) == (0, "")
+    for token in tokens:
+        status = "failed: " if token == bad else "ok\n"
+        assert f"{param} = {token}: {status}" in out
+
+
+@st.composite
+def mutated_csv(draw, lines):
+    """A run's CSV lines broken by up to three mutations: a line deleted,
+    duplicated or truncated, or one cell set to a bad token."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["delete", "duplicate", "truncate", "value"]))
+        # The version line, the header, the first row or any line.
+        k = draw(st.sampled_from([0, 1, 2, draw(st.integers(0, len(lines) - 1))]))
+        if how == "delete":
+            del lines[k]
+        elif how == "duplicate":
+            lines.insert(k, lines[k])
+        elif how == "truncate":
+            lines[k] = lines[k][:draw(st.integers(0, max(len(lines[k]) - 1, 0)))]
+        else:
+            cells = lines[k].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(
+                st.sampled_from(BAD_TOKENS))
+            lines[k] = ",".join(cells)
+    return lines
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_mutated_csvs_analyze_cleanly(command_inputs, data):
+    source = (command_inputs / "fig4.csv").read_text().splitlines()
+    lines = data.draw(mutated_csv(source))
+    flags = data.draw(st.lists(
+        st.sampled_from(["--period", "--envelope", "--sync=1,2"]), unique=True))
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "run.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run_main(["analyze", str(path), *flags])
+    assert code in (0, 1, 3)
+    assert_exit_names(code, err, path)

@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from oscibath.coefficients import KINDS
+from oscibath.coefficients import KINDS, make_provider
 from oscibath.model import (
     InvalidConfig,
     OscillatorSpec,
@@ -134,6 +134,15 @@ class TestParseErrors:
         ((HANDCRAFTED, "[DEFAULT]\nn0 = 0\n\n" + HANDCRAFTED),
          "^unknown section 'DEFAULT'$"),
         ((HANDCRAFTED, HANDCRAFTED + "\n[DEFAULT]\n"), "^unknown section 'DEFAULT'$"),
+        # An index is spelled 1, 2, ...; another spelling of one is not a
+        # second name for its section, which it would silently replace.
+        (("[oscillator 2]", "[oscillator 02]"), "^unknown section 'oscillator 02'$"),
+        (("[bath 2 1]", "[bath 2 01]"), "^unknown section 'bath 2 01'$"),
+        (("beta 1 2", "beta 01 2"), r"^\[coupling\] unknown key 'beta 01 2'$"),
+        (("[oscillator 2]", "[oscillator 0]"), "^unknown section 'oscillator 0'$"),
+        (("[bath 2 1]", "[bath 2 0]"), "^unknown section 'bath 2 0'$"),
+        (("[coefficients 2]", "[coefficients \u0662]"),
+         "^unknown section 'coefficients \u0662'$"),
     ])
     def test_bad_input_names_the_problem(self, mangle, message):
         text = HANDCRAFTED.replace(*mangle)
@@ -213,6 +222,23 @@ class TestParseErrors:
                                                 "scenario representation"):
             serialize_scenario(custom)
 
+    def test_every_reader_of_a_kind_refuses_an_unknown_one(self):
+        typo = HANDCRAFTED.replace("kind = constant", "kind = phenomenologcal")
+        with pytest.raises(InvalidConfig, match=r"^\[coefficients 1\] unknown "
+                                                "kind 'phenomenologcal'$"):
+            parse_scenario(typo)
+        # A config does not read its kinds, so one with a typo builds.
+        config = parse_scenario(HANDCRAFTED)
+        pc = ProviderConfig("phenomenologcal", {"mean_lambda": 0.1})
+        config = dataclasses.replace(
+            config, provider_config=(pc, config.provider_config[1]))
+        with pytest.raises(InvalidConfig, match="^unknown coefficient kind "
+                                                "'phenomenologcal'$"):
+            make_provider(pc)
+        with pytest.raises(InvalidConfig, match="^custom providers have no "
+                                                "scenario representation$"):
+            serialize_scenario(config)
+
     def test_conflicting_beta_pair(self):
         text = HANDCRAFTED.replace("beta 1 2 = 0.2",
                                    "beta 1 2 = 0.2\nbeta 2 1 = 0.3")
@@ -265,6 +291,13 @@ class TestOverrides:
         sections = read_sections(demo_fig4_scenario("0.05"))
         config = build_config(apply_override(sections, "coupling.beta", "0.4"))
         assert config.coupling.beta[0][1] == 0.4
+
+    def test_uniform_beta_without_a_pair(self):
+        # It would set nothing, so every member of a sweep would be one run.
+        sections = read_sections(demo_fig2_scenario())
+        with pytest.raises(InvalidConfig, match="^override key 'coupling.beta': "
+                                                "no oscillator pair$"):
+            apply_override(sections, "coupling.beta", "nan")
 
     def test_single_pair_beta(self):
         sections = read_sections(demo_fig4_scenario("0.05"))
